@@ -63,6 +63,7 @@ from .odmr import (
     synth_odmr,
 )
 from .presets import bulk_model, fnd_model
+from .quadrature import adaptive_simpson
 from .report import ColumnarReport, read_histogram, read_report, write_histogram, write_report
 from .sweep import (
     GateSweepReport,
@@ -70,6 +71,7 @@ from .sweep import (
     SweepConfig,
     joint_optimum,
     optimal_gate,
+    optimal_point,
     sweep_gate,
     sweep_rep_rate,
 )
@@ -106,6 +108,7 @@ __all__ = [
     "SpingateError",
     "SweepConfig",
     "TcspcHistogram",
+    "adaptive_simpson",
     "bulk_model",
     "catmull_rom_upsample",
     "contrast",
@@ -124,6 +127,7 @@ __all__ = [
     "mc_snr_distribution",
     "offline_gate",
     "optimal_gate",
+    "optimal_point",
     "read_histogram",
     "read_report",
     "sample_histogram",

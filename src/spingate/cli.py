@@ -40,7 +40,7 @@ from .report import (
     write_histogram,
     write_report,
 )
-from .sweep import joint_optimum, optimal_gate, sweep_gate, sweep_rep_rate
+from .sweep import optimal_gate, optimal_point, sweep_gate, sweep_rep_rate
 
 _FLOAT_FMT = ".17g"
 
@@ -252,8 +252,8 @@ def _cmd_joint_opt(args) -> int:
     out = _resolve_out(args, run)
     if not run.sweep.rate_grid:
         raise ConfigError("joint-opt needs [sweep] rate_grid or period_grid")
-    tau_c, rate = joint_optimum(run.model, run.sweep)
     report = sweep_rep_rate(run.model, run.sweep)
+    tau_c, rate = optimal_point(report)
     columns, rows = _rep_rows(report)
     meta = _base_metadata("joint-opt", seed)
     meta["mode"] = report.mode

@@ -6,9 +6,11 @@ background emission, plus a time-independent detector dark rate. With a
 Gaussian instrument response of width ``irf_sigma`` each component becomes an
 exponentially modified Gaussian (EMG).
 
-All count integrals have closed forms for ``irf_sigma = 0``; the EMG case
-falls back to adaptive quadrature. Counts are "per pulse": multiply by the
-repetition rate for steady-state rates.
+Every count integral has a closed form, with or without the IRF: the gated
+integral of an EMG is a difference of ex-Gaussian CDFs (Grushka, Anal. Chem.
+44, 1733, 1972). One array kernel evaluates it for gates, onset grids and
+histogram bins alike. Counts are "per pulse": multiply by the repetition
+rate for steady-state rates.
 
 Spin selection: operations take a selector that is either the string
 ``"ms0"`` / ``"ms1"`` or a float weight ``w`` in [0, 1] meaning a population
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .errors import GateError
 from .histogram import TcspcHistogram
-from .quadrature import adaptive_simpson
 
 SpinSelector = Union[str, float]
 
@@ -213,6 +213,9 @@ def _emg_intensity(amplitude: float, lifetime: float, sigma: float, dt) -> np.nd
     the identity exp(x) erfc(z) = erfcx(z) exp(x - z^2) with
     x - z^2 = -dt^2/(2 sigma^2) keeps every factor bounded when z >= 0.
     """
+    # imported here so that IRF-free runs never pay for loading scipy
+    from scipy.special import erfc, erfcx
+
     dt = np.asarray(dt, dtype=float)
     z = sigma / (_SQRT2 * lifetime) - dt / (_SQRT2 * sigma)
     out = np.empty_like(z)
@@ -252,55 +255,80 @@ def gated_counts_exponential(comp: DecayComponent, gate: GateWindow) -> float:
     n = A tau (exp(-t0/tau) - exp(-t1/tau)); the unbounded-gate limit drops
     the second term.
     """
-    upper = 0.0 if not gate.bounded else math.exp(-gate.t_end / comp.lifetime)
-    return comp.amplitude * comp.lifetime * (math.exp(-gate.t_start / comp.lifetime) - upper)
+    return float(_window_counts((comp,), 0.0, gate.t_start, gate.t_end))
 
 
-def _component_gated(comp: DecayComponent, gate: GateWindow, sigma: float, pulse_time: float) -> float:
+def _tail(x, lifetime: float, sigma: float) -> np.ndarray:
+    """Signed tail C(x) of one unit-area component, x in ns after the pulse.
+
+    With the EMG survival function
+    S(x) = Phi(-x/sigma) + exp(sigma^2/(2 tau^2) - x/tau + log Phi(x/sigma - sigma/tau)),
+    C(x) is the CDF 1 - S(x) before the pulse (x < 0) and -S(x) from it on:
+    each side keeps the tail that is small there, so differences never
+    cancel against a value near 1. Both Phi terms enter with the same sign
+    after the pulse, and S(inf) = 0 closes unbounded windows. sigma = 0 is
+    the plain exponential, S(x) = exp(-x/tau) for x >= 0.
+    """
     if sigma == 0.0:
-        # Shift into time-after-pulse; intensity is zero before the pulse.
-        t0 = max(gate.t_start - pulse_time, 0.0)
-        t1 = gate.t_end - pulse_time
-        if t1 <= 0.0:
-            return 0.0
-        shifted = GateWindow(t0, t1)
-        return gated_counts_exponential(comp, shifted)
-    if not gate.bounded:
-        raise GateError("quadrature requires finite window")
-    if comp.amplitude == 0.0:
-        return 0.0
-    return adaptive_simpson(
-        lambda t: float(_emg_intensity(comp.amplitude, comp.lifetime, sigma, t - pulse_time)),
-        gate.t_start,
-        gate.t_end,
-    )
+        return np.where(x < 0.0, 0.0, -np.exp(-np.maximum(x, 0.0) / lifetime))
+    # imported here so that IRF-free runs never pay for loading scipy
+    from scipy.special import log_ndtr, ndtr
+
+    z = x / sigma
+    shifted = np.exp(0.5 * (sigma / lifetime) ** 2 - x / lifetime + log_ndtr(z - sigma / lifetime))
+    return np.where(x < 0.0, 1.0, -1.0) * ndtr(-np.abs(z)) - shifted
+
+
+def _window_counts(comps, sigma: float, x0, x1) -> np.ndarray | float:
+    """Summed per-pulse counts of comps in [x0, x1), times relative to the pulse.
+
+    A tau [S(x0) - S(x1)] per component, written as C(x1) - C(x0) plus the
+    unit step C takes at x = 0. x0 and x1 broadcast against each other.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    step = (x0 < 0.0) & (x1 >= 0.0)
+    total = 0.0
+    for c in comps:
+        jump = _tail(x1, c.lifetime, sigma) - _tail(x0, c.lifetime, sigma) + step
+        total = total + c.amplitude * c.lifetime * jump
+    return total
+
+
+def _gated(model: FluorescenceModel, spin: SpinSelector, t_start, t_end):
+    """Per-pulse (signal, background, dark) counts in [t_start, t_end), elementwise."""
+    x0 = t_start - model.pulse_time
+    x1 = t_end - model.pulse_time
+    signal = _window_counts(model.spin_components(spin), model.irf_sigma, x0, x1)
+    background = _window_counts(model.background, model.irf_sigma, x0, x1)
+    # 0 * inf from an unbounded gate must stay 0, not NaN
+    dark = 0.0 if model.dark_rate == 0.0 else model.dark_rate * (t_end - t_start)
+    return signal, background, dark
 
 
 def gated_counts(model: FluorescenceModel, spin: SpinSelector, gate: GateWindow) -> GatedCounts:
     """Per-pulse counts in the gate, split into signal / background / dark."""
-    signal = sum(
-        _component_gated(c, gate, model.irf_sigma, model.pulse_time)
-        for c in model.spin_components(spin)
-    )
-    bg = sum(
-        _component_gated(c, gate, model.irf_sigma, model.pulse_time) for c in model.background
-    )
-    # 0 * inf from an unbounded gate must stay 0, not NaN
-    dark = 0.0 if model.dark_rate == 0.0 else model.dark_rate * gate.length
-    return GatedCounts(signal=float(signal), background=float(bg), dark=float(dark))
+    signal, background, dark = _gated(model, spin, gate.t_start, gate.t_end)
+    return GatedCounts(signal=float(signal), background=float(background), dark=float(dark))
 
 
 def steady_rate(
-    model: FluorescenceModel, spin: SpinSelector, gate_onset: float, train: PulseTrain
-) -> float:
+    model: FluorescenceModel, spin: SpinSelector, gate_onset, train: PulseTrain
+) -> np.ndarray | float:
     """Steady-state detected rate (counts/s) with the gate open from
-    gate_onset to the end of each period."""
-    if not gate_onset >= 0:
+    gate_onset to the end of each period.
+
+    gate_onset is a scalar (float result) or an array of onsets (array
+    result, one rate per onset).
+    """
+    onset = np.asarray(gate_onset, dtype=float)
+    if not np.all(onset >= 0):
         raise GateError(f"gate onset must be >= 0, got {gate_onset}")
-    if gate_onset >= train.period:
+    if np.any(onset >= train.period):
         raise GateError("gate exceeds pulse period")
-    window = GateWindow(gate_onset, train.period)
-    return train.rep_rate * gated_counts(model, spin, window).total
+    signal, background, dark = _gated(model, spin, onset, train.period)
+    rate = train.rep_rate * (signal + background + dark)
+    return float(rate) if onset.ndim == 0 else rate
 
 
 def histogram_expectation(
@@ -325,24 +353,9 @@ def histogram_expectation(
         raise ValueError(
             f"bin width {bin_width} ns does not tile the {period} ns period exactly"
         )
-    edges = np.arange(n_bins + 1) * bin_width
-    per_bin = np.full(n_bins, model.dark_rate * bin_width, dtype=float)
+    x = np.arange(n_bins + 1) * bin_width - model.pulse_time
     comps = model.spin_components(spin) + model.background
-    if model.irf_sigma == 0.0:
-        shifted = np.clip(edges - model.pulse_time, 0.0, None)
-        for c in comps:
-            decay = np.exp(-shifted / c.lifetime)
-            per_bin += c.amplitude * c.lifetime * (decay[:-1] - decay[1:])
-    else:
-        for c in comps:
-            for b in range(n_bins):
-                per_bin[b] += adaptive_simpson(
-                    lambda t, c=c: float(
-                        _emg_intensity(c.amplitude, c.lifetime, model.irf_sigma, t - model.pulse_time)
-                    ),
-                    edges[b],
-                    edges[b + 1],
-                )
+    per_bin = _window_counts(comps, model.irf_sigma, x[:-1], x[1:]) + model.dark_rate * bin_width
     counts = per_bin * (integration_time * train.rep_rate)
     return TcspcHistogram(
         bin_width=bin_width,

@@ -1,15 +1,19 @@
-"""Scalar figures of merit for spin-dependent photon counting.
+"""Figures of merit for spin-dependent photon counting.
 
 Contrast, shot-noise-limited SNR, the gating enhancement factor and its
 quadratic measurement-time speedup, and the CW magnetic-resonance
 sensitivity. All functions are pure algebra over count or rate pairs; no
-model evaluation happens here.
+model evaluation happens here. A pair holds scalars or equal-shape arrays
+(one pair per grid point); contrast, SNR and sensitivity work elementwise
+and raise if any element is undefined.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import MetricError
 
@@ -18,11 +22,11 @@ from .errors import MetricError
 class CountPair:
     """Detected counts per channel: n0 = MW off (reference), n1 = MW on."""
 
-    n0: float
-    n1: float
+    n0: float | np.ndarray
+    n1: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.n0 >= 0 and self.n1 >= 0):
+        if not (np.all(self.n0 >= 0) and np.all(self.n1 >= 0)):
             raise ValueError(f"counts must be non-negative, got ({self.n0}, {self.n1})")
 
 
@@ -30,11 +34,11 @@ class CountPair:
 class RatePair:
     """Detected steady rates (counts/s) per channel, background included."""
 
-    r0: float
-    r1: float
+    r0: float | np.ndarray
+    r1: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.r0 >= 0 and self.r1 >= 0):
+        if not (np.all(self.r0 >= 0) and np.all(self.r1 >= 0)):
             raise ValueError(f"rates must be non-negative, got ({self.r0}, {self.r1})")
 
 
@@ -51,22 +55,22 @@ class PhysicalConstants:
             raise ValueError("physical constants must be strictly positive")
 
 
-def contrast(p: CountPair) -> float:
+def contrast(p: CountPair) -> float | np.ndarray:
     """Readout contrast C = (N0 - N1) / N0.
 
     Negative values are reported as-is (inverted dip), not clamped.
     """
-    if p.n0 == 0:
+    if np.any(p.n0 == 0):
         raise MetricError("undefined contrast: reference channel N0 has zero counts")
     return (p.n0 - p.n1) / p.n0
 
 
-def snr(p: CountPair) -> float:
+def snr(p: CountPair) -> float | np.ndarray:
     """Shot-noise-limited SNR = (N0 - N1) / sqrt(N0 + N1)."""
     total = p.n0 + p.n1
-    if total == 0:
+    if np.any(total == 0):
         raise MetricError("undefined SNR: both channels have zero counts")
-    return (p.n0 - p.n1) / math.sqrt(total)
+    return (p.n0 - p.n1) / np.sqrt(total)
 
 
 def ef_theoretical(contrast: float, bg_ratio: float) -> float:
@@ -94,7 +98,7 @@ def ef_empirical(gated: CountPair, ungated: CountPair) -> float:
 
 def sensitivity_cw(
     linewidth: float, rates: RatePair, constants: PhysicalConstants | None = None
-) -> float:
+) -> float | np.ndarray:
     """Shot-noise-limited CW magnetic-field sensitivity in T / sqrt(Hz).
 
     eta = 4/(3 sqrt(3)) * h/(g_e mu_B) * dnu * sqrt(R0) / (R0 - R1)
@@ -104,8 +108,8 @@ def sensitivity_cw(
         constants = PhysicalConstants()
     if not linewidth > 0:
         raise MetricError(f"linewidth must be > 0, got {linewidth}")
-    if rates.r0 <= rates.r1:
+    if np.any(rates.r0 <= rates.r1):
         raise MetricError("non-positive ODMR dip")
     prefactor = 4.0 / (3.0 * math.sqrt(3.0))
     quantum = constants.planck_h / (constants.electron_g * constants.bohr_magneton)
-    return prefactor * quantum * linewidth * math.sqrt(rates.r0) / (rates.r0 - rates.r1)
+    return prefactor * quantum * linewidth * np.sqrt(rates.r0) / (rates.r0 - rates.r1)

@@ -1,9 +1,10 @@
-"""Adaptive Simpson integration.
+"""Adaptive Simpson integration, kept as a test oracle only.
 
-Deliberately small and self-contained: the closed-form count integrals in
-:mod:`spingate.decay` are cross-checked against this routine, so it must not
-share code with them. Accuracy is driven by a relative tolerance on the
-whole-interval estimate with the usual 1/15 Richardson error bound.
+No model code calls it: every count integral in :mod:`spingate.decay` has a
+closed form. The tests cross-check those closed forms against this routine,
+so it must not share code with them. Accuracy is driven by a relative
+tolerance on the whole-interval estimate with the usual 1/15 Richardson
+error bound.
 """
 
 from __future__ import annotations

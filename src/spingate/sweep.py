@@ -145,51 +145,32 @@ def _gate_grid(train: PulseTrain, cfg: SweepConfig) -> np.ndarray:
     return grid
 
 
-def _channel_rates(
-    model: FluorescenceModel, train: PulseTrain, tau_c: float, c_sat: float
-) -> tuple[float, float]:
-    r0 = steady_rate(model, "ms0", tau_c, train)
-    r1 = steady_rate(model, c_sat, tau_c, train)
-    return r0, r1
-
-
 def sweep_gate(model: FluorescenceModel, train: PulseTrain, cfg: SweepConfig) -> GateSweepReport:
-    """Sweep the gate onset and tabulate contrast, shot noise, SNR, EF, eta."""
+    """Sweep the gate onset and tabulate contrast, shot noise, SNR, EF, eta.
+
+    Each channel's rates come from one kernel call over the whole grid.
+    """
     grid = _gate_grid(train, cfg)
     per_channel_time = cfg.integration_time * cfg.mw_duty
-
-    contrasts = np.empty(grid.size)
-    shot = np.empty(grid.size)
-    snrs = np.empty(grid.size)
-    etas = np.empty(grid.size) if cfg.linewidth is not None else None
-    for i, tau_c in enumerate(grid):
-        r0, r1 = _channel_rates(model, train, float(tau_c), cfg.c_sat)
-        pair = CountPair(r0 * per_channel_time, r1 * per_channel_time)
-        contrasts[i] = contrast(pair)
-        shot[i] = np.sqrt(pair.n0 + pair.n1)
-        snrs[i] = snr(pair)
-        if etas is not None:
-            etas[i] = sensitivity_cw(cfg.linewidth, RatePair(r0, r1), cfg.constants)
-
-    # EF baseline is always the ungated (tau_c = 0) SNR, whether or not the
-    # grid includes 0, so ef[0] == 1 exactly for default grids.
-    if grid[0] == 0.0:
-        snr0 = snrs[0]
-    else:
-        r0, r1 = _channel_rates(model, train, 0.0, cfg.c_sat)
-        snr0 = snr(CountPair(r0 * per_channel_time, r1 * per_channel_time))
-    # enhancement over a zero-SNR baseline is undefined, not infinite
-    ef = snrs / snr0 if snr0 != 0.0 else np.full(grid.size, np.nan)
-
-    optimum = int(np.argmax(snrs))
+    r0 = steady_rate(model, "ms0", grid, train)
+    r1 = steady_rate(model, cfg.c_sat, grid, train)
+    pair = CountPair(r0 * per_channel_time, r1 * per_channel_time)
+    contrasts = contrast(pair)
+    snrs = snr(pair)
+    etas = None
+    if cfg.linewidth is not None:
+        etas = sensitivity_cw(cfg.linewidth, RatePair(r0, r1), cfg.constants)
+    # The grid starts at the ungated onset 0, the EF baseline, so ef[0] == 1
+    # exactly; enhancement over a zero-SNR baseline is undefined, not infinite.
+    ef = snrs / snrs[0] if snrs[0] != 0.0 else np.full(grid.size, np.nan)
     return GateSweepReport(
         tau_c_grid=grid,
         contrast=contrasts,
-        shot_noise=shot,
+        shot_noise=np.sqrt(pair.n0 + pair.n1),
         snr=snrs,
         ef=ef,
         eta=etas,
-        optimum=optimum,
+        optimum=int(np.argmax(snrs)),
     )
 
 
@@ -211,63 +192,41 @@ def _rate_scale(rate: float, cfg: SweepConfig) -> float:
 
 
 def sweep_rep_rate(model: FluorescenceModel, cfg: SweepConfig) -> RepRateSweepReport:
-    """Sweep the repetition rate, re-optimizing the gate at every rate."""
-    if not cfg.rate_grid:
-        raise ValueError("rate_grid must be a non-empty sequence of rates")
-    rates = np.asarray(cfg.rate_grid, dtype=float)
+    """Sweep the repetition rate, re-optimizing the gate at every rate.
 
-    snr_u = np.empty(rates.size)
-    snr_g = np.empty(rates.size)
-    eta_u = np.empty(rates.size) if cfg.linewidth is not None else None
-    eta_g = np.empty(rates.size) if cfg.linewidth is not None else None
-    tau_opt = np.empty(rates.size)
-
-    per_channel_time = cfg.integration_time * cfg.mw_duty
-    for i, rate in enumerate(rates):
-        scaled = model.scaled(_rate_scale(float(rate), cfg))
-        train = PulseTrain(float(rate))
-        report = sweep_gate(scaled, train, cfg)
-        best = report.optimum
-        tau_opt[i] = report.tau_c_grid[best]
-        snr_g[i] = report.snr[best]
-        if report.tau_c_grid[0] == 0.0:
-            snr_u[i] = report.snr[0]
-        else:
-            r0, r1 = _channel_rates(scaled, train, 0.0, cfg.c_sat)
-            snr_u[i] = snr(CountPair(r0 * per_channel_time, r1 * per_channel_time))
-        if eta_u is not None:
-            r0, r1 = _channel_rates(scaled, train, 0.0, cfg.c_sat)
-            eta_u[i] = sensitivity_cw(cfg.linewidth, RatePair(r0, r1), cfg.constants)
-            eta_g[i] = report.eta[best]
-
-    return RepRateSweepReport(
-        rate_grid=rates,
-        mode=cfg.power_mode,
-        snr_ungated=snr_u,
-        snr_gated=snr_g,
-        eta_ungated=eta_u,
-        eta_gated=eta_g,
-        tau_c_opt=tau_opt,
-    )
-
-
-def joint_optimum(model: FluorescenceModel, cfg: SweepConfig) -> tuple[float, float]:
-    """Best (tau_c, rep_rate) over the product grid.
-
-    Rates are visited in ascending order and a candidate replaces the
-    incumbent only on strictly larger SNR, so ties resolve to the smallest
-    rate; within one rate optimal_gate already prefers the smallest onset.
+    Ungated figures come from each gate grid's first onset, which is 0.
     """
     if not cfg.rate_grid:
         raise ValueError("rate_grid must be a non-empty sequence of rates")
-    best_snr = -np.inf
-    best = (0.0, 0.0)
-    for rate in sorted(cfg.rate_grid):
-        scaled = model.scaled(_rate_scale(float(rate), cfg))
-        train = PulseTrain(float(rate))
-        report = sweep_gate(scaled, train, cfg)
-        candidate = report.snr[report.optimum]
-        if candidate > best_snr:
-            best_snr = float(candidate)
-            best = (optimal_gate(report), float(rate))
-    return best
+    rates = np.asarray(cfg.rate_grid, dtype=float)
+    reports = [
+        sweep_gate(model.scaled(_rate_scale(rate, cfg)), PulseTrain(rate), cfg)
+        for rate in rates.tolist()
+    ]
+    with_eta = cfg.linewidth is not None
+    return RepRateSweepReport(
+        rate_grid=rates,
+        mode=cfg.power_mode,
+        snr_ungated=[r.snr[0] for r in reports],
+        snr_gated=[r.snr[r.optimum] for r in reports],
+        eta_ungated=[r.eta[0] for r in reports] if with_eta else None,
+        eta_gated=[r.eta[r.optimum] for r in reports] if with_eta else None,
+        tau_c_opt=[optimal_gate(r) for r in reports],
+    )
+
+
+def optimal_point(report: RepRateSweepReport) -> tuple[float, float]:
+    """Best (tau_c, rep_rate) of a repetition-rate sweep.
+
+    Ties resolve to the smallest rate, whatever the order of the rate grid,
+    by taking the first maximum over ascending rates; within one rate the
+    gate optimum already prefers the smallest onset.
+    """
+    ascending = np.argsort(report.rate_grid, kind="stable")
+    best = ascending[int(np.argmax(report.snr_gated[ascending]))]
+    return float(report.tau_c_opt[best]), float(report.rate_grid[best])
+
+
+def joint_optimum(model: FluorescenceModel, cfg: SweepConfig) -> tuple[float, float]:
+    """Best (tau_c, rep_rate) over the product grid; see optimal_point."""
+    return optimal_point(sweep_rep_rate(model, cfg))

@@ -2,8 +2,8 @@
 
 Every test prints `criterion NN [name]: PASS|FAIL` and enforces its stated
 tolerance and runtime budget. Criterion 06 is expected to fail: on this
-two-exponential model the constant-pulse-energy SNR peaks near a 31-33 ns
-pulse period and the constant-mean-power curves are monotone in the period,
+two-exponential model the constant-pulse-energy SNR peaks at a 37 ns pulse
+period and the constant-mean-power curves are monotone in the period,
 so no mode has its optimum inside the required 40-60 ns window (full
 numerical analysis in the project decision notes, outside the package).
 """

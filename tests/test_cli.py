@@ -1,11 +1,15 @@
 """End-to-end command-line runs through main(argv)."""
 
 import math
+import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import spingate
 from spingate.cli import main
 from spingate.decay import GateWindow, PulseTrain, gated_counts
 from spingate.presets import bulk_model
@@ -337,3 +341,42 @@ class TestArgumentHandling:
         code = run_cli("gate-sweep", "--config", config_path)
         assert code == 2
         assert "output path" in capsys.readouterr().err
+
+
+class TestImportCost:
+    """IRF-free runs must not load scipy.special (about a third of a second)."""
+
+    SCRIPT = textwrap.dedent(
+        """\
+        import sys
+        import spingate
+        print("scipy.special" in sys.modules)
+        from spingate.cli import main
+        code = main(["gate-sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
+        print(code, "scipy.special" in sys.modules)
+        """
+    )
+
+    def run_script(self, config: str, out: str) -> list[str]:
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, config, out],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        return done.stdout.splitlines()
+
+    def test_sigma_zero_gate_sweep_leaves_scipy_unloaded(self, config_path, tmp_path):
+        lines = self.run_script(config_path, str(tmp_path / "sweep.csv"))
+        assert lines == ["False", "0 False"]
+
+    def test_irf_gate_sweep_loads_it_on_demand(self, tmp_path):
+        path = tmp_path / "irf.ini"
+        path.write_text(CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\nirf_sigma = 0.3"))
+        lines = self.run_script(str(path), str(tmp_path / "sweep.csv"))
+        assert lines == ["False", "0 True"]

@@ -23,6 +23,7 @@ from spingate.decay import (
     steady_rate,
 )
 from spingate.errors import GateError
+from spingate.quadrature import adaptive_simpson
 
 
 def two_level(tau0=12.0, tau1=8.0, **kw) -> FluorescenceModel:
@@ -198,10 +199,11 @@ class TestGatedCounts:
         want, _ = quad(emg, 2.0, 50.0, epsabs=0.0, epsrel=1e-12)
         assert got == pytest.approx(want, rel=1e-9)
 
-    def test_emg_unbounded_gate_rejected(self):
+    def test_emg_unbounded_gate_matches_long_window(self):
         m = two_level(irf_sigma=0.4)
-        with pytest.raises(GateError, match="quadrature requires finite window"):
-            gated_counts(m, "ms0", GateWindow(2.0))
+        got = gated_counts(m, "ms0", GateWindow(2.0)).signal
+        want = gated_counts(m, "ms0", GateWindow(2.0, 1e4)).signal
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_pulse_time_shifts_the_decay(self):
         shifted = two_level(pulse_time=3.0)
@@ -209,6 +211,75 @@ class TestGatedCounts:
         got = gated_counts(shifted, "ms0", GateWindow(5.0, 40.0)).signal
         want = gated_counts(base, "ms0", GateWindow(2.0, 37.0)).signal
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def emg_oracle(amplitude, tau, sigma, pulse_time, t0, t1):
+    """Integral of the IRF-blurred decay over [t0, t1) by adaptive Simpson.
+
+    The integrand is the erfc form of the EMG, independent of the kernel's
+    normal-CDF form. The window is split into pieces of at most 1 ns: the
+    integrator's absolute budget is set by the whole interval, so a long
+    window over a sharp rise would ask deep panels for more than double
+    precision can deliver.
+    """
+    k = sigma / (math.sqrt(2.0) * tau)
+    scale = math.sqrt(2.0) * sigma
+    shift = 0.5 * (sigma / tau) ** 2
+
+    def intensity(t):
+        dt = t - pulse_time
+        return 0.5 * amplitude * math.exp(shift - dt / tau) * math.erfc(k - dt / scale)
+
+    edges = np.append(np.arange(t0, t1, 1.0), t1)
+    return sum(
+        adaptive_simpson(intensity, float(a), float(b), rel_tol=1e-13)
+        for a, b in zip(edges[:-1], edges[1:])
+        if b > a
+    )
+
+
+class TestEmgKernel:
+    """Closed-form EMG counts against an independent quadrature oracle."""
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("tau", [1.7, 8.0, 12.0])
+    def test_gated_counts_match_oracle(self, tau, sigma):
+        worst = 0.0
+        for pulse_time in (0.0, 2.5):
+            m = FluorescenceModel(
+                spin0=(DecayComponent(1.3, tau),),
+                spin1=(DecayComponent(1.0, 8.0),),
+                irf_sigma=sigma,
+                pulse_time=pulse_time,
+            )
+            # onsets 0-40 ns; with the pulse at 2.5 ns the early windows
+            # start before it
+            for t0 in (0.0, 0.5, 1.0, 2.0, 2.4, 3.0, 5.0, 9.2, 15.0, 25.0, 40.0):
+                for t1 in (t0 + 0.1, t0 + 1.0, 50.0):
+                    if t1 <= t0 or t1 < pulse_time + 0.5:
+                        continue
+                    got = gated_counts(m, "ms0", GateWindow(t0, t1)).signal
+                    want = emg_oracle(1.3, tau, sigma, pulse_time, t0, t1)
+                    worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-12
+
+    def test_histogram_bins_before_the_pulse(self):
+        # bins wholly before the pulse hold only the Gaussian's leading
+        # tail: they stay positive and keep their relative accuracy
+        m = two_level(irf_sigma=0.3, pulse_time=3.0)
+        train = PulseTrain(100e6)
+        h = histogram_expectation(m, "ms0", train, 0.5, 1.0)
+        assert np.all(h.counts > 0)
+        for b in range(h.n_bins):
+            want = emg_oracle(1.0, 12.0, 0.3, 3.0, 0.5 * b, 0.5 * (b + 1)) * 1e8
+            assert h.counts[b] == pytest.approx(want, rel=1e-11)
+
+    def test_sigma_zero_step_at_the_pulse(self):
+        # a window straddling the pulse counts from the pulse on
+        m = two_level(pulse_time=4.0)
+        got = gated_counts(m, "ms0", GateWindow(1.0, 20.0)).signal
+        assert got == pytest.approx(12.0 * -math.expm1(-16.0 / 12.0), rel=1e-14)
+        assert gated_counts(m, "ms0", GateWindow(1.0, 4.0)).signal == 0.0
 
 
 class TestSpinSelector:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spingate.decay import DecayComponent, FluorescenceModel, PulseTrain, steady_rate
-from spingate.metrics import CountPair, snr
+from spingate.metrics import CountPair, RatePair, contrast, sensitivity_cw, snr
 from spingate.presets import (
     BULK_C_SAT,
     BULK_REP_RATE,
@@ -21,9 +21,11 @@ from spingate.presets import (
 )
 from spingate.sweep import (
     GateSweepReport,
+    RepRateSweepReport,
     SweepConfig,
     joint_optimum,
     optimal_gate,
+    optimal_point,
     sweep_gate,
     sweep_rep_rate,
 )
@@ -199,6 +201,65 @@ class TestSweepMechanics:
             )
 
 
+def per_onset_sweep(model, train, cfg, grid):
+    """Reference sweep: scalar steady_rate and metrics at one onset at a time."""
+    per_channel = cfg.integration_time * cfg.mw_duty
+    columns = {"contrast": [], "snr": [], "eta": []}
+    for tau in grid:
+        r0 = steady_rate(model, "ms0", float(tau), train)
+        r1 = steady_rate(model, cfg.c_sat, float(tau), train)
+        pair = CountPair(r0 * per_channel, r1 * per_channel)
+        columns["contrast"].append(contrast(pair))
+        columns["snr"].append(snr(pair))
+        if cfg.linewidth is not None:
+            columns["eta"].append(sensitivity_cw(cfg.linewidth, RatePair(r0, r1), cfg.constants))
+    return {k: np.array(v) for k, v in columns.items()}
+
+
+class TestVectorizedSweep:
+    """The whole-grid sweep against a per-onset loop over the same grid."""
+
+    @pytest.mark.parametrize(
+        "irf_sigma, linewidth", [(0.0, None), (0.0, 10e6), (0.3, None), (0.3, 10e6)]
+    )
+    def test_matches_per_onset_loop(self, irf_sigma, linewidth):
+        base = bulk_model()
+        model = FluorescenceModel(
+            base.spin0, base.spin1, base.background, irf_sigma=irf_sigma
+        )
+        train = PulseTrain(BULK_REP_RATE)
+        cfg = SweepConfig(c_sat=BULK_C_SAT, tau_c_resolution=0.25, linewidth=linewidth)
+        report = sweep_gate(model, train, cfg)
+        want = per_onset_sweep(model, train, cfg, report.tau_c_grid)
+        np.testing.assert_allclose(report.snr, want["snr"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.contrast, want["contrast"], rtol=1e-12, atol=0)
+        if linewidth is None:
+            assert report.eta is None
+        else:
+            np.testing.assert_allclose(report.eta, want["eta"], rtol=1e-12, atol=0)
+        assert report.optimum == int(np.argmax(want["snr"]))
+
+    def test_flat_plateau_breaks_to_smallest_onset(self):
+        # Without an IRF or dark counts every onset up to the pulse at 5 ns
+        # gates nothing away, so the SNR is exactly flat there; with one
+        # shared lifetime it only falls afterwards. The maximum is the whole
+        # plateau and the optimum must be its first onset.
+        m = FluorescenceModel(
+            spin0=(DecayComponent(2.0, 10.0),),
+            spin1=(DecayComponent(1.0, 10.0),),
+            pulse_time=5.0,
+        )
+        train = PulseTrain(20e6)
+        cfg = SweepConfig(linewidth=10e6)
+        report = sweep_gate(m, train, cfg)
+        plateau = report.tau_c_grid <= 5.0
+        assert np.all(report.snr[plateau] == report.snr[0])
+        assert np.all(report.snr[~plateau] < report.snr[0])
+        want = per_onset_sweep(m, train, cfg, report.tau_c_grid)
+        assert report.optimum == int(np.argmax(want["snr"])) == 0
+        np.testing.assert_allclose(report.snr, want["snr"], rtol=1e-12, atol=0)
+
+
 class TestRepRateSweep:
     def test_sqrt_rate_scaling_at_low_rates(self):
         # constant pulse energy, period >> lifetime: per-pulse counts fixed,
@@ -274,6 +335,36 @@ class TestJointOptimum:
         tau, rate = joint_optimum(m, cfg)
         assert tau == 0.0
         assert rate == 20e6
+
+
+    def test_ties_go_to_the_smallest_rate_in_any_grid_order(self):
+        report = RepRateSweepReport(
+            rate_grid=np.array([40e6, 10e6, 20e6, 10e6]),
+            mode="constant-pulse-energy",
+            snr_ungated=np.array([1.0, 1.0, 1.0, 1.0]),
+            snr_gated=np.array([2.0, 2.0, 1.5, 2.0]),
+            eta_ungated=None,
+            eta_gated=None,
+            tau_c_opt=np.array([3.0, 7.0, 5.0, 9.0]),
+        )
+        assert optimal_point(report) == (7.0, 10e6)
+
+    def test_wrapper_matches_the_report(self):
+        cfg = SweepConfig(
+            c_sat=BULK_C_SAT,
+            rate_grid=(40e6, 10e6, 25e6, 20e6),
+            power_mode="constant-mean-power",
+        )
+        got = joint_optimum(bulk_model(), cfg)
+        assert got == optimal_point(sweep_rep_rate(bulk_model(), cfg))
+        # ascending-rate search over separate sweeps, as a loop
+        best, best_snr = None, -np.inf
+        for rate in sorted(cfg.rate_grid):
+            model = bulk_model().scaled(cfg.reference_rate / rate)
+            r = sweep_gate(model, PulseTrain(rate), cfg)
+            if r.snr[r.optimum] > best_snr:
+                best, best_snr = (optimal_gate(r), rate), r.snr[r.optimum]
+        assert got == best
 
 
 class TestReportValidation:
