@@ -10,7 +10,6 @@ from .acquisition import (
     EventStream,
     HwGateConfig,
     McSnrResult,
-    PhotonEvent,
     hw_gate,
     mc_snr_distribution,
     offline_gate,
@@ -98,7 +97,6 @@ __all__ = [
     "NonConvergenceError",
     "OdmrSpectrum",
     "ParseError",
-    "PhotonEvent",
     "PhysicalConstants",
     "PulseTrain",
     "RatePair",

@@ -33,7 +33,7 @@ from .decay import (
     expected_intensity,
     histogram_expectation,
 )
-from .histogram import CHANNELS, TcspcHistogram
+from .histogram import TcspcHistogram
 from .metrics import CountPair, snr
 
 CHANNEL_OFF = 0
@@ -43,25 +43,10 @@ CDF_TABLE_STEP = 0.01  # ns (10 ps), for IRF-broadened inversion sampling
 
 
 @dataclass(frozen=True)
-class PhotonEvent:
-    """One detected photon: absolute timestamp (ns) and MW channel."""
-
-    timestamp: float
-    channel: str
-
-    def __post_init__(self):
-        if not self.timestamp >= 0:
-            raise ValueError("timestamp must be >= 0")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
-
-
-@dataclass(frozen=True)
 class EventStream:
     """Column store of photon events sorted by timestamp.
 
-    channels holds CHANNEL_OFF/CHANNEL_ON codes; use as_events() for the
-    object view when the stream is small.
+    channels holds CHANNEL_OFF/CHANNEL_ON codes.
     """
 
     timestamps: np.ndarray  # ns, float64, non-decreasing
@@ -88,10 +73,6 @@ class EventStream:
 
     def select(self, mask: np.ndarray) -> "EventStream":
         return EventStream(self.timestamps[mask], self.channels[mask])
-
-    def as_events(self):
-        for t, c in zip(self.timestamps, self.channels):
-            yield PhotonEvent(float(t), CHANNELS[int(c)])
 
 
 @dataclass(frozen=True)
@@ -308,19 +289,17 @@ def mc_snr_distribution(
 ) -> McSnrResult:
     """Sample the shot-noise SNR distribution of a gated measurement.
 
-    Each trial Poisson-samples both channel histograms (integration split
-    by mw_duty), sums the gate window, and evaluates the SNR. Trials are
+    Each trial Poisson-samples both channel histograms, sums the gate
+    window, and evaluates the SNR. Each MW channel integrates for
+    integration_time * mw_duty, as in SweepConfig. Trials are
     seeded from SeedSequence(seed).spawn so the distribution is independent
     of evaluation order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    expected_off = histogram_expectation(
-        model, "ms0", train, bin_width, integration_time * mw_duty, channel="mw_off"
-    )
-    expected_on = histogram_expectation(
-        model, c_sat, train, bin_width, integration_time * (1.0 - mw_duty), channel="mw_on"
-    )
+    per_channel = integration_time * mw_duty
+    expected_off = histogram_expectation(model, "ms0", train, bin_width, per_channel, "mw_off")
+    expected_on = histogram_expectation(model, c_sat, train, bin_width, per_channel, "mw_on")
     window = expected_off.aligned_slice(gate.t_start, gate.t_end)
 
     samples = np.empty(trials)

@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("rep-sweep", _cmd_rep_sweep, "sweep over repetition rates, gate re-optimized per rate")
 
-    add("joint-opt", _cmd_joint_opt, "joint gate/repetition-rate optimum on the product grid")
+    add("joint-opt", _cmd_rep_sweep, "joint gate/repetition-rate optimum on the product grid")
 
     p = add("mc", _cmd_mc, "Monte-Carlo SNR distribution of a gated measurement")
     p.add_argument("--tau-c", type=float, required=True, help="gate onset, ns")
@@ -191,76 +191,55 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_columns(report) -> tuple[tuple[str, ...], list[tuple]]:
-    columns = ["tau_c_ns", "contrast", "shot_noise", "snr", "ef"]
-    arrays = [report.tau_c_grid, report.contrast, report.shot_noise, report.snr, report.ef]
-    if report.eta is not None:
-        columns.append("eta")
-        arrays.append(report.eta)
-    rows = [tuple(float(col[i]) for col in arrays) for i in range(report.tau_c_grid.size)]
-    return tuple(columns), rows
-
-
 def _cmd_gate_sweep(args) -> int:
     run = _require_config(args)
     seed = _resolve_seed(args, run)
     out = _resolve_out(args, run)
     report = sweep_gate(run.model, run.train, run.sweep)
-    columns, rows = _sweep_columns(report)
+    data = {
+        "tau_c_ns": report.tau_c_grid,
+        "contrast": report.contrast,
+        "shot_noise": report.shot_noise,
+        "snr": report.snr,
+        "ef": report.ef,
+    }
+    if report.eta is not None:
+        data["eta"] = report.eta
     meta = _base_metadata("gate-sweep", seed)
     meta["rep_rate_hz"] = _fmt(run.train.rep_rate)
     meta["c_sat"] = _fmt(run.sweep.c_sat)
     meta["optimal_tau_c_ns"] = _fmt(optimal_gate(report))
     meta["optimal_snr"] = _fmt(report.snr[report.optimum])
-    write_report(out, ColumnarReport(metadata=meta, columns=columns, rows=tuple(rows)))
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
-
-
-def _rep_rows(report) -> tuple[tuple[str, ...], list[tuple]]:
-    columns = ["rate_hz", "period_ns", "tau_c_opt_ns", "snr_ungated", "snr_gated"]
-    arrays = [
-        report.rate_grid,
-        1e9 / report.rate_grid,
-        report.tau_c_opt,
-        report.snr_ungated,
-        report.snr_gated,
-    ]
-    if report.eta_ungated is not None:
-        columns += ["eta_ungated", "eta_gated"]
-        arrays += [report.eta_ungated, report.eta_gated]
-    rows = [tuple(float(col[i]) for col in arrays) for i in range(report.rate_grid.size)]
-    return tuple(columns), rows
 
 
 def _cmd_rep_sweep(args) -> int:
+    """rep-sweep, and joint-opt: the same report plus the joint optimum."""
     run = _require_config(args)
     seed = _resolve_seed(args, run)
     out = _resolve_out(args, run)
     if not run.sweep.rate_grid:
-        raise ConfigError("rep-sweep needs [sweep] rate_grid or period_grid")
+        raise ConfigError(f"{args.command} needs [sweep] rate_grid or period_grid")
     report = sweep_rep_rate(run.model, run.sweep)
-    columns, rows = _rep_rows(report)
-    meta = _base_metadata("rep-sweep", seed)
+    data = {
+        "rate_hz": report.rate_grid,
+        "period_ns": 1e9 / report.rate_grid,
+        "tau_c_opt_ns": report.tau_c_opt,
+        "snr_ungated": report.snr_ungated,
+        "snr_gated": report.snr_gated,
+    }
+    if report.eta_ungated is not None:
+        data["eta_ungated"] = report.eta_ungated
+        data["eta_gated"] = report.eta_gated
+    meta = _base_metadata(args.command, seed)
     meta["mode"] = report.mode
-    write_report(out, ColumnarReport(metadata=meta, columns=columns, rows=tuple(rows)))
-    return 0
-
-
-def _cmd_joint_opt(args) -> int:
-    run = _require_config(args)
-    seed = _resolve_seed(args, run)
-    out = _resolve_out(args, run)
-    if not run.sweep.rate_grid:
-        raise ConfigError("joint-opt needs [sweep] rate_grid or period_grid")
-    report = sweep_rep_rate(run.model, run.sweep)
-    tau_c, rate = optimal_point(report)
-    columns, rows = _rep_rows(report)
-    meta = _base_metadata("joint-opt", seed)
-    meta["mode"] = report.mode
-    meta["optimal_tau_c_ns"] = _fmt(tau_c)
-    meta["optimal_rate_hz"] = _fmt(rate)
-    meta["optimal_period_ns"] = _fmt(1e9 / rate)
-    write_report(out, ColumnarReport(metadata=meta, columns=columns, rows=tuple(rows)))
+    if args.command == "joint-opt":
+        tau_c, rate = optimal_point(report)
+        meta["optimal_tau_c_ns"] = _fmt(tau_c)
+        meta["optimal_rate_hz"] = _fmt(rate)
+        meta["optimal_period_ns"] = _fmt(1e9 / rate)
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 
 
@@ -297,8 +276,8 @@ def _cmd_mc(args) -> int:
         std_snr=_fmt(result.std),
         analytic_snr=_fmt(analytic),
     )
-    rows = tuple((i, float(s)) for i, s in enumerate(result.samples))
-    write_report(out, ColumnarReport(metadata=meta, columns=("trial", "snr"), rows=rows))
+    data = {"trial": np.arange(args.trials), "snr": result.samples}
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 
 
@@ -329,8 +308,8 @@ def _cmd_odmr_synth(args) -> int:
         gate_end_ns="none" if gate is None else _fmt(gate.t_end),
         rep_rate_hz=_fmt(run.train.rep_rate),
     )
-    rows = tuple((float(f), float(c)) for f, c in zip(spectrum.freqs, spectrum.counts))
-    write_report(out, ColumnarReport(metadata=meta, columns=("freq_hz", "counts"), rows=rows))
+    data = {"freq_hz": spectrum.freqs, "counts": spectrum.counts}
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 
 
@@ -341,8 +320,6 @@ def _cmd_odmr_fit(args) -> int:
     table = read_report(args.input)
     if tuple(table.columns[:2]) != ("freq_hz", "counts"):
         raise ParseError(f"{args.input}: expected columns freq_hz,counts")
-    freqs = np.array([row[0] for row in table.rows], dtype=float)
-    counts = np.array([row[1] for row in table.rows], dtype=float)
     integration = float(table.metadata.get("integration_per_point_s", 1.0))
     gate = None
     if table.metadata.get("gate_start_ns", "none") != "none":
@@ -352,31 +329,25 @@ def _cmd_odmr_fit(args) -> int:
     from .odmr import OdmrSpectrum
 
     spectrum = OdmrSpectrum(
-        freqs=freqs, counts=counts, integration_per_point=integration, gate=gate
+        freqs=table.data["freq_hz"],
+        counts=table.data["counts"],
+        integration_per_point=integration,
+        gate=gate,
     )
     doublet, residual_norm = fit_double_lorentzian(spectrum)
     meta = _base_metadata("odmr-fit", seed)
     meta["input"] = args.input
     meta["residual_norm"] = _fmt(residual_norm)
-    columns = (
-        "baseline",
-        "center1_hz",
-        "fwhm1_hz",
-        "depth1",
-        "center2_hz",
-        "fwhm2_hz",
-        "depth2",
-    )
-    row = (
-        float(doublet.baseline),
-        float(doublet.center1),
-        float(doublet.fwhm1),
-        float(doublet.depth1),
-        float(doublet.center2),
-        float(doublet.fwhm2),
-        float(doublet.depth2),
-    )
-    write_report(out, ColumnarReport(metadata=meta, columns=columns, rows=(row,)))
+    data = {
+        "baseline": [doublet.baseline],
+        "center1_hz": [doublet.center1],
+        "fwhm1_hz": [doublet.fwhm1],
+        "depth1": [doublet.depth1],
+        "center2_hz": [doublet.center2],
+        "fwhm2_hz": [doublet.fwhm2],
+        "depth2": [doublet.depth2],
+    }
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 
 
@@ -387,8 +358,7 @@ def _cmd_gate_apply(args) -> int:
     hist = read_histogram(args.input)
     t_end = args.t_end if args.t_end is not None else math.inf
     window = hist.aligned_slice(args.tau_c, t_end)
-    kept_starts = hist.bin_starts[window]
-    kept_counts = hist.counts[window]
+    data = {"bin_start_ns": hist.bin_starts[window], "counts": hist.counts[window]}
     meta = _base_metadata("gate-apply", seed)
     meta.update(
         tau_c_ns=_fmt(args.tau_c),
@@ -397,16 +367,9 @@ def _cmd_gate_apply(args) -> int:
         rep_rate_hz=_fmt(hist.rep_rate),
         integration_s=_fmt(hist.integration_time),
         channel=hist.channel,
-        gated_counts=_fmt(float(kept_counts.sum())),
+        gated_counts=_fmt(float(data["counts"].sum())),
     )
-    integral = np.issubdtype(kept_counts.dtype, np.integer)
-    rows = tuple(
-        (float(t), int(c) if integral else float(c))
-        for t, c in zip(kept_starts, kept_counts)
-    )
-    write_report(
-        out, ColumnarReport(metadata=meta, columns=("bin_start_ns", "counts"), rows=rows)
-    )
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 
 
@@ -439,12 +402,8 @@ def _cmd_hw_sim(args) -> int:
         gate_length_ns=_fmt(length),
         jitter_sigma_ns=_fmt(args.jitter),
     )
-    rows = tuple(
-        (float(t), CHANNELS[int(c)]) for t, c in zip(kept.timestamps, kept.channels)
-    )
-    write_report(
-        out, ColumnarReport(metadata=meta, columns=("timestamp_ns", "channel"), rows=rows)
-    )
+    data = {"timestamp_ns": kept.timestamps, "channel": np.asarray(CHANNELS)[kept.channels]}
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 
 
@@ -462,14 +421,9 @@ def _cmd_snr_map(args) -> int:
         zero_pixels=str(int(result.zero_flags.sum())),
         pitch_um=_fmt(scan.pitch / result.factor),
     )
-    ny, nx = result.values.shape
-    rows = []
-    for iy in range(ny):
-        for ix in range(nx):
-            rows.append((ix, iy, float(result.values[iy, ix])))
-    write_report(
-        out, ColumnarReport(metadata=meta, columns=("ix", "iy", "snr"), rows=tuple(rows))
-    )
+    iy, ix = np.indices(result.values.shape)
+    data = {"ix": ix.ravel(), "iy": iy.ravel(), "snr": result.values.ravel()}
+    write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 
 
@@ -488,13 +442,16 @@ def _read_scan(path: str) -> ScanMap:
         dwell = float(table.metadata.get("dwell_s", 1.0))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: bad or missing scan metadata ({exc})") from exc
-    planes = {name: np.full((ny, nx), np.nan) for name in _SCAN_PLANES}
-    for row in table.rows:
-        ix, iy = int(row[0]), int(row[1])
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            raise ParseError(f"{path}: pixel ({ix}, {iy}) outside the {nx}x{ny} grid")
-        for name, value in zip(_SCAN_PLANES, row[2:]):
-            planes[name][iy, ix] = float(value)
+    ix = table.data["ix"].astype(np.int64)
+    iy = table.data["iy"].astype(np.int64)
+    outside = np.flatnonzero((ix < 0) | (ix >= nx) | (iy < 0) | (iy >= ny))
+    if outside.size:
+        i = outside[0]
+        raise ParseError(f"{path}: pixel ({ix[i]}, {iy[i]}) outside the {nx}x{ny} grid")
+    planes = {}
+    for name in _SCAN_PLANES:
+        planes[name] = np.full((ny, nx), np.nan)
+        planes[name][iy, ix] = table.data[name]
     for name, plane in planes.items():
         if np.any(np.isnan(plane)):
             raise ParseError(f"{path}: plane {name} has missing pixels")

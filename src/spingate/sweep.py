@@ -31,10 +31,14 @@ POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Knobs shared by the gate and repetition-rate sweeps."""
+    """Knobs shared by the gate and repetition-rate sweeps.
 
-    integration_time: float = 1.0  # s, total over both channels
-    mw_duty: float = 0.5  # fraction of time on each channel
+    Each MW channel (off and on) integrates for integration_time * mw_duty;
+    the sweeps and the simulate and mc commands all use this rule.
+    """
+
+    integration_time: float = 1.0  # s, total acquisition time
+    mw_duty: float = 0.5  # fraction of integration_time on each channel
     tau_c_resolution: float = 0.1  # ns
     tau_c_max: float | None = None  # ns; None -> 0.8 * period
     rate_grid: tuple[float, ...] | None = None  # Hz

@@ -16,7 +16,6 @@ from spingate.acquisition import (
     CHANNEL_ON,
     EventStream,
     HwGateConfig,
-    PhotonEvent,
     hw_gate,
     mc_snr_distribution,
     offline_gate,
@@ -259,6 +258,19 @@ class TestMcSnr:
         analytic = snr(CountPair(n0, n1))
         assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
 
+    def test_duty_sets_both_channel_times(self):
+        # At mw_duty = 0.3 each channel integrates for 0.3 of the time, as the
+        # analytic SNR of the sweeps assumes.
+        m = small_model().scaled(20.0)
+        gate = GateWindow(9.2, 50.0)
+        trials = 100
+        res = mc_snr_distribution(m, gate, TRAIN, 0.1, trials, 2026, mw_duty=0.3)
+        per_channel = 0.1 * 0.3
+        n0 = steady_rate(m, "ms0", 9.2, TRAIN) * per_channel
+        n1 = steady_rate(m, 0.15, 9.2, TRAIN) * per_channel
+        analytic = snr(CountPair(n0, n1))
+        assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
+
     def test_single_trial_has_zero_std(self):
         res = mc_snr_distribution(small_model(), GateWindow(5.0, 50.0), TRAIN, 1e-2, 1, 5)
         assert res.std == 0.0
@@ -266,22 +278,9 @@ class TestMcSnr:
 
 
 class TestEventTypes:
-    def test_photon_event_validation(self):
-        PhotonEvent(3.5, "mw_off")
-        with pytest.raises(ValueError):
-            PhotonEvent(-1.0, "mw_off")
-        with pytest.raises(ValueError):
-            PhotonEvent(1.0, "laser")
-
     def test_stream_must_be_sorted(self):
         with pytest.raises(ValueError):
             EventStream(np.array([2.0, 1.0]), np.array([0, 0], dtype=np.uint8))
-
-    def test_stream_as_events(self):
-        s = EventStream(np.array([1.0, 2.0]), np.array([0, 1], dtype=np.uint8))
-        evs = list(s.as_events())
-        assert evs[0] == PhotonEvent(1.0, "mw_off")
-        assert evs[1] == PhotonEvent(2.0, "mw_on")
 
     def test_hw_gate_config_validation(self):
         with pytest.raises(ValueError):

@@ -48,12 +48,12 @@ class TestReportRoundTrip:
     def make_report(self):
         return ColumnarReport(
             metadata={"tool": "spingate", "seed": "7", "rate_hz": "20000000"},
-            columns=("tau_c_ns", "snr", "label"),
-            rows=(
-                (0.25, 12.5, "a"),
-                (0.1, 13.25, "b"),
-                (1, 0.1 + 0.2, "c"),
-            ),
+            data={
+                "tau_c_ns": [0.25, 0.1, 1],
+                "snr": [12.5, 13.25, 0.1 + 0.2],
+                "label": ["a", "b", "c"],
+                "count": [3, -1, 0],
+            },
         )
 
     def test_round_trip_equality(self, tmp_path):
@@ -64,8 +64,11 @@ class TestReportRoundTrip:
         assert back.metadata == report.metadata
         assert back.columns == report.columns
         assert back.rows == report.rows
-        assert isinstance(back.rows[2][0], int)
-        assert isinstance(back.rows[0][0], float)
+        # Each column is typed as a whole: the 0.25/0.1/1 column is float.
+        assert back.data["tau_c_ns"].dtype == np.float64
+        assert back.data["snr"].dtype == np.float64
+        assert back.data["label"].dtype.kind == "U"
+        assert back.data["count"].dtype == np.int64
 
     def test_write_read_write_is_byte_stable(self, tmp_path):
         a = str(tmp_path / "a.csv")
@@ -75,16 +78,36 @@ class TestReportRoundTrip:
         assert open(a, "rb").read() == open(b, "rb").read()
 
     @pytest.mark.parametrize(
-        "value", [math.pi, 0.1 + 0.2, 1e-300, 1.7976931348623157e308, 2.5e-17]
+        "value",
+        [
+            math.pi,
+            0.1 + 0.2,
+            1e-300,
+            1.7976931348623157e308,
+            2.5e-17,
+            -0.0,
+            math.nan,
+            math.inf,
+            -math.inf,
+            5e-324,
+            np.iinfo(np.int64).max,
+            np.iinfo(np.int64).min,
+        ],
     )
     def test_seventeen_digit_float_fidelity(self, tmp_path, value):
-        path = str(tmp_path / "f.csv")
-        write_report(path, ColumnarReport(metadata={}, columns=("x",), rows=((value,),)))
-        assert read_report(path).rows[0][0] == value
+        a = str(tmp_path / "a.csv")
+        b = str(tmp_path / "b.csv")
+        column = np.array([value])
+        write_report(a, ColumnarReport(metadata={}, data={"x": column}))
+        back = read_report(a).data["x"]
+        assert back.dtype == column.dtype
+        assert back.tobytes() == column.tobytes()
+        write_report(b, read_report(a))
+        assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_header_only_report(self, tmp_path):
         path = str(tmp_path / "h.csv")
-        write_report(path, ColumnarReport(metadata={"n": "0"}, columns=("a", "b"), rows=()))
+        write_report(path, ColumnarReport(metadata={"n": "0"}, data={"a": [], "b": []}))
         back = read_report(path)
         assert back.rows == ()
         assert back.columns == ("a", "b")
@@ -95,6 +118,11 @@ class TestReportRoundTrip:
         path_obj.write_text("# k=v\na,b\n1,2\n3\n")
         with pytest.raises(ParseError, match="line 4"):
             read_report(path)
+
+    def test_duplicate_column_name(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a,b,a\n1,2,3\n")
+        with pytest.raises(ParseError, match="line 1: duplicate column"):
+            read_report(str(tmp_path / "d.csv"))
 
     def test_missing_header_line(self, tmp_path):
         (tmp_path / "empty.csv").write_text("# k=v\n")
@@ -108,20 +136,22 @@ class TestReportRoundTrip:
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="ragged"):
-            ColumnarReport(metadata={}, columns=("a", "b"), rows=((1,),))
+            ColumnarReport(metadata={}, data={"a": [1], "b": []})
         with pytest.raises(ValueError, match="metadata"):
-            ColumnarReport(metadata={"a=b": "c"}, columns=("a",), rows=())
+            ColumnarReport(metadata={"a=b": "c"}, data={"a": []})
         with pytest.raises(ValueError, match="columns"):
-            ColumnarReport(metadata={}, columns=(), rows=())
+            ColumnarReport(metadata={}, data={})
+        with pytest.raises(ValueError, match="1-D"):
+            ColumnarReport(metadata={}, data={"a": [[1, 2]]})
+        with pytest.raises(ValueError, match="not ints, floats or strings"):
+            ColumnarReport(metadata={}, data={"a": [1 + 2j]})
 
     def test_cell_restrictions(self, tmp_path):
         path = str(tmp_path / "x.csv")
         with pytest.raises(ValueError, match="boolean"):
-            write_report(path, ColumnarReport(metadata={}, columns=("a",), rows=((True,),)))
+            write_report(path, ColumnarReport(metadata={}, data={"a": [True]}))
         with pytest.raises(ValueError, match="comma"):
-            write_report(
-                path, ColumnarReport(metadata={}, columns=("a",), rows=(("x,y",),))
-            )
+            write_report(path, ColumnarReport(metadata={}, data={"a": ["x,y"]}))
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "t.txt")
@@ -179,6 +209,15 @@ class TestHistogramFiles:
         (tmp_path / "neg.csv").write_text(text)
         with pytest.raises(ParseError, match=r"line 6.*negative counts -1"):
             read_histogram(str(tmp_path / "neg.csv"))
+
+    def test_first_of_two_bad_lines_named(self, tmp_path):
+        text = (
+            "# bin_width_ns=1\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
+            "0,5\n1,-1\n2,x\n"
+        )
+        (tmp_path / "two.csv").write_text(text)
+        with pytest.raises(ParseError, match=r"line 6: negative counts -1"):
+            read_histogram(str(tmp_path / "two.csv"))
 
     def test_missing_metadata_key(self, tmp_path):
         (tmp_path / "m.csv").write_text("# bin_width_ns=1\n0,5\n")
