@@ -2,25 +2,24 @@
 
 Three layers, each deterministic given a master seed:
 
-* Poisson sampling of expected TCSPC histograms.
-* Photon event streams: an inhomogeneous Poisson process per laser pulse,
-  with the MW drive toggling between channels as an ideal square wave
-  phase-locked to t = 0 (MW off first). Arrival times are drawn by
-  inversion sampling of the per-period cumulative intensity - piecewise
-  analytic for a zero-width IRF, tabulated at 10 ps otherwise.
+* Poisson sampling of expected TCSPC histograms, and Monte-Carlo SNR
+  trials drawn from the gated totals of those histograms.
+* Photon event streams: every decay component and the dark rate is a
+  Poisson source per laser pulse, with exact exponential (plus Gaussian
+  IRF) or uniform arrival offsets; offsets past the period are dropped.
+  The MW drive toggles between channels as an ideal square wave
+  phase-locked to t = 0 (MW off first).
 * Event-level gating: a hardware gate parameterized by trigger delay and
   on-duration (optionally with per-pulse Gaussian edge jitter), and the
   equivalent offline modular-time filter.
 
 Randomness policy: every operation takes an explicit seed (or Generator);
-nothing reads ambient entropy. Monte-Carlo trials derive child seeds from
-the master seed via SeedSequence.spawn, so results do not depend on how
-trials are scheduled.
+nothing reads ambient entropy. Each draws from one Generator in a fixed
+order, so the same seed gives the same result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,14 @@ from .decay import (
     FluorescenceModel,
     GateWindow,
     PulseTrain,
-    SpinSelector,
-    expected_intensity,
     histogram_expectation,
+    spin_weight,
 )
 from .histogram import TcspcHistogram
 from .metrics import CountPair, snr
 
 CHANNEL_OFF = 0
 CHANNEL_ON = 1
-
-CDF_TABLE_STEP = 0.01  # ns (10 ps), for IRF-broadened inversion sampling
 
 
 @dataclass(frozen=True)
@@ -108,69 +104,6 @@ def sample_histogram(expectation: TcspcHistogram, seed) -> TcspcHistogram:
     )
 
 
-def _offset_sampler(model: FluorescenceModel, spin: SpinSelector, period: float):
-    """Return f(u_comp, u_pos) -> arrival offsets in [0, period).
-
-    u_comp and u_pos are independent uniforms; using two keeps the draw
-    order independent of which component each photon lands in.
-    """
-    if model.irf_sigma == 0.0:
-        comps = model.spin_components(spin) + model.background
-        weights = []
-        samplers = []
-        tp = model.pulse_time
-        for c in comps:
-            span = period - tp
-            mass = c.amplitude * c.lifetime * (1.0 - math.exp(-span / c.lifetime))
-            if mass <= 0:
-                continue
-            weights.append(mass)
-            tail = 1.0 - math.exp(-span / c.lifetime)
-            samplers.append(
-                lambda u, tau=c.lifetime, tail=tail, tp=tp: tp - tau * np.log1p(-u * tail)
-            )
-        if model.dark_rate > 0:
-            weights.append(model.dark_rate * period)
-            samplers.append(lambda u: u * period)
-        if not weights:
-            def empty(u_comp, u_pos):
-                return np.empty(0)
-
-            return empty, 0.0
-        cum = np.cumsum(weights)
-        total = cum[-1]
-        cum = cum / total
-
-        def draw(u_comp, u_pos):
-            out = np.empty(u_pos.shape)
-            which = np.searchsorted(cum, u_comp, side="right")
-            for k, sampler in enumerate(samplers):
-                sel = which == k
-                if np.any(sel):
-                    out[sel] = sampler(u_pos[sel])
-            return out
-
-        return draw, total
-
-    # IRF-broadened case: tabulated CDF, linear interpolation between knots.
-    grid = np.arange(0.0, period + 0.5 * CDF_TABLE_STEP, CDF_TABLE_STEP)
-    intensity = np.asarray(expected_intensity(model, spin, grid), dtype=float)
-    segment = 0.5 * (intensity[:-1] + intensity[1:]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(segment)])
-    total = cdf[-1]
-    if total <= 0:
-        def empty(u_comp, u_pos):
-            return np.empty(0)
-
-        return empty, 0.0
-    cdf = cdf / total
-
-    def draw(u_comp, u_pos):
-        return np.interp(u_pos, cdf, grid)
-
-    return draw, float(total)
-
-
 def simulate_events(
     model: FluorescenceModel,
     train: PulseTrain,
@@ -181,8 +114,14 @@ def simulate_events(
 ) -> EventStream:
     """Simulate the photon stream of a full acquisition.
 
-    Each laser pulse emits Poisson(mu_channel) photons whose offsets within
-    the period follow the channel's normalized intensity; the channel is set
+    Every source emits an independent Poisson number of photons per laser
+    pulse. A decay component (spin branch or background) of amplitude A and
+    lifetime tau has mean A * tau, with offsets pulse_time + tau * Exp(1)
+    plus sigma * N(0, 1) for a Gaussian IRF: the EMG that decay.py
+    integrates. The dark rate has mean dark_rate * period, with offsets
+    uniform over the period. Offsets outside [0, period) are dropped, which
+    thins each source to exactly the intensity histogram_expectation bins.
+    The MW-on channel weights the spin branches by c_sat; the channel is set
     by the 50% duty MW square wave active at the pulse time.
     """
     if not integration_time >= 0:
@@ -192,36 +131,41 @@ def simulate_events(
     rng = np.random.default_rng(seed)
     period = train.period
     n_pulses = int(integration_time * train.rep_rate)
-    if n_pulses == 0:
-        return EventStream(np.empty(0), np.empty(0, dtype=np.uint8))
 
-    draw_off, mu_off = _offset_sampler(model, "ms0", period)
-    draw_on, mu_on = _offset_sampler(model, c_sat, period)
+    # sources: spin0, spin1 and background components, then the dark rate
+    comps = model.spin0 + model.spin1 + model.background
+    lifetimes = np.array([c.lifetime for c in comps] + [0.0])
+    mass = np.array([c.amplitude * c.lifetime for c in comps] + [model.dark_rate * period])
+    n0, n1 = len(model.spin0), len(model.spin1)
+    means = np.tile(mass, (2, 1))
+    means[CHANNEL_OFF, n0 : n0 + n1] = 0.0
+    w = spin_weight(c_sat)
+    means[CHANNEL_ON, :n0] *= 1.0 - w
+    means[CHANNEL_ON, n0 : n0 + n1] *= w
 
-    pulse_idx = np.arange(n_pulses, dtype=np.int64)
     half_toggle_ns = 0.5e9 / mw_toggle_rate
-    on_pulse = (np.floor(pulse_idx * period / half_toggle_ns).astype(np.int64) % 2) == 1
+    pulse_idx = np.arange(n_pulses, dtype=np.int64)
+    pulse_channel = (np.floor(pulse_idx * period / half_toggle_ns) % 2).astype(np.uint8)
 
-    counts = rng.poisson(np.where(on_pulse, mu_on, mu_off))
-    total = int(counts.sum())
-    if total == 0:
-        return EventStream(np.empty(0), np.empty(0, dtype=np.uint8))
+    # (pulse x source) counts; np.repeat keeps the photons in pulse-major
+    # order, so the final sort sees a nearly sorted input
+    counts = rng.poisson(means[pulse_channel])
+    source_ids = np.arange(lifetimes.size, dtype=np.min_scalar_type(lifetimes.size))
+    source = np.repeat(np.tile(source_ids, n_pulses), counts.ravel())
+    photon_pulse = np.repeat(pulse_idx, counts.sum(axis=1))
+    offsets = rng.standard_exponential(source.size)
+    offsets *= lifetimes[source]
+    offsets += model.pulse_time
+    if model.irf_sigma > 0.0:
+        offsets += model.irf_sigma * rng.standard_normal(source.size)
+    dark = source == lifetimes.size - 1
+    offsets[dark] = period * rng.random(int(np.count_nonzero(dark)))
 
-    photon_pulse = np.repeat(pulse_idx, counts)
-    photon_on = np.repeat(on_pulse, counts)
-    u_comp = rng.random(total)
-    u_pos = rng.random(total)
-
-    offsets = np.empty(total)
-    off_mask = ~photon_on
-    if np.any(off_mask):
-        offsets[off_mask] = draw_off(u_comp[off_mask], u_pos[off_mask])
-    if np.any(photon_on):
-        offsets[photon_on] = draw_on(u_comp[photon_on], u_pos[photon_on])
-
-    timestamps = photon_pulse * period + offsets
+    kept = (offsets >= 0.0) & (offsets < period)
+    photon_pulse = photon_pulse[kept]
+    timestamps = photon_pulse * period + offsets[kept]
     order = np.argsort(timestamps, kind="stable")
-    return EventStream(timestamps[order], photon_on[order].astype(np.uint8))
+    return EventStream(timestamps[order], pulse_channel[photon_pulse[order]])
 
 
 def offline_gate(events: EventStream, train: PulseTrain, gate: GateWindow) -> EventStream:
@@ -280,33 +224,29 @@ def mc_snr_distribution(
     model: FluorescenceModel,
     gate: GateWindow,
     train: PulseTrain,
-    integration_time: float,
+    channel_time: float,
     trials: int,
     seed,
     c_sat: float = 0.15,
-    mw_duty: float = 0.5,
     bin_width: float = 0.1,
 ) -> McSnrResult:
     """Sample the shot-noise SNR distribution of a gated measurement.
 
-    Each trial Poisson-samples both channel histograms, sums the gate
-    window, and evaluates the SNR. Each MW channel integrates for
-    integration_time * mw_duty, as in SweepConfig. Trials are
-    seeded from SeedSequence(seed).spawn so the distribution is independent
-    of evaluation order.
+    Each MW channel integrates for channel_time (SweepConfig.channel_time).
+    The gated total of a channel is the sum of its expected histogram's bins
+    inside the gate; a sum of independent Poisson bins is Poisson with the
+    summed mean, so each trial draws its (N0, N1) pair directly from those
+    two means and evaluates the SNR. All trials come from one Generator
+    seeded with seed, trial after trial, so the first k trials of a longer
+    run equal a k-trial run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    per_channel = integration_time * mw_duty
-    expected_off = histogram_expectation(model, "ms0", train, bin_width, per_channel, "mw_off")
-    expected_on = histogram_expectation(model, c_sat, train, bin_width, per_channel, "mw_on")
+    expected_off = histogram_expectation(model, "ms0", train, bin_width, channel_time, "mw_off")
+    expected_on = histogram_expectation(model, c_sat, train, bin_width, channel_time, "mw_on")
     window = expected_off.aligned_slice(gate.t_start, gate.t_end)
-
-    samples = np.empty(trials)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        n0 = int(sample_histogram(expected_off, rng).counts[window].sum())
-        n1 = int(sample_histogram(expected_on, rng).counts[window].sum())
-        samples[i] = snr(CountPair(n0, n1))
+    means = [expected_off.counts[window].sum(), expected_on.counts[window].sum()]
+    counts = np.random.default_rng(seed).poisson(means, size=(trials, 2))
+    samples = snr(CountPair(counts[:, 0], counts[:, 1]))
     std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
     return McSnrResult(mean=float(np.mean(samples)), std=std, samples=samples)

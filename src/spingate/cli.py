@@ -178,7 +178,7 @@ def _cmd_simulate(args) -> int:
     out = _resolve_out(args, run)
     integration = args.integration
     if integration is None:
-        integration = run.sweep.integration_time * run.sweep.mw_duty
+        integration = run.sweep.channel_time
     spin = "ms0" if args.channel == "mw_off" else run.c_sat
     expected = histogram_expectation(
         run.model, spin, run.train, args.bin_width, integration, channel=args.channel
@@ -257,16 +257,14 @@ def _cmd_mc(args) -> int:
         run.model,
         gate,
         run.train,
-        run.sweep.integration_time,
+        run.sweep.channel_time,
         args.trials,
         seed,
         c_sat=run.c_sat,
-        mw_duty=run.sweep.mw_duty,
         bin_width=args.bin_width,
     )
-    per_channel = run.sweep.integration_time * run.sweep.mw_duty
-    n0 = steady_rate(run.model, "ms0", args.tau_c, run.train) * per_channel
-    n1 = steady_rate(run.model, run.c_sat, args.tau_c, run.train) * per_channel
+    n0 = steady_rate(run.model, "ms0", args.tau_c, run.train) * run.sweep.channel_time
+    n1 = steady_rate(run.model, run.c_sat, args.tau_c, run.train) * run.sweep.channel_time
     analytic = snr(CountPair(n0, n1))
     meta = _base_metadata("mc", seed)
     meta.update(

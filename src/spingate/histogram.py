@@ -44,7 +44,7 @@ class TcspcHistogram:
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
-        if np.any(counts < 0):
+        if not np.all(counts >= 0):  # nan fails too
             raise ValueError("counts must be non-negative")
         counts = counts.copy()
         counts.setflags(write=False)

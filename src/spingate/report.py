@@ -238,6 +238,7 @@ def read_histogram(path: str) -> TcspcHistogram:
     expected = np.arange(n) * bin_width
     failed = np.array(
         [
+            ~(np.isfinite(starts) & np.isfinite(counts)),
             starts <= np.r_[np.nan, starts[:-1]],  # the first bin has no predecessor
             np.abs(starts - expected) > 1e-9 * np.maximum(np.abs(expected), bin_width),
             counts < 0,
@@ -246,6 +247,7 @@ def read_histogram(path: str) -> TcspcHistogram:
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         message = (
+            f"non-finite cell in {rows[i]!r}",
             f"non-monotone bin start {starts[i]}",
             f"bin start {starts[i]} does not sit on the {bin_width} ns grid",
             f"negative counts {cells[2 * i + 1]}",

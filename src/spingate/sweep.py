@@ -6,7 +6,7 @@ broken toward the smallest gate onset (and smallest repetition rate for the
 joint optimum) by taking the first maximum on an ascending grid.
 
 Channel counts follow the MW toggling scheme: each channel integrates for
-``integration_time * duty``, the MW-off channel sees the pure spin-0 decay
+``SweepConfig.channel_time``, the MW-off channel sees the pure spin-0 decay
 and the MW-on channel the population mixture with weight ``c_sat``.
 """
 
@@ -33,8 +33,7 @@ POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
 class SweepConfig:
     """Knobs shared by the gate and repetition-rate sweeps.
 
-    Each MW channel (off and on) integrates for integration_time * mw_duty;
-    the sweeps and the simulate and mc commands all use this rule.
+    Each MW channel (off and on) integrates for channel_time.
     """
 
     integration_time: float = 1.0  # s, total acquisition time
@@ -70,6 +69,16 @@ class SweepConfig:
             if any(r <= 0 for r in grid):
                 raise ValueError("rate_grid entries must be > 0")
             object.__setattr__(self, "rate_grid", grid)
+
+    @property
+    def channel_time(self) -> float:
+        """Integration time of each MW channel, off and on, in s.
+
+        integration_time * mw_duty: the one rule that turns the duty into a
+        per-channel time, used by the sweeps and by the simulate and mc
+        commands.
+        """
+        return self.integration_time * self.mw_duty
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -155,10 +164,9 @@ def sweep_gate(model: FluorescenceModel, train: PulseTrain, cfg: SweepConfig) ->
     Each channel's rates come from one kernel call over the whole grid.
     """
     grid = _gate_grid(train, cfg)
-    per_channel_time = cfg.integration_time * cfg.mw_duty
     r0 = steady_rate(model, "ms0", grid, train)
     r1 = steady_rate(model, cfg.c_sat, grid, train)
-    pair = CountPair(r0 * per_channel_time, r1 * per_channel_time)
+    pair = CountPair(r0 * cfg.channel_time, r1 * cfg.channel_time)
     contrasts = contrast(pair)
     snrs = snr(pair)
     etas = None

@@ -229,7 +229,7 @@ def test_criterion_07_monte_carlo_shot_noise():
         gate = GateWindow(9.2, train.period)
         trials = 1000
         result = mc_snr_distribution(
-            model, gate, train, 10.0, trials, seed=2026, c_sat=BULK_C_SAT
+            model, gate, train, 5.0, trials, seed=2026, c_sat=BULK_C_SAT
         )
         r0 = steady_rate(model, "ms0", 9.2, train)
         r1 = steady_rate(model, BULK_C_SAT, 9.2, train)

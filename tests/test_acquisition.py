@@ -32,6 +32,7 @@ from spingate.decay import (
 )
 from spingate.histogram import TcspcHistogram
 from spingate.metrics import CountPair, snr
+from spingate.sweep import SweepConfig, sweep_gate
 
 
 def small_model() -> FluorescenceModel:
@@ -156,6 +157,28 @@ class TestSimulateEvents:
         want = integration * steady_rate(m, "ms0", 0.0, TRAIN)
         assert abs(len(ev) - want) < 4.0 * math.sqrt(want)
 
+    def test_irf_dark_channels_match_expectation_chi_square(self):
+        # Gaussian IRF, a dark rate and a pulse 2.5 ns into the period: the
+        # phases of each channel follow that channel's expected histogram.
+        m = FluorescenceModel(
+            spin0=(DecayComponent(0.2, 12.0),),
+            spin1=(DecayComponent(0.2, 8.0),),
+            background=(DecayComponent(1.0, 1.7),),
+            dark_rate=0.002,
+            irf_sigma=0.3,
+            pulse_time=2.5,
+        )
+        integration = 2e-3  # 40k pulses
+        # a 1 kHz toggle gives 10k-pulse half cycles: 20k pulses per channel
+        ev = simulate_events(m, TRAIN, integration, 1000.0, 31)
+        phase = ev.timestamps % TRAIN.period
+        for code, spin in ((CHANNEL_OFF, "ms0"), (CHANNEL_ON, 0.15)):
+            obs, _ = np.histogram(phase[ev.channels == code], bins=50, range=(0.0, TRAIN.period))
+            want = histogram_expectation(m, spin, TRAIN, 1.0, integration / 2).counts
+            assert np.all(want > 10)
+            stat = float(np.sum((obs - want) ** 2 / want))
+            assert stat < chi2.ppf(0.999, 50)
+
     def test_emg_model_sampling_runs(self):
         m = FluorescenceModel(
             spin0=(DecayComponent(0.2, 12.0),),
@@ -240,8 +263,8 @@ class TestMcSnr:
     def test_infinite_count_limit_matches_analytic(self):
         m = small_model().scaled(500.0)
         gate = GateWindow(9.2, 50.0)
-        res = mc_snr_distribution(m, gate, TRAIN, 1.0, 5, 12345)
-        per_channel = 1.0 * 0.5
+        per_channel = 0.5
+        res = mc_snr_distribution(m, gate, TRAIN, per_channel, 5, 12345)
         n0 = steady_rate(m, "ms0", 9.2, TRAIN) * per_channel
         n1 = steady_rate(m, 0.15, 9.2, TRAIN) * per_channel
         analytic = snr(CountPair(n0, n1))
@@ -251,25 +274,37 @@ class TestMcSnr:
         m = small_model().scaled(20.0)
         gate = GateWindow(9.2, 50.0)
         trials = 100
-        res = mc_snr_distribution(m, gate, TRAIN, 0.1, trials, 2026)
-        per_channel = 0.1 * 0.5
+        per_channel = 0.05
+        res = mc_snr_distribution(m, gate, TRAIN, per_channel, trials, 2026)
         n0 = steady_rate(m, "ms0", 9.2, TRAIN) * per_channel
         n1 = steady_rate(m, 0.15, 9.2, TRAIN) * per_channel
         analytic = snr(CountPair(n0, n1))
         assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
 
     def test_duty_sets_both_channel_times(self):
-        # At mw_duty = 0.3 each channel integrates for 0.3 of the time, as the
-        # analytic SNR of the sweeps assumes.
+        # At mw_duty = 0.3 each channel integrates for cfg.channel_time, the
+        # time the analytic SNR of the gate sweep uses.
         m = small_model().scaled(20.0)
-        gate = GateWindow(9.2, 50.0)
+        cfg = SweepConfig(integration_time=0.1, mw_duty=0.3)
+        assert cfg.channel_time == pytest.approx(0.03)
         trials = 100
-        res = mc_snr_distribution(m, gate, TRAIN, 0.1, trials, 2026, mw_duty=0.3)
-        per_channel = 0.1 * 0.3
-        n0 = steady_rate(m, "ms0", 9.2, TRAIN) * per_channel
-        n1 = steady_rate(m, 0.15, 9.2, TRAIN) * per_channel
-        analytic = snr(CountPair(n0, n1))
+        res = mc_snr_distribution(m, GateWindow(9.2, 50.0), TRAIN, cfg.channel_time, trials, 2026)
+        report = sweep_gate(m, TRAIN, cfg)
+        analytic = report.snr[np.isclose(report.tau_c_grid, 9.2)][0]
         assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
+
+    def test_shot_noise_std_is_one(self):
+        # Var(N0 - N1) = N0 + N1, so at high counts the SNR scatters with
+        # unit standard deviation; 1000 trials pin it to about 2 %.
+        m = small_model().scaled(500.0)
+        res = mc_snr_distribution(m, GateWindow(9.2, 50.0), TRAIN, 0.5, 1000, 77)
+        assert abs(res.std - 1.0) < 0.1
+
+    def test_trials_are_stable_by_prefix(self):
+        gate = GateWindow(5.0, 50.0)
+        short = mc_snr_distribution(small_model(), gate, TRAIN, 1e-2, 50, 8)
+        long = mc_snr_distribution(small_model(), gate, TRAIN, 1e-2, 100, 8)
+        assert np.array_equal(long.samples[:50], short.samples)
 
     def test_single_trial_has_zero_std(self):
         res = mc_snr_distribution(small_model(), GateWindow(5.0, 50.0), TRAIN, 1e-2, 1, 5)

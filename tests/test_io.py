@@ -210,6 +210,26 @@ class TestHistogramFiles:
         with pytest.raises(ParseError, match=r"line 6.*negative counts -1"):
             read_histogram(str(tmp_path / "neg.csv"))
 
+    @pytest.mark.parametrize("bad_row", ["1,nan", "1,inf", "nan,5"])
+    def test_non_finite_cell_names_line(self, tmp_path, bad_row):
+        text = (
+            "# bin_width_ns=1\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
+            f"0,5\n{bad_row}\n2,x\n"
+        )
+        (tmp_path / "nf.csv").write_text(text)
+        with pytest.raises(ParseError, match=rf"line 6: non-finite cell in '{bad_row}'"):
+            read_histogram(str(tmp_path / "nf.csv"))
+
+    def test_nan_count_rejected_by_histogram(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TcspcHistogram(
+                bin_width=1.0,
+                counts=np.r_[np.zeros(49), np.nan],
+                channel="mw_off",
+                integration_time=1.0,
+                rep_rate=20e6,
+            )
+
     def test_first_of_two_bad_lines_named(self, tmp_path):
         text = (
             "# bin_width_ns=1\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
