@@ -8,7 +8,6 @@ against event-level Monte-Carlo sampling.
 
 from .acquisition import (
     EventStream,
-    HwGateConfig,
     McSnrResult,
     hw_gate,
     mc_snr_distribution,
@@ -22,7 +21,6 @@ from .decay import (
     GatedCounts,
     GateWindow,
     PulseTrain,
-    expected_intensity,
     folded_model,
     gated_counts,
     gated_counts_exponential,
@@ -90,7 +88,6 @@ __all__ = [
     "GateSweepReport",
     "GateWindow",
     "GatedCounts",
-    "HwGateConfig",
     "LorentzianDoublet",
     "McSnrResult",
     "MetricError",
@@ -112,7 +109,6 @@ __all__ = [
     "contrast",
     "ef_empirical",
     "ef_theoretical",
-    "expected_intensity",
     "fit_double_lorentzian",
     "fnd_model",
     "folded_model",

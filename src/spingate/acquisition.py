@@ -3,15 +3,15 @@
 Three layers, each deterministic given a master seed:
 
 * Poisson sampling of expected TCSPC histograms, and Monte-Carlo SNR
-  trials drawn from the gated totals of those histograms.
+  trials drawn from the expected gated counts of each channel.
 * Photon event streams: every decay component and the dark rate is a
   Poisson source per laser pulse, with exact exponential (plus Gaussian
   IRF) or uniform arrival offsets; offsets past the period are dropped.
   The MW drive toggles between channels as an ideal square wave
   phase-locked to t = 0 (MW off first).
-* Event-level gating: a hardware gate parameterized by trigger delay and
-  on-duration (optionally with per-pulse Gaussian edge jitter), and the
-  equivalent offline modular-time filter.
+* Event-level gating by a GateWindow: a hardware gate (optionally with
+  per-pulse Gaussian edge jitter) and the equivalent offline modular-time
+  filter.
 
 Randomness policy: every operation takes an explicit seed (or Generator);
 nothing reads ambient entropy. Each draws from one Generator in a fixed
@@ -28,8 +28,8 @@ from .decay import (
     FluorescenceModel,
     GateWindow,
     PulseTrain,
-    histogram_expectation,
     spin_weight,
+    steady_rate,
 )
 from .histogram import TcspcHistogram
 from .metrics import CountPair, snr
@@ -69,25 +69,6 @@ class EventStream:
 
     def select(self, mask: np.ndarray) -> "EventStream":
         return EventStream(self.timestamps[mask], self.channels[mask])
-
-
-@dataclass(frozen=True)
-class HwGateConfig:
-    """Hardware time-domain filter: gate opens trigger_delay after each laser
-    trigger and stays on for gate_length; both edges jitter together by a
-    per-pulse Normal(0, jitter_sigma) offset."""
-
-    trigger_delay: float  # ns
-    gate_length: float  # ns
-    jitter_sigma: float = 0.0  # ns
-
-    def __post_init__(self):
-        if not self.trigger_delay >= 0:
-            raise ValueError("trigger_delay must be >= 0")
-        if not self.gate_length > 0:
-            raise ValueError("gate_length must be > 0")
-        if not self.jitter_sigma >= 0:
-            raise ValueError("jitter_sigma must be >= 0")
 
 
 def sample_histogram(expectation: TcspcHistogram, seed) -> TcspcHistogram:
@@ -171,47 +152,46 @@ def simulate_events(
 def offline_gate(events: EventStream, train: PulseTrain, gate: GateWindow) -> EventStream:
     """Post-processing filter: keep events with (t mod period) inside the gate."""
     phase = events.timestamps % train.period
-    kept = phase >= gate.t_start
-    if gate.bounded and gate.t_end < train.period:
-        kept &= phase < gate.t_end
-    return events.select(kept)
+    return events.select((phase >= gate.t_start) & (phase < gate.t_end))
 
 
-def hw_gate(events: EventStream, train: PulseTrain, cfg: HwGateConfig, seed=None) -> EventStream:
+def hw_gate(
+    events: EventStream, train: PulseTrain, gate: GateWindow, jitter_sigma: float = 0.0, seed=None
+) -> EventStream:
     """Hardware gate applied at the event level.
 
-    With jitter_sigma = 0 this is definitionally the same modular-time
-    predicate as offline_gate. With jitter, both gate edges shift together
-    by an independent Normal(0, sigma) draw per laser pulse, which requires
-    a seed.
+    The gate opens gate.t_start after each laser trigger and closes at
+    gate.t_end, which must not pass the period. With jitter_sigma = 0 this
+    is definitionally the same modular-time predicate as offline_gate. With
+    jitter, both gate edges shift together by an independent
+    Normal(0, jitter_sigma) draw per laser pulse, which requires a seed.
     """
     period = train.period
-    if cfg.trigger_delay + cfg.gate_length > period * (1 + 1e-12):
+    if gate.t_end > period * (1 + 1e-12):
         raise ValueError("hardware gate exceeds the pulse period")
+    if not jitter_sigma >= 0:
+        raise ValueError("jitter_sigma must be >= 0")
     phase = events.timestamps % period
-    if cfg.jitter_sigma == 0.0:
-        kept = (phase >= cfg.trigger_delay) & (phase < cfg.trigger_delay + cfg.gate_length)
-        return events.select(kept)
-    if seed is None:
-        raise ValueError("jittered hardware gate requires a seed")
-    rng = np.random.default_rng(seed)
-    pulse_idx = np.floor_divide(events.timestamps, period).astype(np.int64)
-    n_pulses = int(pulse_idx[-1]) + 1 if len(events) else 0
-    jitter = rng.standard_normal(n_pulses) * cfg.jitter_sigma
-    shift = jitter[pulse_idx] if n_pulses else np.empty(0)
-    kept = (phase >= cfg.trigger_delay + shift) & (
-        phase < cfg.trigger_delay + cfg.gate_length + shift
-    )
-    return events.select(kept)
+    shift = 0.0
+    if jitter_sigma > 0.0:
+        if seed is None:
+            raise ValueError("jittered hardware gate requires a seed")
+        rng = np.random.default_rng(seed)
+        pulse_idx = np.floor_divide(events.timestamps, period).astype(np.int64)
+        n_pulses = int(pulse_idx[-1]) + 1 if len(events) else 0
+        shift = (rng.standard_normal(n_pulses) * jitter_sigma)[pulse_idx]
+    return events.select((phase >= gate.t_start + shift) & (phase < gate.t_end + shift))
 
 
 @dataclass(frozen=True)
 class McSnrResult:
-    """Empirical SNR distribution over Monte-Carlo trials."""
+    """Empirical SNR distribution over Monte-Carlo trials, with the analytic
+    SNR of the expected counts it was sampled from."""
 
     mean: float
     std: float
     samples: np.ndarray
+    analytic: float
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -228,25 +208,24 @@ def mc_snr_distribution(
     trials: int,
     seed,
     c_sat: float = 0.15,
-    bin_width: float = 0.1,
 ) -> McSnrResult:
     """Sample the shot-noise SNR distribution of a gated measurement.
 
     Each MW channel integrates for channel_time (SweepConfig.channel_time).
-    The gated total of a channel is the sum of its expected histogram's bins
-    inside the gate; a sum of independent Poisson bins is Poisson with the
-    summed mean, so each trial draws its (N0, N1) pair directly from those
+    A channel's gated total is Poisson with mean steady_rate * channel_time
+    over the gate, so each trial draws its (N0, N1) pair directly from those
     two means and evaluates the SNR. All trials come from one Generator
     seeded with seed, trial after trial, so the first k trials of a longer
     run equal a k-trial run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    expected_off = histogram_expectation(model, "ms0", train, bin_width, channel_time, "mw_off")
-    expected_on = histogram_expectation(model, c_sat, train, bin_width, channel_time, "mw_on")
-    window = expected_off.aligned_slice(gate.t_start, gate.t_end)
-    means = [expected_off.counts[window].sum(), expected_on.counts[window].sum()]
+    means = [
+        steady_rate(model, spin, gate.t_start, train, gate.t_end) * channel_time
+        for spin in ("ms0", c_sat)
+    ]
     counts = np.random.default_rng(seed).poisson(means, size=(trials, 2))
     samples = snr(CountPair(counts[:, 0], counts[:, 1]))
     std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
-    return McSnrResult(mean=float(np.mean(samples)), std=std, samples=samples)
+    analytic = float(snr(CountPair(*means)))
+    return McSnrResult(mean=float(np.mean(samples)), std=std, samples=samples, analytic=analytic)

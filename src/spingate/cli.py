@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .acquisition import (
-    HwGateConfig,
     hw_gate,
     mc_snr_distribution,
     offline_gate,
@@ -27,12 +26,11 @@ from .acquisition import (
     simulate_events,
 )
 from .config import RunConfig, load_config
-from .decay import GateWindow, histogram_expectation, steady_rate
-from .errors import ConfigError, FitError, ParseError, SpingateError
+from .decay import GateWindow, histogram_expectation
+from .errors import ConfigError, FitError, ParseError
 from .histogram import CHANNELS
 from .mapping import ScanMap, snr_map
-from .metrics import CountPair, snr
-from .odmr import DoubletTruth, fit_double_lorentzian, gate_measured_odmr, synth_odmr
+from .odmr import DoubletTruth, OdmrSpectrum, fit_double_lorentzian, synth_odmr
 from .report import (
     ColumnarReport,
     read_histogram,
@@ -112,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-c", type=float, required=True, help="gate onset, ns")
     p.add_argument("--t-end", type=float, help="gate end, ns (default: period)")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--bin-width", type=float, default=0.1, help="ns")
 
     p = add("odmr-synth", _cmd_odmr_synth, "synthesize a CW-ODMR spectrum")
     p.add_argument("--f-start", type=float, default=2.84e9, help="Hz")
@@ -170,6 +167,11 @@ def _resolve_out(args, run: RunConfig | None) -> str:
     if not out:
         raise ConfigError("no output path: pass --out or set [io] out")
     return out
+
+
+def _gate(args) -> GateWindow:
+    """Gate from --tau-c and --t-end; without --t-end it runs to the period."""
+    return GateWindow(args.tau_c, math.inf if args.t_end is None else args.t_end)
 
 
 def _cmd_simulate(args) -> int:
@@ -251,28 +253,22 @@ def _cmd_mc(args) -> int:
         raise ConfigError("mc requires a seed (--seed or [io] seed)")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
-    t_end = args.t_end if args.t_end is not None else math.inf
-    gate = GateWindow(args.tau_c, t_end)
     result = mc_snr_distribution(
         run.model,
-        gate,
+        _gate(args),
         run.train,
         run.sweep.channel_time,
         args.trials,
         seed,
         c_sat=run.c_sat,
-        bin_width=args.bin_width,
     )
-    n0 = steady_rate(run.model, "ms0", args.tau_c, run.train) * run.sweep.channel_time
-    n1 = steady_rate(run.model, run.c_sat, args.tau_c, run.train) * run.sweep.channel_time
-    analytic = snr(CountPair(n0, n1))
     meta = _base_metadata("mc", seed)
     meta.update(
         trials=str(args.trials),
         tau_c_ns=_fmt(args.tau_c),
         mean_snr=_fmt(result.mean),
         std_snr=_fmt(result.std),
-        analytic_snr=_fmt(analytic),
+        analytic_snr=_fmt(result.analytic),
     )
     data = {"trial": np.arange(args.trials), "snr": result.samples}
     write_report(out, ColumnarReport(metadata=meta, data=data))
@@ -294,8 +290,7 @@ def _cmd_odmr_synth(args) -> int:
         fwhm2=args.fwhm2,
         depth2=args.depth2,
     )
-    t_end = args.t_end if args.t_end is not None else math.inf
-    gate = GateWindow(args.tau_c, t_end) if (args.tau_c > 0 or args.t_end is not None) else None
+    gate = _gate(args) if (args.tau_c > 0 or args.t_end is not None) else None
     spectrum = synth_odmr(
         run.model, run.train, gate, freqs, truth, args.integration_per_point, seed=seed
     )
@@ -324,8 +319,6 @@ def _cmd_odmr_fit(args) -> int:
         gate = GateWindow(
             float(table.metadata["gate_start_ns"]), float(table.metadata["gate_end_ns"])
         )
-    from .odmr import OdmrSpectrum
-
     spectrum = OdmrSpectrum(
         freqs=table.data["freq_hz"],
         counts=table.data["counts"],
@@ -354,8 +347,8 @@ def _cmd_gate_apply(args) -> int:
     seed = _resolve_seed(args, run)
     out = _resolve_out(args, run)
     hist = read_histogram(args.input)
-    t_end = args.t_end if args.t_end is not None else math.inf
-    window = hist.aligned_slice(args.tau_c, t_end)
+    gate = _gate(args)
+    window = hist.aligned_slice(gate.t_start, gate.t_end)
     data = {"bin_start_ns": hist.bin_starts[window], "counts": hist.counts[window]}
     meta = _base_metadata("gate-apply", seed)
     meta.update(
@@ -379,13 +372,13 @@ def _cmd_hw_sim(args) -> int:
         raise ConfigError("hw-sim requires a seed (--seed or [io] seed)")
     period = run.train.period
     length = args.length if args.length is not None else period - args.delay
-    cfg = HwGateConfig(trigger_delay=args.delay, gate_length=length, jitter_sigma=args.jitter)
+    gate = GateWindow(args.delay, args.delay + length)
     stream_seed, gate_seed = np.random.SeedSequence(seed).spawn(2)
     events = simulate_events(
         run.model, run.train, args.integration, args.toggle_rate, stream_seed, c_sat=run.c_sat
     )
-    kept = hw_gate(events, run.train, cfg, gate_seed)
-    offline = offline_gate(events, run.train, GateWindow(args.delay, args.delay + length))
+    kept = hw_gate(events, run.train, gate, args.jitter, gate_seed)
+    offline = offline_gate(events, run.train, gate)
     identical = len(kept) == len(offline) and bool(
         np.array_equal(kept.timestamps, offline.timestamps)
         and np.array_equal(kept.channels, offline.channels)

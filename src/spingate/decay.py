@@ -33,8 +33,6 @@ from .histogram import TcspcHistogram
 
 SpinSelector = Union[str, float]
 
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class DecayComponent:
@@ -70,14 +68,6 @@ class GateWindow:
             raise ValueError(
                 f"gate window requires 0 <= t_start < t_end, got [{self.t_start}, {self.t_end})"
             )
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.t_end)
-
-    @property
-    def length(self) -> float:
-        return self.t_end - self.t_start
 
 
 @dataclass(frozen=True)
@@ -204,51 +194,6 @@ class GatedCounts:
         return self.signal + self.background + self.dark
 
 
-def _emg_intensity(amplitude: float, lifetime: float, sigma: float, dt) -> np.ndarray:
-    """Exponential decay convolved with a Gaussian IRF, evaluated at dt = t - t_p.
-
-    I(dt) = (A/2) exp(sigma^2/(2 tau^2) - dt/tau) erfc(sigma/(sqrt2 tau) - dt/(sqrt2 sigma))
-
-    For large dt/sigma the exp factor overflows while erfc underflows; using
-    the identity exp(x) erfc(z) = erfcx(z) exp(x - z^2) with
-    x - z^2 = -dt^2/(2 sigma^2) keeps every factor bounded when z >= 0.
-    """
-    # imported here so that IRF-free runs never pay for loading scipy
-    from scipy.special import erfc, erfcx
-
-    dt = np.asarray(dt, dtype=float)
-    z = sigma / (_SQRT2 * lifetime) - dt / (_SQRT2 * sigma)
-    out = np.empty_like(z)
-    pos = z >= 0
-    if np.any(pos):
-        out[pos] = erfcx(z[pos]) * np.exp(-0.5 * (dt[pos] / sigma) ** 2)
-    if np.any(~pos):
-        # z < 0 implies the plain exponent is already decaying; erfc(z) < 2.
-        neg = ~pos
-        out[neg] = np.exp(0.5 * (sigma / lifetime) ** 2 - dt[neg] / lifetime) * erfc(z[neg])
-    return 0.5 * amplitude * out
-
-
-def expected_intensity(model: FluorescenceModel, spin: SpinSelector, t) -> np.ndarray | float:
-    """Expected detection intensity in counts/ns at time t (scalar or array)."""
-    t_arr = np.asarray(t, dtype=float)
-    dt = t_arr - model.pulse_time
-    total = np.full(dt.shape, model.dark_rate, dtype=float)
-    comps = model.spin_components(spin) + model.background
-    if model.irf_sigma == 0.0:
-        after = dt >= 0
-        for c in comps:
-            vals = np.zeros(dt.shape)
-            vals[after] = c.amplitude * np.exp(-dt[after] / c.lifetime)
-            total += vals
-    else:
-        for c in comps:
-            total += _emg_intensity(c.amplitude, c.lifetime, model.irf_sigma, dt)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(total)
-    return total
-
-
 def gated_counts_exponential(comp: DecayComponent, gate: GateWindow) -> float:
     """Closed-form per-pulse counts of one pure exponential inside a gate.
 
@@ -313,22 +258,29 @@ def gated_counts(model: FluorescenceModel, spin: SpinSelector, gate: GateWindow)
 
 
 def steady_rate(
-    model: FluorescenceModel, spin: SpinSelector, gate_onset, train: PulseTrain
+    model: FluorescenceModel,
+    spin: SpinSelector,
+    gate_onset,
+    train: PulseTrain,
+    gate_end=math.inf,
 ) -> np.ndarray | float:
     """Steady-state detected rate (counts/s) with the gate open from
-    gate_onset to the end of each period.
+    gate_onset to gate_end in each period.
 
-    gate_onset is a scalar (float result) or an array of onsets (array
-    result, one rate per onset).
+    This is the one definition of a channel's expected gated counts: rate
+    times channel time. A gate ends at the period at the latest, so ends at
+    or past it (the default is unbounded) are clipped to it. gate_onset and
+    gate_end broadcast elementwise; scalars give a float, arrays an array.
     """
     onset = np.asarray(gate_onset, dtype=float)
     if not np.all(onset >= 0):
         raise GateError(f"gate onset must be >= 0, got {gate_onset}")
     if np.any(onset >= train.period):
         raise GateError("gate exceeds pulse period")
-    signal, background, dark = _gated(model, spin, onset, train.period)
+    end = np.minimum(gate_end, train.period)
+    signal, background, dark = _gated(model, spin, onset, end)
     rate = train.rep_rate * (signal + background + dark)
-    return float(rate) if onset.ndim == 0 else rate
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def histogram_expectation(

@@ -7,7 +7,7 @@ must reproduce the period to within 1e-9 relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import FluorescenceModel, GateWindow, PulseTrain, gated_counts
-from .errors import FitError, GateError, NonConvergenceError
+from .decay import FluorescenceModel, GateWindow, PulseTrain, steady_rate
+from .errors import FitError, NonConvergenceError
 from .histogram import TcspcHistogram
 from .metrics import PhysicalConstants, RatePair, sensitivity_cw
 
@@ -150,15 +150,16 @@ def synth_odmr(
 ) -> OdmrSpectrum:
     """Synthesize a CW-ODMR spectrum from gated channel levels.
 
-    gate = None means ungated (full period). With a seed the counts are
+    Each level is steady_rate * integration_per_point over the gate; gate =
+    None means ungated (full period). With a seed the counts are
     Poisson-sampled, otherwise the noiseless expectation is returned.
     """
     freqs = np.asarray(freqs, dtype=float)
-    period = train.period
-    window = _clipped_window(gate, period)
-    pulses = train.rep_rate * integration_per_point
-    n0 = pulses * gated_counts(model, "ms0", window).total
-    n1 = pulses * gated_counts(model, "ms1", window).total
+    window = GateWindow(0.0) if gate is None else gate
+    n0, n1 = (
+        steady_rate(model, spin, window.t_start, train, window.t_end) * integration_per_point
+        for spin in ("ms0", "ms1")
+    )
     p = truth.population(freqs)
     expected = (1.0 - p) * n0 + p * n1
     if seed is not None:
@@ -166,14 +167,6 @@ def synth_odmr(
     return OdmrSpectrum(
         freqs=freqs, counts=expected, integration_per_point=integration_per_point, gate=gate
     )
-
-
-def _clipped_window(gate: GateWindow | None, period: float) -> GateWindow:
-    if gate is None:
-        return GateWindow(0.0, period)
-    if gate.t_start >= period:
-        raise GateError("gate exceeds pulse period")
-    return GateWindow(gate.t_start, min(gate.t_end, period))
 
 
 def gate_measured_odmr(

@@ -21,6 +21,7 @@ atomic rename.
 from __future__ import annotations
 
 import array
+import itertools
 import operator
 import os
 import re
@@ -154,11 +155,6 @@ def _data_lines(lines: list[str], start: int):
     return rows, numbers + start + 1, commas
 
 
-def _split_cells(rows: list[str]) -> list[str]:
-    """Every cell of the rows, row after row."""
-    return ",".join(rows).split(",") if rows else []
-
-
 def _typed_column(cells: list[str]) -> np.ndarray:
     """int64 if every cell is an integer literal that fits, else float64, else str."""
     if all(map(_INT_RE.fullmatch, cells)):
@@ -189,7 +185,7 @@ def read_report(path: str) -> ColumnarReport:
             f"ragged row: {widths[i]} cells against {len(columns)} columns",
             line=int(numbers[i]),
         )
-    cells = list(map(str.strip, _split_cells(rows)))
+    cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
     k = len(columns)
     data = {name: _typed_column(cells[j::k]) for j, name in enumerate(columns)}
     return ColumnarReport(metadata=meta, data=data)
@@ -223,10 +219,13 @@ def read_histogram(path: str) -> TcspcHistogram:
     rows, numbers, commas = _data_lines(lines, start)
     if not rows:
         raise ParseError("no data rows", line=len(lines) + 1)
+    del lines
     # Each check runs on the lines before the first failure of the one above
     # it, so the error always names the first offending line.
     not_pairs = np.flatnonzero(commas != 1)
-    cells = _split_cells(rows[: not_pairs[0]] if not_pairs.size else rows)
+    pairs = rows[: not_pairs[0]] if not_pairs.size else rows
+    # cells are split row by row and parsed as they come, never held together
+    cells = itertools.chain.from_iterable(map(operator.methodcaller("split", ","), pairs))
     values = array.array("d")
     try:
         values.extend(map(float, cells))  # keeps the values before a bad cell
@@ -250,7 +249,7 @@ def read_histogram(path: str) -> TcspcHistogram:
             f"non-finite cell in {rows[i]!r}",
             f"non-monotone bin start {starts[i]}",
             f"bin start {starts[i]} does not sit on the {bin_width} ns grid",
-            f"negative counts {cells[2 * i + 1]}",
+            f"negative counts {rows[i].split(',')[1]}",
         )[int(np.argmax(failed[:, i]))]
         raise ParseError(message, line=int(numbers[i]))
     if non_numeric is not None:

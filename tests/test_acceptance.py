@@ -16,7 +16,6 @@ import pytest
 from scipy.optimize import brentq
 
 from spingate.acquisition import (
-    HwGateConfig,
     hw_gate,
     mc_snr_distribution,
     offline_gate,
@@ -244,9 +243,9 @@ def test_criterion_08_hardware_gate_equivalence():
         events = simulate_events(bulk_model(), train, 0.00125, 50.0, seed=99)
         assert len(events) >= 1_000_000
         delay = 9.2
-        cfg = HwGateConfig(trigger_delay=delay, gate_length=train.period - delay)
-        kept_hw = hw_gate(events, train, cfg)
-        kept_off = offline_gate(events, train, GateWindow(delay, train.period))
+        gate = GateWindow(delay, train.period)
+        kept_hw = hw_gate(events, train, gate)
+        kept_off = offline_gate(events, train, gate)
         assert len(kept_hw) == len(kept_off)
         assert np.array_equal(kept_hw.timestamps, kept_off.timestamps)
         assert np.array_equal(kept_hw.channels, kept_off.channels)

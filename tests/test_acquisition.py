@@ -9,13 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from spingate.acquisition import (
     CHANNEL_OFF,
     CHANNEL_ON,
     EventStream,
-    HwGateConfig,
     hw_gate,
     mc_snr_distribution,
     offline_gate,
@@ -197,14 +198,12 @@ def stream():
 
 class TestGating:
     def test_full_period_gate_keeps_everything(self, stream):
-        cfg = HwGateConfig(trigger_delay=0.0, gate_length=TRAIN.period)
-        kept = hw_gate(stream, TRAIN, cfg)
+        kept = hw_gate(stream, TRAIN, GateWindow(0.0, TRAIN.period))
         assert len(kept) == len(stream)
 
     def test_jitter_free_equals_inline_modular_filter(self, stream):
         delay, length = 6.0, 30.0
-        cfg = HwGateConfig(trigger_delay=delay, gate_length=length)
-        kept = hw_gate(stream, TRAIN, cfg)
+        kept = hw_gate(stream, TRAIN, GateWindow(delay, delay + length))
         # independently written reference predicate
         t = stream.timestamps
         phase = t - np.floor(t / TRAIN.period) * TRAIN.period
@@ -213,37 +212,34 @@ class TestGating:
         assert np.array_equal(kept.channels, stream.channels[mask])
 
     def test_jitter_free_matches_offline_gate(self, stream):
-        cfg = HwGateConfig(trigger_delay=9.2, gate_length=TRAIN.period - 9.2)
-        hw = hw_gate(stream, TRAIN, cfg)
-        off = offline_gate(stream, TRAIN, GateWindow(9.2, TRAIN.period))
+        gate = GateWindow(9.2, TRAIN.period)
+        hw = hw_gate(stream, TRAIN, gate)
+        off = offline_gate(stream, TRAIN, gate)
         assert np.array_equal(hw.timestamps, off.timestamps)
         assert np.array_equal(hw.channels, off.channels)
 
     def test_jitter_requires_seed(self, stream):
-        cfg = HwGateConfig(trigger_delay=6.0, gate_length=30.0, jitter_sigma=0.5)
         with pytest.raises(ValueError, match="requires a seed"):
-            hw_gate(stream, TRAIN, cfg)
+            hw_gate(stream, TRAIN, GateWindow(6.0, 36.0), jitter_sigma=0.5)
 
     def test_jittered_kept_count_within_mc_envelope(self, stream):
         # Monte-Carlo oracle: rerun the jittered gate with fresh seeds to
         # estimate the kept-count spread, then place one more draw inside it.
-        cfg = HwGateConfig(trigger_delay=6.0, gate_length=30.0, jitter_sigma=0.5)
+        gate = GateWindow(6.0, 36.0)
         counts = np.array(
-            [len(hw_gate(stream, TRAIN, cfg, seed=1000 + k)) for k in range(30)]
+            [len(hw_gate(stream, TRAIN, gate, 0.5, seed=1000 + k)) for k in range(30)]
         )
-        probe = len(hw_gate(stream, TRAIN, cfg, seed=4))
+        probe = len(hw_gate(stream, TRAIN, gate, 0.5, seed=4))
         center = counts.mean()
         spread = max(counts.std(ddof=1), 1.0)
         assert abs(probe - center) < 5.0 * spread
         # no-jitter count sits inside the same envelope (zero-mean jitter)
-        no_jitter = len(
-            hw_gate(stream, TRAIN, HwGateConfig(trigger_delay=6.0, gate_length=30.0))
-        )
+        no_jitter = len(hw_gate(stream, TRAIN, gate))
         assert abs(no_jitter - center) < 5.0 * spread
 
     def test_gate_beyond_period_rejected(self, stream):
         with pytest.raises(ValueError, match="exceeds the pulse period"):
-            hw_gate(stream, TRAIN, HwGateConfig(trigger_delay=30.0, gate_length=30.0))
+            hw_gate(stream, TRAIN, GateWindow(30.0, 60.0))
 
     def test_offline_gate_bounded_window(self, stream):
         kept = offline_gate(stream, TRAIN, GateWindow(5.0, 20.0))
@@ -293,6 +289,18 @@ class TestMcSnr:
         analytic = report.snr[np.isclose(report.tau_c_grid, 9.2)][0]
         assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
 
+    @given(duty=st.floats(0.01, 0.99), index=st.integers(0, 200), seed=st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_analytic_is_the_sweep_snr_for_any_duty(self, duty, index, seed):
+        m = small_model().scaled(20.0)
+        cfg = SweepConfig(integration_time=0.1, mw_duty=duty, tau_c_max=20.0)
+        report = sweep_gate(m, TRAIN, cfg)
+        onset = float(report.tau_c_grid[index])
+        trials = 200
+        res = mc_snr_distribution(m, GateWindow(onset), TRAIN, cfg.channel_time, trials, seed)
+        assert res.analytic == pytest.approx(report.snr[index], rel=1e-12)
+        assert abs(res.mean - res.analytic) < 5.0 * res.std / math.sqrt(trials)
+
     def test_shot_noise_std_is_one(self):
         # Var(N0 - N1) = N0 + N1, so at high counts the SNR scatters with
         # unit standard deviation; 1000 trials pin it to about 2 %.
@@ -318,7 +326,12 @@ class TestEventTypes:
             EventStream(np.array([2.0, 1.0]), np.array([0, 0], dtype=np.uint8))
 
     def test_hw_gate_config_validation(self):
+        # the gate is a GateWindow, which rejects a negative delay and an
+        # empty window; hw_gate itself rejects a negative jitter
         with pytest.raises(ValueError):
-            HwGateConfig(trigger_delay=-1.0, gate_length=10.0)
+            GateWindow(-1.0, 9.0)
         with pytest.raises(ValueError):
-            HwGateConfig(trigger_delay=0.0, gate_length=0.0)
+            GateWindow(0.0, 0.0)
+        stream = EventStream(np.array([1.0]), np.array([0], dtype=np.uint8))
+        with pytest.raises(ValueError, match="jitter_sigma"):
+            hw_gate(stream, TRAIN, GateWindow(0.0, 10.0), jitter_sigma=-0.5, seed=1)

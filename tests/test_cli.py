@@ -134,7 +134,7 @@ class TestMonteCarlo:
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
         argv = ["mc", "--config", config_path, "--tau-c", "9.0", "--trials", "50",
-                "--bin-width", "0.5", "--seed", "11"]
+                "--seed", "11"]
         assert main(argv + ["--out", a]) == 0
         assert main(argv + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
@@ -142,8 +142,7 @@ class TestMonteCarlo:
     def test_different_seed_differs(self, config_path, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
-        argv = ["mc", "--config", config_path, "--tau-c", "9.0", "--trials", "50",
-                "--bin-width", "0.5"]
+        argv = ["mc", "--config", config_path, "--tau-c", "9.0", "--trials", "50"]
         assert main(argv + ["--seed", "11", "--out", a]) == 0
         assert main(argv + ["--seed", "12", "--out", b]) == 0
         rows_a = read_report(a).rows
@@ -154,13 +153,38 @@ class TestMonteCarlo:
         out = str(tmp_path / "mc.csv")
         assert run_cli(
             "mc", "--config", config_path, "--tau-c", "9.0", "--trials", "100",
-            "--bin-width", "0.5", "--seed", "4", "--out", out,
+            "--seed", "4", "--out", out,
         ) == 0
         meta = read_report(out).metadata
         mean = float(meta["mean_snr"])
         analytic = float(meta["analytic_snr"])
         std = float(meta["std_snr"])
         assert abs(mean - analytic) < 5 * std / math.sqrt(100) + 0.05 * analytic
+
+    def test_bounded_gate_analytic_tracks_mean(self, config_path, tmp_path):
+        # analytic_snr is the SNR of the means the trials were drawn from,
+        # so it follows --t-end as the samples do
+        out = str(tmp_path / "mc.csv")
+        assert run_cli(
+            "mc", "--config", config_path, "--tau-c", "9", "--t-end", "20", "--trials", "2000",
+            "--seed", "5", "--out", out,
+        ) == 0
+        meta = read_report(out).metadata
+        mean = float(meta["mean_snr"])
+        std = float(meta["std_snr"])
+        analytic = float(meta["analytic_snr"])
+        assert abs(mean - analytic) < 5 * std / math.sqrt(2000)
+        gate = GateWindow(9.0, 20.0)
+        n0, n1 = (2e7 * 0.1 * gated_counts(bulk_model(), s, gate).total for s in ("ms0", 0.15))
+        assert analytic == pytest.approx((n0 - n1) / math.sqrt(n0 + n1), rel=1e-12)
+
+    def test_onset_off_any_bin_grid(self, config_path, tmp_path):
+        out = str(tmp_path / "mc.csv")
+        assert run_cli(
+            "mc", "--config", config_path, "--tau-c", "9.05", "--trials", "20",
+            "--seed", "5", "--out", out,
+        ) == 0
+        assert read_report(out).metadata["tau_c_ns"] == "9.0500000000000007"
 
     def test_requires_seed(self, config_path, tmp_path, capsys):
         code = run_cli("mc", "--config", config_path, "--tau-c", "9.2",
@@ -243,6 +267,17 @@ class TestGateApply:
         )
         assert code == 2
         assert "not aligned" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gate", [("--tau-c", "-1"), ("--tau-c", "20", "--t-end", "10")])
+    def test_invalid_gate_fails(self, config_path, tmp_path, capsys, gate):
+        # a negative onset must not wrap to the last bins, nor an end before
+        # the onset give an empty gate
+        hist_path = str(tmp_path / "hist.csv")
+        assert run_cli("simulate", "--config", config_path, "--out", hist_path) == 0
+        out = tmp_path / "g.csv"
+        assert run_cli("gate-apply", "--input", hist_path, *gate, "--out", str(out)) == 2
+        assert "gate window requires" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHwSim:

@@ -14,7 +14,6 @@ from spingate.decay import (
     FluorescenceModel,
     GateWindow,
     PulseTrain,
-    expected_intensity,
     folded_model,
     gated_counts,
     gated_counts_exponential,
@@ -43,52 +42,57 @@ def bulk_like() -> FluorescenceModel:
 
 
 class TestExpectedIntensity:
-    def test_exponential_at_origin(self):
-        m = two_level()
-        assert expected_intensity(m, "ms0", 0.0) == pytest.approx(1.0, abs=0.0)
-
-    def test_one_lifetime_elapsed(self):
-        m = two_level()
-        assert expected_intensity(m, "ms0", 12.0) == pytest.approx(math.exp(-1), rel=1e-15)
+    """The expected intensity, checked through the counts it puts in windows:
+    the window-count kernel is the model's one closed form."""
 
     def test_before_pulse_is_dark_only(self):
         m = two_level(dark_rate=0.25, pulse_time=5.0)
-        assert expected_intensity(m, "ms0", 2.0) == 0.25
+        g = gated_counts(m, "ms0", GateWindow(0.0, 2.0))
+        assert g.signal == 0.0
+        assert g.total == 0.5
 
     def test_array_matches_scalars(self):
         m = bulk_like()
-        t = np.array([0.0, 1.0, 7.5, 30.0])
-        arr = expected_intensity(m, "ms1", t)
-        assert arr.shape == t.shape
-        for i, ti in enumerate(t):
-            assert arr[i] == expected_intensity(m, "ms1", float(ti))
+        train = PulseTrain(20e6)
+        onsets = np.array([0.0, 1.0, 7.5, 30.0])
+        ends = np.array([0.5, 9.0, 60.0, np.inf])
+        arr = steady_rate(m, "ms1", onsets, train, ends)
+        assert arr.shape == onsets.shape
+        for i in range(onsets.size):
+            assert arr[i] == steady_rate(m, "ms1", float(onsets[i]), train, float(ends[i]))
 
     def test_emg_matches_numerical_convolution(self):
-        # Oracle: convolve A exp(-s/tau) with a unit Gaussian on a 1 ps grid.
+        # Oracle: the decay exp(-s/tau) times the Gaussian's mass inside the
+        # window, summed on a 1 ps grid. The pulse sits at 1 ns, so the
+        # first window lies wholly before it.
+        from scipy.special import ndtr
+
         sigma, tau = 0.4, 12.0
-        m = two_level(tau0=tau, irf_sigma=sigma)
+        m = two_level(tau0=tau, irf_sigma=sigma, pulse_time=1.0)
         step = 1e-3
         s = np.arange(0.0, tau * 40.0, step)
-        for t in (-0.5, 0.0, 0.3, 1.0, 6.0):
-            gauss = np.exp(-0.5 * ((t - s) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-            want = np.trapezoid(np.exp(-s / tau) * gauss, dx=step)
-            got = expected_intensity(m, "ms0", t)
+        for t0, t1 in ((0.5, 1.0), (1.0, 1.3), (1.3, 2.0), (2.0, 7.0), (7.0, 21.0)):
+            mass = ndtr((t1 - 1.0 - s) / sigma) - ndtr((t0 - 1.0 - s) / sigma)
+            want = np.trapezoid(np.exp(-s / tau) * mass, dx=step)
+            got = gated_counts(m, "ms0", GateWindow(t0, t1)).signal
             assert got == pytest.approx(want, rel=1e-5)
 
     def test_emg_far_tail_no_overflow(self):
-        # 4000 sigma past the pulse: naive exp(dt^2) overflows, value must not.
+        # 4000 sigma past the pulse: naive exp(dt^2) overflows, counts must not.
         m = two_level(irf_sigma=0.05)
-        v = expected_intensity(m, "ms0", 200.0)
-        assert math.isfinite(v)
-        assert v == pytest.approx(math.exp(-200.0 / 12.0), rel=1e-6)
+        got = gated_counts(m, "ms0", GateWindow(200.0, 201.0)).signal
+        assert math.isfinite(got)
+        want = 12.0 * (math.exp(-200.0 / 12.0) - math.exp(-201.0 / 12.0))
+        assert got == pytest.approx(want, rel=1e-6)
 
     def test_emg_converges_to_exponential(self):
         sigma = 1e-4
         m = two_level(irf_sigma=sigma)
         m0 = two_level()
         for t in np.linspace(5 * sigma, 40.0, 23):
-            assert expected_intensity(m, "ms0", float(t)) == pytest.approx(
-                expected_intensity(m0, "ms0", float(t)), rel=1e-3
+            gate = GateWindow(float(t), float(t) + 1.0)
+            assert gated_counts(m, "ms0", gate).signal == pytest.approx(
+                gated_counts(m0, "ms0", gate).signal, rel=1e-3
             )
 
 
@@ -317,6 +321,14 @@ class TestSteadyRate:
         with pytest.raises(GateError, match="gate exceeds pulse period"):
             steady_rate(two_level(), "ms0", 50.0, PulseTrain(20e6))
 
+    def test_gate_end_clipped_to_period(self):
+        m = bulk_like()
+        train = PulseTrain(20e6)
+        bounded = steady_rate(m, "ms0", 6.0, train, 30.0)
+        assert bounded == 2e7 * gated_counts(m, "ms0", GateWindow(6.0, 30.0)).total
+        for end in (50.0, 75.0, math.inf):
+            assert steady_rate(m, "ms0", 6.0, train, end) == steady_rate(m, "ms0", 6.0, train)
+
     def test_doubling_rate_sublinear_when_period_near_lifetime(self):
         m = two_level()
         low = steady_rate(m, "ms0", 0.0, PulseTrain(20e6))
@@ -391,16 +403,16 @@ class TestFoldedModel:
             assert lift.amplitude == pytest.approx(want, rel=1e-15)
 
     def test_matches_summed_pulse_tails(self):
-        # steady-state intensity = single-pulse decay summed over all
-        # earlier pulses, evaluated inside one period
+        # steady-state counts in a window = single-pulse counts in the same
+        # window of every later period, summed over all earlier pulses
         m = two_level(tau0=30.0)
         train = PulseTrain(50e6)  # 20 ns period, strong wrap for tau=30
         lifted = folded_model(m, train)
-        for t in (0.0, 3.0, 12.5, 19.9):
-            direct = sum(
-                expected_intensity(m, "ms0", t + k * train.period) for k in range(400)
-            )
-            assert expected_intensity(lifted, "ms0", t) == pytest.approx(direct, rel=1e-10)
+        shifts = np.arange(400) * train.period
+        for t0, t1 in ((0.0, 3.0), (3.0, 12.5), (12.5, 19.9), (0.0, 20.0)):
+            direct = sum(gated_counts(m, "ms0", GateWindow(t0 + d, t1 + d)).total for d in shifts)
+            got = gated_counts(lifted, "ms0", GateWindow(t0, t1)).total
+            assert got == pytest.approx(direct, rel=1e-10)
 
 
 class TestValidation:
