@@ -13,9 +13,12 @@ Three layers, each deterministic given a master seed:
   per-pulse Gaussian edge jitter) and the equivalent offline modular-time
   filter.
 
-Randomness policy: every operation takes an explicit seed (or Generator);
-nothing reads ambient entropy. Each draws from one Generator in a fixed
-order, so the same seed gives the same result.
+Randomness policy: every operation takes an explicit seed; nothing reads
+ambient entropy. Histogram sampling, the gate jitter and Monte-Carlo trials
+each draw from one Generator in a fixed order. An event stream is drawn in
+blocks of BLOCK_PULSES pulses, block k from its own Generator seeded by
+block_seed(seed, k), so a block's events do not depend on which other
+blocks are drawn. The same seed gives the same result.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ from .metrics import CountPair, snr
 
 CHANNEL_OFF = 0
 CHANNEL_ON = 1
+
+# Laser pulses per event-stream block: about 190k events per block for a
+# bulk NV model at 20 MHz, so a block's arrays stay a few MB.
+BLOCK_PULSES = 4096
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,22 @@ def sample_histogram(expectation: TcspcHistogram, seed) -> TcspcHistogram:
     )
 
 
+def block_seed(seed, k: int) -> np.random.SeedSequence:
+    """The seed of block k of a blocked draw: seed (an int or SeedSequence)
+    extended by the key k, as the k-th SeedSequence.spawn child would be."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,))
+
+
+def block_count(train: PulseTrain, integration_time: float) -> int:
+    """Number of BLOCK_PULSES-pulse blocks in an acquisition; an acquisition
+    without pulses has one empty block."""
+    if not integration_time >= 0:
+        raise ValueError("integration_time must be >= 0")
+    n_pulses = int(integration_time * train.rep_rate)
+    return max(1, -(-n_pulses // BLOCK_PULSES))
+
+
 def simulate_events(
     model: FluorescenceModel,
     train: PulseTrain,
@@ -92,8 +115,9 @@ def simulate_events(
     mw_toggle_rate: float,
     seed,
     c_sat: float = 0.15,
+    block: int | None = None,
 ) -> EventStream:
-    """Simulate the photon stream of a full acquisition.
+    """Simulate the photon stream of a full acquisition, or of one block.
 
     Every source emits an independent Poisson number of photons per laser
     pulse. A decay component (spin branch or background) of amplitude A and
@@ -104,12 +128,17 @@ def simulate_events(
     thins each source to exactly the intensity histogram_expectation bins.
     The MW-on channel weights the spin branches by c_sat; the channel is set
     by the 50% duty MW square wave active at the pulse time.
+
+    The pulses are drawn in block_count(train, integration_time) blocks of
+    BLOCK_PULSES, block k from block_seed(seed, k). Every event lies inside
+    its own pulse's period, so sorting each block sorts the stream. With
+    block=k only block k is returned; with None, every block in order.
     """
-    if not integration_time >= 0:
-        raise ValueError("integration_time must be >= 0")
+    n_blocks = block_count(train, integration_time)
     if not mw_toggle_rate > 0:
         raise ValueError("mw_toggle_rate must be > 0")
-    rng = np.random.default_rng(seed)
+    if block is not None and not 0 <= block < n_blocks:
+        raise ValueError(f"block must be in [0, {n_blocks})")
     period = train.period
     n_pulses = int(integration_time * train.rep_rate)
 
@@ -123,30 +152,36 @@ def simulate_events(
     w = spin_weight(c_sat)
     means[CHANNEL_ON, :n0] *= 1.0 - w
     means[CHANNEL_ON, n0 : n0 + n1] *= w
-
     half_toggle_ns = 0.5e9 / mw_toggle_rate
-    pulse_idx = np.arange(n_pulses, dtype=np.int64)
-    pulse_channel = (np.floor(pulse_idx * period / half_toggle_ns) % 2).astype(np.uint8)
-
-    # (pulse x source) counts; np.repeat keeps the photons in pulse-major
-    # order, so the final sort sees a nearly sorted input
-    counts = rng.poisson(means[pulse_channel])
     source_ids = np.arange(lifetimes.size, dtype=np.min_scalar_type(lifetimes.size))
-    source = np.repeat(np.tile(source_ids, n_pulses), counts.ravel())
-    photon_pulse = np.repeat(pulse_idx, counts.sum(axis=1))
-    offsets = rng.standard_exponential(source.size)
-    offsets *= lifetimes[source]
-    offsets += model.pulse_time
-    if model.irf_sigma > 0.0:
-        offsets += model.irf_sigma * rng.standard_normal(source.size)
-    dark = source == lifetimes.size - 1
-    offsets[dark] = period * rng.random(int(np.count_nonzero(dark)))
 
-    kept = (offsets >= 0.0) & (offsets < period)
-    photon_pulse = photon_pulse[kept]
-    timestamps = photon_pulse * period + offsets[kept]
-    order = np.argsort(timestamps, kind="stable")
-    return EventStream(timestamps[order], pulse_channel[photon_pulse[order]])
+    def draw(k: int):
+        rng = np.random.default_rng(block_seed(seed, k))
+        pulse_idx = np.arange(k * BLOCK_PULSES, min(n_pulses, (k + 1) * BLOCK_PULSES))
+        pulse_channel = (np.floor(pulse_idx * period / half_toggle_ns) % 2).astype(np.uint8)
+        # (pulse x source) counts; np.repeat keeps the photons in pulse-major
+        # order, so the sort sees a nearly sorted input
+        counts = rng.poisson(means[pulse_channel])
+        source = np.repeat(np.tile(source_ids, pulse_idx.size), counts.ravel())
+        photon_pulse = np.repeat(np.arange(pulse_idx.size), counts.sum(axis=1))
+        offsets = rng.standard_exponential(source.size)
+        offsets *= lifetimes[source]
+        offsets += model.pulse_time
+        if model.irf_sigma > 0.0:
+            offsets += model.irf_sigma * rng.standard_normal(source.size)
+        dark = source == lifetimes.size - 1
+        offsets[dark] = period * rng.random(int(np.count_nonzero(dark)))
+
+        kept = (offsets >= 0.0) & (offsets < period)
+        photon_pulse = photon_pulse[kept]
+        timestamps = pulse_idx[photon_pulse] * period + offsets[kept]
+        order = np.argsort(timestamps, kind="stable")
+        return timestamps[order], pulse_channel[photon_pulse[order]]
+
+    if block is not None:
+        return EventStream(*draw(block))
+    blocks = [draw(k) for k in range(n_blocks)]
+    return EventStream(*map(np.concatenate, zip(*blocks)))
 
 
 def offline_gate(events: EventStream, train: PulseTrain, gate: GateWindow) -> EventStream:
@@ -164,7 +199,9 @@ def hw_gate(
     gate.t_end, which must not pass the period. With jitter_sigma = 0 this
     is definitionally the same modular-time predicate as offline_gate. With
     jitter, both gate edges shift together by an independent
-    Normal(0, jitter_sigma) draw per laser pulse, which requires a seed.
+    Normal(0, jitter_sigma) draw per laser pulse, which requires a seed; the
+    draws run from the first event's pulse to the last, so their number is
+    set by the span of the stream, not by where it starts.
     """
     period = train.period
     if gate.t_end > period * (1 + 1e-12):
@@ -178,6 +215,8 @@ def hw_gate(
             raise ValueError("jittered hardware gate requires a seed")
         rng = np.random.default_rng(seed)
         pulse_idx = np.floor_divide(events.timestamps, period).astype(np.int64)
+        if len(events):
+            pulse_idx -= pulse_idx[0]
         n_pulses = int(pulse_idx[-1]) + 1 if len(events) else 0
         shift = (rng.standard_normal(n_pulses) * jitter_sigma)[pulse_idx]
     return events.select((phase >= gate.t_start + shift) & (phase < gate.t_end + shift))

@@ -12,6 +12,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import array
 import math
 import sys
 
@@ -19,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .acquisition import (
+    block_count,
+    block_seed,
     hw_gate,
     mc_snr_distribution,
     offline_gate,
@@ -374,26 +377,41 @@ def _cmd_hw_sim(args) -> int:
     length = args.length if args.length is not None else period - args.delay
     gate = GateWindow(args.delay, args.delay + length)
     stream_seed, gate_seed = np.random.SeedSequence(seed).spawn(2)
-    events = simulate_events(
-        run.model, run.train, args.integration, args.toggle_rate, stream_seed, c_sat=run.c_sat
-    )
-    kept = hw_gate(events, run.train, gate, args.jitter, gate_seed)
-    offline = offline_gate(events, run.train, gate)
-    identical = len(kept) == len(offline) and bool(
-        np.array_equal(kept.timestamps, offline.timestamps)
-        and np.array_equal(kept.channels, offline.channels)
-    )
+    n_events = n_offline = 0
+    identical = True
+    # block by block, so only the kept events of the stream are ever whole;
+    # they collect in two growing buffers, since small per-block arrays
+    # left between the blocks' large ones would fragment the heap
+    stamps, codes = array.array("d"), array.array("B")
+    for k in range(block_count(run.train, args.integration)):
+        events = simulate_events(
+            run.model, run.train, args.integration, args.toggle_rate, stream_seed,
+            c_sat=run.c_sat, block=k,
+        )
+        kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k))
+        offline = offline_gate(events, run.train, gate)
+        identical &= bool(
+            np.array_equal(kept.timestamps, offline.timestamps)
+            and np.array_equal(kept.channels, offline.channels)
+        )
+        n_events += len(events)
+        n_offline += len(offline)
+        stamps.frombytes(kept.timestamps.tobytes())
+        codes.frombytes(kept.channels.tobytes())
+        del events, kept, offline
+    timestamps = np.frombuffer(stamps)
     meta = _base_metadata("hw-sim", seed)
     meta.update(
-        n_events=str(len(events)),
-        n_kept_hw=str(len(kept)),
-        n_kept_offline=str(len(offline)),
+        n_events=str(n_events),
+        n_kept_hw=str(timestamps.size),
+        n_kept_offline=str(n_offline),
         identical_to_offline=str(int(identical)),
         trigger_delay_ns=_fmt(args.delay),
         gate_length_ns=_fmt(length),
         jitter_sigma_ns=_fmt(args.jitter),
     )
-    data = {"timestamp_ns": kept.timestamps, "channel": np.asarray(CHANNELS)[kept.channels]}
+    channels = np.asarray(CHANNELS)[np.frombuffer(codes, np.uint8)]
+    data = {"timestamp_ns": timestamps, "channel": channels}
     write_report(out, ColumnarReport(metadata=meta, data=data))
     return 0
 

@@ -6,7 +6,7 @@ Format, shared by every file the toolkit emits:
     col_a,col_b            (one header line naming the columns)
     1,0.5                  (data rows)
 
-Each column has one type and is formatted as a whole: floats with "%.17g"
+Each column has one type and one format: floats with "%.17g"
 (17 significant digits, so write -> read -> write is byte-stable), ints in
 decimal and strings as they are. On reading, a column is int64 if every cell
 is an integer literal that fits, else float64 if every cell is a float, else
@@ -15,12 +15,14 @@ layout (bin_start_ns,counts) with no column header line; their metadata keys
 are bin_width_ns, rep_rate_hz, integration_s and channel.
 
 All writes go through a temp file in the target directory followed by an
-atomic rename.
+atomic rename. Rows are written and typed in blocks, so neither direction
+holds a whole file's text or cells.
 """
 
 from __future__ import annotations
 
 import array
+import contextlib
 import itertools
 import operator
 import os
@@ -98,18 +100,23 @@ def _check_column(name: str, values: np.ndarray) -> None:
         raise ValueError(f"column {name!r} holds {values.dtype}, not ints, floats or strings")
 
 
-def _formatted(values: np.ndarray):
-    """One column as text: decimal ints, strings as they are, else "%.17g"."""
-    return map(str if values.dtype.kind in "iuU" else "%.17g".__mod__, values.tolist())
+# Data rows typed per block on reading, so a file's cells are never all held.
+READ_BLOCK_ROWS = 4096
+
+# Rows formatted and written per block, so a file's text is never whole in
+# memory.
+WRITE_BLOCK_ROWS = 65536
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text via a same-directory temp file and atomic rename."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text handle on a same-directory temp file, renamed onto path when
+    the block exits without error and removed otherwise."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -117,11 +124,29 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text via a same-directory temp file and atomic rename."""
+    with _atomic_file(path) as handle:
+        handle.write(text)
+
+
+def _write_rows(path: str, header: list[str], columns) -> None:
+    """Write the header lines, then the columns' rows in blocks of
+    WRITE_BLOCK_ROWS, each block formatted by one % operation: decimal ints,
+    strings as they are, else "%.17g"."""
+    row = ",".join("%s" if c.dtype.kind in "iuU" else "%.17g" for c in columns) + "\n"
+    with _atomic_file(path) as handle:
+        handle.writelines(line + "\n" for line in header)
+        for start in range(0, columns[0].size, WRITE_BLOCK_ROWS):
+            block = [c[start : start + WRITE_BLOCK_ROWS].tolist() for c in columns]
+            cells = tuple(itertools.chain.from_iterable(zip(*block)))
+            handle.write((row * len(block[0])) % cells)
+
+
 def write_report(path: str, report: ColumnarReport) -> None:
-    lines = [f"# {k}={v}" for k, v in report.metadata.items()]
-    lines.append(",".join(report.columns))
-    lines.extend(map(",".join, zip(*map(_formatted, report.data.values()))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = [f"# {k}={v}" for k, v in report.metadata.items()]
+    header.append(",".join(report.columns))
+    _write_rows(path, header, list(report.data.values()))
 
 
 def _read_lines(path: str) -> list[str]:
@@ -145,6 +170,9 @@ def _split_metadata(lines: list[str]):
     return meta, body_start
 
 
+_split_cells = operator.methodcaller("split", ",")
+
+
 def _data_lines(lines: list[str], start: int):
     """Stripped non-blank lines from index start on -> (lines, 1-based line
     numbers, comma count per line)."""
@@ -155,17 +183,51 @@ def _data_lines(lines: list[str], start: int):
     return rows, numbers + start + 1, commas
 
 
-def _typed_column(cells: list[str]) -> np.ndarray:
-    """int64 if every cell is an integer literal that fits, else float64, else str."""
-    if all(map(_INT_RE.fullmatch, cells)):
-        try:
-            return np.array(list(map(int, cells)), dtype=np.int64)
-        except OverflowError:
-            pass
-    try:
-        return np.array(list(map(float, cells)), dtype=float)
-    except ValueError:
-        return np.array(cells, dtype=str)
+def _ints(cells: list[str]) -> np.ndarray:
+    """Integer literals as int64: ValueError if a cell is not one,
+    OverflowError if one does not fit."""
+    if not all(map(_INT_RE.fullmatch, cells)):
+        raise ValueError("not an integer literal")
+    return np.array(list(map(int, cells)), dtype=np.int64)
+
+
+def _typed_columns(rows: list[str], k: int) -> list[np.ndarray]:
+    """The k comma-separated cells of each row as k columns: int64 if every
+    cell is an integer literal that fits, else float64 if every cell is a
+    float, else str.
+
+    Rows are split and parsed READ_BLOCK_ROWS at a time, so the file's cells
+    are never all held. A column starts as int64 and widens to float64 at its
+    first other cell; its int64 blocks convert exactly, since int() and
+    float() both round the same literal's integer to the nearest double. A
+    column with a cell that is not a float is split from the rows again as
+    strings.
+    """
+    kinds = ["i"] * k
+    blocks = [[] for _ in range(k)]
+    for start in range(0, len(rows), READ_BLOCK_ROWS):
+        cells = list(map(str.strip, ",".join(rows[start : start + READ_BLOCK_ROWS]).split(",")))
+        for j in range(k):
+            if kinds[j] == "i":
+                try:
+                    blocks[j].append(_ints(cells[j::k]))
+                    continue
+                except (ValueError, OverflowError):
+                    kinds[j] = "f"
+                    blocks[j] = [b.astype(float) for b in blocks[j]]
+            if kinds[j] == "f":
+                try:
+                    blocks[j].append(np.array(list(map(float, cells[j::k])), dtype=float))
+                except ValueError:
+                    kinds[j] = "U"
+    columns = []
+    for j in range(k):
+        if kinds[j] == "U":
+            cells = map(str.strip, map(operator.itemgetter(j), map(_split_cells, rows)))
+            columns.append(np.array(list(cells), dtype=str))
+        else:
+            columns.append(np.concatenate([np.empty(0, np.int64), *blocks[j]]))
+    return columns
 
 
 def read_report(path: str) -> ColumnarReport:
@@ -185,21 +247,18 @@ def read_report(path: str) -> ColumnarReport:
             f"ragged row: {widths[i]} cells against {len(columns)} columns",
             line=int(numbers[i]),
         )
-    cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
-    k = len(columns)
-    data = {name: _typed_column(cells[j::k]) for j, name in enumerate(columns)}
+    data = dict(zip(columns, _typed_columns(rows, len(columns))))
     return ColumnarReport(metadata=meta, data=data)
 
 
 def write_histogram(path: str, hist: TcspcHistogram) -> None:
-    lines = [
+    header = [
         f"# bin_width_ns={format(hist.bin_width, '.17g')}",
         f"# rep_rate_hz={format(hist.rep_rate, '.17g')}",
         f"# integration_s={format(hist.integration_time, '.17g')}",
         f"# channel={hist.channel}",
     ]
-    lines.extend(map(",".join, zip(_formatted(hist.bin_starts), _formatted(hist.counts))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, header, [hist.bin_starts, hist.counts])
 
 
 def read_histogram(path: str) -> TcspcHistogram:
@@ -225,7 +284,7 @@ def read_histogram(path: str) -> TcspcHistogram:
     not_pairs = np.flatnonzero(commas != 1)
     pairs = rows[: not_pairs[0]] if not_pairs.size else rows
     # cells are split row by row and parsed as they come, never held together
-    cells = itertools.chain.from_iterable(map(operator.methodcaller("split", ","), pairs))
+    cells = itertools.chain.from_iterable(map(_split_cells, pairs))
     values = array.array("d")
     try:
         values.extend(map(float, cells))  # keeps the values before a bad cell

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from spingate.acquisition import (
+    BLOCK_PULSES,
     CHANNEL_OFF,
     CHANNEL_ON,
     EventStream,
+    block_count,
     hw_gate,
     mc_snr_distribution,
     offline_gate,
@@ -189,6 +191,46 @@ class TestSimulateEvents:
         ev = simulate_events(m, TRAIN, 1e-4, 50.0, 3)
         assert len(ev) > 0
         assert np.all(np.diff(ev.timestamps) >= 0)
+
+
+class TestEventBlocks:
+    # 2.5 blocks of pulses, with a 1 kHz toggle so both channels occur
+    INTEGRATION = 2.5 * BLOCK_PULSES / TRAIN.rep_rate
+
+    def test_blocks_concatenate_to_the_stream(self):
+        whole = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12)
+        n_blocks = block_count(TRAIN, self.INTEGRATION)
+        assert n_blocks == 3
+        blocks = [
+            simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=k)
+            for k in range(n_blocks)
+        ]
+        assert all(len(b) > 0 for b in blocks)
+        assert np.array_equal(np.concatenate([b.timestamps for b in blocks]), whole.timestamps)
+        assert np.array_equal(np.concatenate([b.channels for b in blocks]), whole.channels)
+        assert set(whole.channels.tolist()) == {CHANNEL_OFF, CHANNEL_ON}
+
+    def test_first_block_is_the_one_block_acquisition(self):
+        first = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=0)
+        one = simulate_events(small_model(), TRAIN, BLOCK_PULSES / TRAIN.rep_rate, 1000.0, 12)
+        assert block_count(TRAIN, BLOCK_PULSES / TRAIN.rep_rate) == 1
+        assert np.array_equal(first.timestamps, one.timestamps)
+        assert np.array_equal(first.channels, one.channels)
+
+    def test_block_lies_in_its_own_pulses(self):
+        ev = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=2)
+        pulse = np.floor_divide(ev.timestamps, TRAIN.period)
+        assert pulse.min() >= 2 * BLOCK_PULSES
+        assert pulse.max() < self.INTEGRATION * TRAIN.rep_rate
+
+    def test_block_out_of_range(self):
+        for block in (-1, 3):
+            with pytest.raises(ValueError, match="block"):
+                simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=block)
+
+    def test_no_pulses_is_one_empty_block(self):
+        assert block_count(TRAIN, 0.0) == 1
+        assert len(simulate_events(small_model(), TRAIN, 0.0, 50.0, 1, block=0)) == 0
 
 
 @pytest.fixture(scope="module")

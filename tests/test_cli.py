@@ -292,6 +292,56 @@ class TestHwSim:
         assert int(meta["n_kept_hw"]) == int(meta["n_kept_offline"])
         assert 0 < int(meta["n_kept_hw"]) < int(meta["n_events"])
 
+    def test_jittered_blocks_same_bytes(self, config_path, tmp_path):
+        # 0.5 ms is 10,000 pulses: three stream blocks, each with its own
+        # jitter draws
+        outs = [str(tmp_path / f"hw{k}.csv") for k in range(2)]
+        for out in outs:
+            assert run_cli(
+                "hw-sim", "--config", config_path, "--out", out, "--seed", "5",
+                "--integration", "0.0005", "--delay", "9.2", "--jitter", "0.5",
+            ) == 0
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        meta = read_report(outs[0]).metadata
+        assert meta["identical_to_offline"] == "0"
+        assert 0 < int(meta["n_kept_hw"]) < int(meta["n_events"])
+
+    # A child's ru_maxrss starts from the peak of the process that spawned it,
+    # so hw-sim is spawned from a fresh interpreter, not from the test runner.
+    MEASURE = textwrap.dedent(
+        """\
+        import os, subprocess, sys
+        proc = subprocess.Popen([sys.executable, "-c", sys.argv[1], *sys.argv[2:]])
+        _, status, usage = os.wait4(proc.pid, 0)
+        print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+        """
+    )
+
+    def peak_rss_mb(self, config: str, out: str, integration: str) -> float:
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [
+                sys.executable, "-c", self.MEASURE,
+                "import sys; from spingate.cli import main; sys.exit(main(sys.argv[1:]))",
+                "hw-sim", "--config", config, "--out", out, "--seed", "3",
+                "--integration", integration, "--delay", "40", "--length", "1",
+            ],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        code, maxrss_kb = map(int, done.stdout.split())
+        assert code == 0
+        return maxrss_kb / 1024.0
+
+    def test_memory_follows_kept_rows(self, config_path, tmp_path):
+        # a 1 ns gate 40 ns after the pulse keeps under 0.1 % of the events, so
+        # tripling the stream (5.7 M events at 6 ms) must leave the peak
+        # nearly unchanged
+        short = self.peak_rss_mb(config_path, str(tmp_path / "a.csv"), "0.002")
+        long = self.peak_rss_mb(config_path, str(tmp_path / "b.csv"), "0.006")
+        assert abs(long - short) < 0.15 * short
+
 
 class TestSnrMapCommand:
     def write_scan(self, path, nx=5, ny=4):

@@ -11,6 +11,7 @@ import pytest
 from spingate.config import load_config, parse_config
 from spingate.errors import ConfigError, ParseError
 from spingate.histogram import TcspcHistogram
+from spingate import report as report_module
 from spingate.report import (
     ColumnarReport,
     atomic_write_text,
@@ -168,6 +169,61 @@ class TestReportRoundTrip:
         with pytest.raises(OSError):
             atomic_write_text(str(tmp_path / "x.txt"), "data")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBlocks:
+    """Files written or read in blocks of rows equal those done in one block."""
+
+    FLOATS = [-0.0, math.nan, math.inf, 5e-324]
+
+    def report(self, n):
+        return ColumnarReport(
+            metadata={"n": str(n)},
+            data={
+                "i": np.arange(n) - 2,
+                "s": [f"row{k}" for k in range(n)],
+                "x": self.FLOATS[:n],
+            },
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    def test_write_blocks_same_bytes(self, tmp_path, monkeypatch, n):
+        bins = max(n, 1)  # a histogram has at least one bin
+        hist = TcspcHistogram(
+            bin_width=50.0 / bins, counts=np.arange(bins) * 0.1, channel="mw_on",
+            integration_time=1.0, rep_rate=20e6,
+        )
+
+        def written(rows):
+            monkeypatch.setattr(report_module, "WRITE_BLOCK_ROWS", rows)
+            write_report(str(tmp_path / "r.csv"), self.report(n))
+            write_histogram(str(tmp_path / "h.csv"), hist)
+            return (tmp_path / "r.csv").read_bytes(), (tmp_path / "h.csv").read_bytes()
+
+        one, blocked = written(1000), written(3)
+        assert one == blocked
+        lines = one[0].decode().splitlines()
+        assert len(lines) == 2 + n
+        if n == 4:
+            assert lines[2:] == [
+                "-2,row0,-0", "-1,row1,nan", "0,row2,inf", "1,row3,4.9406564584124654e-324"
+            ]
+
+    def test_read_blocks_widen_each_column(self, tmp_path, monkeypatch):
+        # per column: int then float, float then string, int then an int
+        # past int64, and int throughout; each change falls in a later block
+        path = tmp_path / "w.csv"
+        path.write_text(
+            "a,b,c,d\n1,0.5,1,7\n2,1.5,2,8\n3,2.5,3,9\n4.25,x,99999999999999999999,10\n"
+        )
+        monkeypatch.setattr(report_module, "READ_BLOCK_ROWS", 2)
+        blocked = read_report(str(path))
+        monkeypatch.setattr(report_module, "READ_BLOCK_ROWS", 1000)
+        whole = read_report(str(path))
+        assert [v.dtype.kind for v in whole.data.values()] == ["f", "U", "f", "i"]
+        for name in whole.columns:
+            assert blocked.data[name].dtype == whole.data[name].dtype
+            assert blocked.data[name].tobytes() == whole.data[name].tobytes()
 
 
 class TestHistogramFiles:
