@@ -30,7 +30,7 @@ from .acquisition import (
 )
 from .config import RunConfig, load_config
 from .decay import GateWindow, histogram_expectation
-from .errors import ConfigError, FitError, ParseError
+from .errors import ConfigError, FitError, NonConvergenceError, ParseError
 from .histogram import CHANNELS
 from .mapping import ScanMap, snr_map
 from .odmr import DoubletTruth, OdmrSpectrum, fit_double_lorentzian, synth_odmr
@@ -70,6 +70,12 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonConvergenceError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        last = ", ".join(f"{name}={_fmt(value)}" for name, value in exc.last_params.items())
+        print(f"last iterate: {last}", file=sys.stderr)
+        print(f"residual_norm: {_fmt(exc.residual_norm)}", file=sys.stderr)
+        return 3
     except FitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

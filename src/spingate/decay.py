@@ -9,8 +9,10 @@ exponentially modified Gaussian (EMG).
 Every count integral has a closed form, with or without the IRF: the gated
 integral of an EMG is a difference of ex-Gaussian CDFs (Grushka, Anal. Chem.
 44, 1733, 1972). One array kernel evaluates it for gates, onset grids and
-histogram bins alike. Counts are "per pulse": multiply by the repetition
-rate for steady-state rates.
+histogram bins alike. Its erfc and erfcx are Cody's rational Chebyshev
+approximations (Math. Comp. 23, 631, 1969) in plain numpy arithmetic, so the
+module needs nothing beyond numpy. Counts are "per pulse": multiply by the
+repetition rate for steady-state rates.
 
 Spin selection: operations take a selector that is either the string
 ``"ms0"`` / ``"ms1"`` or a float weight ``w`` in [0, 1] meaning a population
@@ -203,25 +205,135 @@ def gated_counts_exponential(comp: DecayComponent, gate: GateWindow) -> float:
     return float(_window_counts((comp,), 0.0, gate.t_start, gate.t_end))
 
 
+# Cody's rational Chebyshev approximations to erf, erfc and erfcx (Math.
+# Comp. 23, 631, 1969), with the coefficients of netlib SPECFUN's CALERF,
+# listed highest power first. Three ranges of |x|:
+# erf(x) = x R(x^2) up to 0.46875, erfcx(x) = R(x) up to 4, and
+# erfcx(x) = (1/sqrt(pi) - R(1/x^2) / x^2) / x beyond.
+_ERF_SMALL = 0.46875
+_ERFC_MID = 4.0
+_ERF_NUM = (
+    1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+    3.77485237685302021e02, 3.20937758913846947e03,
+)
+_ERF_DEN = (
+    1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+    1.28261652607737228e03, 2.84423683343917062e03,
+)
+_ERFCX_MID_NUM = (
+    2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+    6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+    1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03,
+)
+_ERFCX_MID_DEN = (
+    1.0, 1.57449261107098347e01, 1.17693950891312499e02,
+    5.37181101862009858e02, 1.62138957456669019e03, 3.29079923573345963e03,
+    4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03,
+)
+_ERFCX_BIG_NUM = (
+    1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+    1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4,
+)
+_ERFCX_BIG_DEN = (
+    1.0, 2.56852019228982242e00, 1.87295284992346725e00,
+    5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3,
+)
+_FRAC_1_SQRT_PI = 5.6418958354775628695e-1
+_SQRT2 = math.sqrt(2.0)
+_ERFC_ZERO = 27.5  # erfc(x) < 2**-1075 past x = 27.39, so it rounds to 0
+
+
+def _poly(coeffs, t: np.ndarray) -> np.ndarray:
+    """Horner evaluation of coeffs (highest power first) at t."""
+    acc = np.full_like(t, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """erf(x) for |x| <= 0.46875."""
+    t = x * x
+    return x * _poly(_ERF_NUM, t) / _poly(_ERF_DEN, t)
+
+
+def _erfcx_large(y: np.ndarray) -> np.ndarray:
+    """erfcx(y) for y > 0.46875; nan passes through."""
+    out = np.empty_like(y)
+    mid = y <= _ERFC_MID
+    ym = y[mid]
+    out[mid] = _poly(_ERFCX_MID_NUM, ym) / _poly(_ERFCX_MID_DEN, ym)
+    yb = y[~mid]
+    t = 1.0 / (yb * yb)
+    out[~mid] = (_FRAC_1_SQRT_PI - t * _poly(_ERFCX_BIG_NUM, t) / _poly(_ERFCX_BIG_DEN, t)) / yb
+    return out
+
+
+def _exp_square(x: np.ndarray, sign: float) -> np.ndarray:
+    """exp(sign * x^2), with x split at a multiple of 1/16 so that the
+    square carries no rounding error. Past |x| = 64 the result is 0 or inf."""
+    head = np.trunc(np.clip(x, -64.0, 64.0) * 16.0) / 16.0
+    return np.exp(sign * head * head) * np.exp(sign * (x - head) * (x + head))
+
+
+def _erfc(x) -> np.ndarray:
+    """Complementary error function, elementwise (Cody 1969)."""
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.where(x < 0.0, 2.0, 0.0)
+    small = y <= _ERF_SMALL
+    out[small] = 1.0 - _erf_small(x[small])
+    tail = ~small & ~(y >= _ERFC_ZERO)  # nan falls here and stays nan
+    xt = x[tail]
+    value = _exp_square(xt, -1.0) * _erfcx_large(np.abs(xt))
+    out[tail] = np.where(xt < 0.0, 2.0 - value, value)
+    return out[()]
+
+
+def _erfcx(x) -> np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x), elementwise
+    (Cody 1969). It overflows to inf below x = -26.63."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) <= _ERF_SMALL
+    xs = x[small]
+    out[small] = np.exp(xs * xs) * (1.0 - _erf_small(xs))
+    xb = x[~small]
+    tail = _erfcx_large(np.abs(xb))
+    neg = xb < 0.0
+    with np.errstate(over="ignore"):
+        tail[neg] = 2.0 * _exp_square(xb[neg], 1.0) - tail[neg]
+    out[~small] = tail
+    return out[()]
+
+
 def _tail(x, lifetime: float, sigma: float) -> np.ndarray:
     """Signed tail C(x) of one unit-area component, x in ns after the pulse.
 
-    With the EMG survival function
-    S(x) = Phi(-x/sigma) + exp(sigma^2/(2 tau^2) - x/tau + log Phi(x/sigma - sigma/tau)),
+    With z = x/sigma, u = z - sigma/tau and the EMG survival function
+    S(x) = Phi(-z) + exp(sigma^2/(2 tau^2) - x/tau) Phi(u),
     C(x) is the CDF 1 - S(x) before the pulse (x < 0) and -S(x) from it on:
     each side keeps the tail that is small there, so differences never
-    cancel against a value near 1. Both Phi terms enter with the same sign
-    after the pulse, and S(inf) = 0 closes unbounded windows. sigma = 0 is
-    the plain exponential, S(x) = exp(-x/tau) for x >= 0.
+    cancel against a value near 1. Both terms enter with the same sign
+    after the pulse, and S(inf) = 0 closes unbounded windows. Where u < 0
+    the exponent cancels against Phi's own exp(-u^2/2), leaving
+    erfcx(-u/sqrt 2) exp(-z^2/2) / 2, which neither overflows nor
+    underflows early. sigma = 0 is the plain exponential,
+    S(x) = exp(-x/tau) for x >= 0.
     """
     if sigma == 0.0:
         return np.where(x < 0.0, 0.0, -np.exp(-np.maximum(x, 0.0) / lifetime))
-    # imported here so that IRF-free runs never pay for loading scipy
-    from scipy.special import log_ndtr, ndtr
-
     z = x / sigma
-    shifted = np.exp(0.5 * (sigma / lifetime) ** 2 - x / lifetime + log_ndtr(z - sigma / lifetime))
-    return np.where(x < 0.0, 1.0, -1.0) * ndtr(-np.abs(z)) - shifted
+    u = z - sigma / lifetime
+    below = u < 0.0
+    above = ~below
+    shifted = np.empty_like(z)
+    shifted[below] = _erfcx(-u[below] / _SQRT2) * np.exp(-0.5 * z[below] ** 2)
+    shifted[above] = np.exp(0.5 * (sigma / lifetime) ** 2 - x[above] / lifetime) * _erfc(
+        -u[above] / _SQRT2
+    )
+    return 0.5 * (np.where(x < 0.0, 1.0, -1.0) * _erfc(np.abs(z) / _SQRT2) - shifted)
 
 
 def _window_counts(comps, sigma: float, x0, x1) -> np.ndarray | float:

@@ -45,9 +45,10 @@ class FitError(SpingateError, RuntimeError):
 
 
 class NonConvergenceError(FitError):
-    """Fit hit the iteration cap. Carries the last iterate for diagnostics."""
+    """Fit did not converge. Carries the last iterate, a dict of parameter
+    values in physical units, and its residual 2-norm for diagnostics."""
 
-    def __init__(self, message: str, last_params=None, residual_norm: float | None = None):
+    def __init__(self, message: str, last_params: dict, residual_norm: float):
         super().__init__(message)
         self.last_params = last_params
         self.residual_norm = residual_norm

@@ -236,23 +236,12 @@ def fit_double_lorentzian(spectrum: OdmrSpectrum) -> tuple[LorentzianDoublet, fl
     y = y_raw / y_scale
 
     theta = _initial_guess(f, y_raw, f0, span, y_scale)
-    theta, cost = _levenberg_marquardt(x, y, theta)
+    theta, cost, failure = _levenberg_marquardt(x, y, theta)
 
-    baseline, c1, w1, d1, c2, w2, d2 = theta
-    dips = sorted(
-        [(f0 + c1 * span, abs(w1) * span, d1), (f0 + c2 * span, abs(w2) * span, d2)],
-        key=lambda dip: dip[0],
-    )
-    params = {
-        "baseline": baseline * y_scale,
-        "center1": dips[0][0],
-        "fwhm1": dips[0][1],
-        "depth1": dips[0][2],
-        "center2": dips[1][0],
-        "fwhm2": dips[1][1],
-        "depth2": dips[1][2],
-    }
+    params = _doublet_params(theta, f0, span, y_scale)
     residual_norm = math.sqrt(cost) * y_scale
+    if failure is not None:
+        raise NonConvergenceError(failure, last_params=params, residual_norm=residual_norm)
     for center in (params["center1"], params["center2"]):
         if not f[0] <= center <= f[-1]:
             raise NonConvergenceError(
@@ -269,6 +258,25 @@ def fit_double_lorentzian(spectrum: OdmrSpectrum) -> tuple[LorentzianDoublet, fl
             residual_norm=residual_norm,
         ) from exc
     return doublet, residual_norm
+
+
+def _doublet_params(theta, f0: float, span: float, y_scale: float) -> dict:
+    """LorentzianDoublet fields in Hz and counts from the scaled 7-vector,
+    dips ordered by center."""
+    baseline, c1, w1, d1, c2, w2, d2 = theta
+    dips = sorted(
+        [(f0 + c1 * span, abs(w1) * span, d1), (f0 + c2 * span, abs(w2) * span, d2)],
+        key=lambda dip: dip[0],
+    )
+    return {
+        "baseline": baseline * y_scale,
+        "center1": dips[0][0],
+        "fwhm1": dips[0][1],
+        "depth1": dips[0][2],
+        "center2": dips[1][0],
+        "fwhm2": dips[1][1],
+        "depth2": dips[1][2],
+    }
 
 
 def _initial_guess(f, y, f0, span, y_scale):
@@ -350,6 +358,9 @@ def _project(theta: np.ndarray) -> np.ndarray:
 
 
 def _levenberg_marquardt(x, y, theta):
+    """Damped least squares in scaled units: (theta, cost, failure), where
+    failure is None on convergence and otherwise says why the loop stopped
+    at the returned iterate."""
     theta = _project(theta)
     model, jac = _model_and_jacobian(x, theta)
     residual = model - y
@@ -375,18 +386,10 @@ def _levenberg_marquardt(x, y, theta):
                 break
             lam *= 10.0
         if not accepted:
-            raise NonConvergenceError(
-                "damping exhausted without reducing the cost",
-                last_params=theta.copy(),
-                residual_norm=math.sqrt(cost),
-            )
+            return theta, cost, "damping exhausted without reducing the cost"
         drop = cost - cost_new
         theta, residual, jac, cost = candidate, residual_new, jac_new, cost_new
         lam = max(lam * 0.1, 1e-15)
         if drop <= COST_REL_TOL * max(cost, 1e-300):
-            return theta, cost
-    raise NonConvergenceError(
-        f"no convergence within {MAX_ITERATIONS} iterations",
-        last_params=theta.copy(),
-        residual_norm=math.sqrt(cost),
-    )
+            return theta, cost, None
+    return theta, cost, f"no convergence within {MAX_ITERATIONS} iterations"

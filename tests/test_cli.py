@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spingate
+from spingate import odmr
 from spingate.cli import main
 from spingate.decay import GateWindow, PulseTrain, gated_counts
 from spingate.presets import bulk_model
@@ -232,6 +233,20 @@ class TestOdmrChain:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_fit_non_convergence_prints_last_iterate(self, config_path, tmp_path, capsys,
+                                                      monkeypatch):
+        spect = str(tmp_path / "spect.csv")
+        assert run_cli("odmr-synth", "--config", config_path, "--out", spect) == 0
+        monkeypatch.setattr(odmr, "MAX_ITERATIONS", 1)
+        code = run_cli("odmr-fit", "--input", spect, "--out", str(tmp_path / "f"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "no convergence within 1 iterations" in err
+        assert "last iterate: baseline=" in err
+        assert "center1=" in err
+        assert "residual_norm: " in err
+        assert not (tmp_path / "f").exists()
+
     def test_fit_rejects_wrong_columns(self, tmp_path, capsys):
         bad = tmp_path / "wrong.csv"
         bad.write_text("a,b\n1,2\n")
@@ -429,7 +444,8 @@ class TestArgumentHandling:
 
 
 class TestImportCost:
-    """IRF-free runs must not load scipy.special (about a third of a second)."""
+    """No command loads scipy: IRF-free runs never import it, and the IRF
+    kernel's special functions are numpy arithmetic."""
 
     SCRIPT = textwrap.dedent(
         """\
@@ -441,13 +457,30 @@ class TestImportCost:
         print(code, "scipy.special" in sys.modules)
         """
     )
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    NO_SCIPY = textwrap.dedent(
+        """\
+        import os, sys
+        sys.modules["scipy"] = None
+        from spingate.cli import main
+        config, out = sys.argv[1], sys.argv[2]
+        codes = [
+            main(["gate-sweep", "--config", config, "--out", os.path.join(out, "gate.csv")]),
+            main(["simulate", "--config", config, "--sample", "--seed", "3",
+                  "--out", os.path.join(out, "hist.csv")]),
+            main(["mc", "--config", config, "--tau-c", "9.2", "--trials", "200", "--seed", "3",
+                  "--out", os.path.join(out, "mc.csv")]),
+        ]
+        print(*codes)
+        """
+    )
 
-    def run_script(self, config: str, out: str) -> list[str]:
+    def run_script(self, script: str, *args: str) -> list[str]:
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, config, out],
+            [sys.executable, "-c", script, *args],
             capture_output=True,
             text=True,
             env=env,
@@ -457,11 +490,12 @@ class TestImportCost:
         return done.stdout.splitlines()
 
     def test_sigma_zero_gate_sweep_leaves_scipy_unloaded(self, config_path, tmp_path):
-        lines = self.run_script(config_path, str(tmp_path / "sweep.csv"))
+        lines = self.run_script(self.SCRIPT, config_path, str(tmp_path / "sweep.csv"))
         assert lines == ["False", "0 False"]
 
-    def test_irf_gate_sweep_loads_it_on_demand(self, tmp_path):
+    def test_irf_commands_run_without_scipy(self, tmp_path):
         path = tmp_path / "irf.ini"
         path.write_text(CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\nirf_sigma = 0.3"))
-        lines = self.run_script(str(path), str(tmp_path / "sweep.csv"))
-        assert lines == ["False", "0 True"]
+        lines = self.run_script(self.NO_SCIPY, str(path), str(tmp_path))
+        assert lines == ["0 0 0"]
+        assert read_histogram(str(tmp_path / "hist.csv")).counts.sum() > 0

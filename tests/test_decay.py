@@ -2,11 +2,13 @@
 convolution oracles, plus the closed-form worked examples."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from spingate.decay import (
@@ -21,6 +23,7 @@ from spingate.decay import (
     spin_weight,
     steady_rate,
 )
+from spingate.decay import _erfc, _erfcx, _tail
 from spingate.errors import GateError
 from spingate.quadrature import adaptive_simpson
 
@@ -284,6 +287,90 @@ class TestEmgKernel:
         got = gated_counts(m, "ms0", GateWindow(1.0, 20.0)).signal
         assert got == pytest.approx(12.0 * -math.expm1(-16.0 / 12.0), rel=1e-14)
         assert gated_counts(m, "ms0", GateWindow(1.0, 4.0)).signal == 0.0
+
+
+def split_points(signed: bool) -> np.ndarray:
+    """The two range splits of Cody's approximations and their neighbours."""
+    splits = np.array([0.46875, 4.0])
+    points = np.concatenate(
+        [np.nextafter(splits, 0.0), splits, np.nextafter(splits, np.inf)]
+    )
+    return np.concatenate([points, -points]) if signed else points
+
+
+class TestSpecialFunctions:
+    """Cody's erfc and erfcx against scipy.special, a test-only oracle.
+
+    scipy's own erfc and erfcx round x^2 before exponentiating, which costs
+    up to about 6e-14 relative near |x| = 26, so the bound is 1e-13.
+    """
+
+    @staticmethod
+    def assert_matches(got, want):
+        tiny = want <= 1e-300
+        np.testing.assert_allclose(got[~tiny], want[~tiny], rtol=1e-13, atol=0.0)
+        assert np.all(np.abs(got[tiny] - want[tiny]) <= 1e-300)
+
+    def test_erfc_matches_oracle(self):
+        x = np.concatenate([np.linspace(-10.0, 27.0, 100_001), split_points(signed=True)])
+        self.assert_matches(_erfc(x), special.erfc(x))
+
+    def test_erfcx_matches_oracle(self):
+        x = np.concatenate(
+            [
+                np.linspace(0.0, 30.0, 30_001),
+                np.geomspace(1e-12, 1e6, 2_001),
+                split_points(signed=False),
+            ]
+        )
+        self.assert_matches(_erfcx(x), special.erfcx(x))
+        # 2 exp(x^2) - erfcx(-x) below 0, finite down to x = -26.63
+        x = np.linspace(-26.6, 0.0, 10_001)
+        self.assert_matches(_erfcx(x), special.erfcx(x))
+
+    def test_range_splits(self):
+        x = split_points(signed=True)
+        np.testing.assert_allclose(_erfc(x), special.erfc(x), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(_erfcx(x), special.erfcx(x), rtol=1e-15, atol=0.0)
+
+    def test_zero_d_input_gives_scalar(self):
+        for f in (_erfc, _erfcx):
+            for x in (0.25, 2.0, 9.0, -1.0):
+                got = f(x)
+                assert np.ndim(got) == 0
+                assert got == f(np.array([x]))[0]
+                assert f(np.array(x)) == got
+
+    def test_non_finite(self):
+        x = np.array([np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_erfc = _erfc(x)
+            got_erfcx = _erfcx(x)
+        np.testing.assert_array_equal(got_erfc, [0.0, 2.0, np.nan])
+        np.testing.assert_array_equal(got_erfcx, [0.0, np.inf, np.nan])
+
+    @pytest.mark.parametrize("tau, sigma", [(12.0, 0.3), (1.7, 0.05), (0.02, 1.0)])
+    def test_tail_matches_log_ndtr_form(self, tau, sigma):
+        # The same closed form written with scipy's log_ndtr,
+        # exp(sigma^2/(2 tau^2) - x/tau + log Phi(u)), sampled through u = 0
+        # at x = sigma^2/tau. At tau = 0.02, sigma = 1 the exponential alone
+        # overflows where Phi(u) underflows, so the kernel must cancel them
+        # before evaluating either. Before the pulse C(x) is a difference
+        # that loses about log10(|z| tau/sigma) digits in both forms, so the
+        # grid starts at -3 sigma; below 1e-300 the values are subnormal.
+        knee = sigma**2 / tau
+        x = np.concatenate(
+            [
+                np.linspace(-3.0 * sigma, 40.0, 2_001),
+                [0.0, knee, np.nextafter(knee, -np.inf), np.nextafter(knee, np.inf)],
+            ]
+        )
+        z = x / sigma
+        want = np.where(x < 0.0, 1.0, -1.0) * special.ndtr(-np.abs(z)) - np.exp(
+            0.5 * (sigma / tau) ** 2 - x / tau + special.log_ndtr(z - sigma / tau)
+        )
+        np.testing.assert_allclose(_tail(x, tau, sigma), want, rtol=1e-12, atol=1e-300)
 
 
 class TestSpinSelector:

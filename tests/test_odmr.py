@@ -193,7 +193,14 @@ class TestFitErrors:
         sp = synth_odmr(bulk_model(), TRAIN, GateWindow(9.2, 50.0), FREQS, TRUTH, 0.5, seed=8)
         with pytest.raises(NonConvergenceError) as err:
             fit_double_lorentzian(sp)
-        assert err.value.last_params is not None
+        last = err.value.last_params
+        assert isinstance(last, dict)
+        # physical units: centres in Hz inside the span, not scaled to [0, 1]
+        for name in ("center1", "center2"):
+            assert FREQS[0] <= last[name] <= FREQS[-1]
+        assert last["center1"] <= last["center2"]
+        assert last["baseline"] == pytest.approx(np.median(sp.counts), rel=0.2)
+        assert err.value.residual_norm > 0
 
 
 class TestGateMeasuredOdmr:
