@@ -14,11 +14,12 @@ Three layers, each deterministic given a master seed:
   filter.
 
 Randomness policy: every operation takes an explicit seed; nothing reads
-ambient entropy. Histogram sampling, the gate jitter and Monte-Carlo trials
-each draw from one Generator in a fixed order. An event stream is drawn in
-blocks of BLOCK_PULSES pulses, block k from its own Generator seeded by
-block_seed(seed, k), so a block's events do not depend on which other
-blocks are drawn. The same seed gives the same result.
+ambient entropy, so a None seed, which would seed from the operating
+system, is rejected with ValueError. Histogram sampling, the gate jitter
+and Monte-Carlo trials each draw from one Generator in a fixed order. An
+event stream is drawn in blocks of BLOCK_PULSES pulses, block k from its own
+Generator seeded by block_seed(seed, k), so a block's events do not depend
+on which other blocks are drawn. The same seed gives the same result.
 """
 
 from __future__ import annotations
@@ -78,11 +79,19 @@ class EventStream:
         return EventStream(self.timestamps[mask], self.channels[mask])
 
 
+def _require_seed(seed, what: str):
+    """seed itself; None is rejected, since a Generator seeded with None
+    reads the operating system's entropy."""
+    if seed is None:
+        raise ValueError(f"{what} requires a seed")
+    return seed
+
+
 def sample_histogram(expectation: TcspcHistogram, seed) -> TcspcHistogram:
     """Poisson-sample an expected histogram into integer counts."""
     if np.any(expectation.counts < 0):
         raise ValueError("negative expectation")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_seed(seed, "sample_histogram"))
     return TcspcHistogram(
         bin_width=expectation.bin_width,
         counts=rng.poisson(expectation.counts),
@@ -134,6 +143,7 @@ def simulate_events(
     its own pulse's period, so sorting each block sorts the stream. With
     block=k only block k is returned; with None, every block in order.
     """
+    _require_seed(seed, "simulate_events")
     n_blocks = block_count(train, integration_time)
     if not mw_toggle_rate > 0:
         raise ValueError("mw_toggle_rate must be > 0")
@@ -211,9 +221,7 @@ def hw_gate(
     phase = events.timestamps % period
     shift = 0.0
     if jitter_sigma > 0.0:
-        if seed is None:
-            raise ValueError("jittered hardware gate requires a seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_require_seed(seed, "jittered hardware gate"))
         pulse_idx = np.floor_divide(events.timestamps, period).astype(np.int64)
         if len(events):
             pulse_idx -= pulse_idx[0]
@@ -263,7 +271,8 @@ def mc_snr_distribution(
         steady_rate(model, spin, gate.t_start, train, gate.t_end) * channel_time
         for spin in ("ms0", c_sat)
     ]
-    counts = np.random.default_rng(seed).poisson(means, size=(trials, 2))
+    rng = np.random.default_rng(_require_seed(seed, "mc_snr_distribution"))
+    counts = rng.poisson(means, size=(trials, 2))
     samples = snr(CountPair(counts[:, 0], counts[:, 1]))
     std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
     analytic = float(snr(CountPair(*means)))

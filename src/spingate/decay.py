@@ -417,9 +417,15 @@ def histogram_expectation(
         raise ValueError(
             f"bin width {bin_width} ns does not tile the {period} ns period exactly"
         )
-    x = np.arange(n_bins + 1) * bin_width - model.pulse_time
+    edges = np.arange(n_bins + 1) * bin_width - model.pulse_time
     comps = model.spin_components(spin) + model.background
-    per_bin = _window_counts(comps, model.irf_sigma, x[:-1], x[1:]) + model.dark_rate * bin_width
+    # _window_counts over each bin, with each edge's tail taken once; C's unit
+    # step at the pulse falls in the bin where edges >= 0 turns true
+    step = np.diff(edges >= 0.0)
+    per_bin = sum(
+        c.amplitude * c.lifetime * (np.diff(_tail(edges, c.lifetime, model.irf_sigma)) + step)
+        for c in comps
+    ) + model.dark_rate * bin_width
     counts = per_bin * (integration_time * train.rep_rate)
     return TcspcHistogram(
         bin_width=bin_width,

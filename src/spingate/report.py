@@ -8,11 +8,13 @@ Format, shared by every file the toolkit emits:
 
 Each column has one type and one format: floats with "%.17g"
 (17 significant digits, so write -> read -> write is byte-stable), ints in
-decimal and strings as they are. On reading, a column is int64 if every cell
-is an integer literal that fits, else float64 if every cell is a float, else
-strings. Histogram files use the same cell formatting in a fixed two-column
-layout (bin_start_ns,counts) with no column header line; their metadata keys
-are bin_width_ns, rep_rate_hz, integration_s and channel.
+decimal and strings as they are. Metadata values are formatted as cells
+are: floats with "%.17g", anything else with str() (format_value). On
+reading, a column is int64 if every cell is an integer literal that fits,
+else float64 if every cell is a float, else strings. Histogram files use the
+same cell formatting in a fixed two-column layout (bin_start_ns,counts) with
+no column header line; their metadata keys are bin_width_ns, rep_rate_hz,
+integration_s and channel.
 
 All writes go through a temp file in the target directory followed by an
 atomic rename. Rows are written and typed in blocks, so neither direction
@@ -42,12 +44,22 @@ _INT_RE = re.compile(r"\+?\d+|-0*[1-9]\d*")
 HISTOGRAM_KEYS = ("bin_width_ns", "rep_rate_hz", "integration_s", "channel")
 
 
+def format_value(value) -> str:
+    """A metadata value as text: floats with "%.17g", as float cells are
+    written, anything else with str()."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
 @dataclass(frozen=True)
 class ColumnarReport:
     """Named columns of equal length plus ordered key=value metadata.
 
-    data maps each column name to a 1-D array of ints, floats or strings,
-    stored read-only in the order given.
+    metadata values are stored as text, through format_value. data maps each
+    column name to a 1-D array of ints, floats or strings, in the order
+    given. A column is a read-only view of the array it was given, not a
+    copy: a later write to a writeable source array shows through.
     """
 
     metadata: dict[str, str]
@@ -57,12 +69,12 @@ class ColumnarReport:
         meta = {}
         for key, value in dict(self.metadata).items():
             key = str(key)
-            value = str(value)
+            value = format_value(value)
             if "=" in key or "\n" in key or "\n" in value:
                 raise ValueError(f"invalid metadata entry {key!r}")
             meta[key] = value
         object.__setattr__(self, "metadata", meta)
-        data = {str(name): np.array(values) for name, values in dict(self.data).items()}
+        data = {str(name): np.asarray(values).view() for name, values in dict(self.data).items()}
         if not data or any("," in c or "\n" in c for c in data):
             raise ValueError("columns must be non-empty, comma-free names")
         for name, values in data.items():
@@ -252,12 +264,8 @@ def read_report(path: str) -> ColumnarReport:
 
 
 def write_histogram(path: str, hist: TcspcHistogram) -> None:
-    header = [
-        f"# bin_width_ns={format(hist.bin_width, '.17g')}",
-        f"# rep_rate_hz={format(hist.rep_rate, '.17g')}",
-        f"# integration_s={format(hist.integration_time, '.17g')}",
-        f"# channel={hist.channel}",
-    ]
+    values = (hist.bin_width, hist.rep_rate, hist.integration_time, hist.channel)
+    header = [f"# {k}={format_value(v)}" for k, v in zip(HISTOGRAM_KEYS, values)]
     _write_rows(path, header, [hist.bin_starts, hist.counts])
 
 

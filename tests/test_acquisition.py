@@ -56,6 +56,12 @@ class TestSampleHistogram:
         b = sample_histogram(expected, 11)
         assert np.array_equal(a.counts, b.counts)
 
+    def test_requires_seed(self):
+        # a None seed would draw from the operating system's entropy
+        expected = histogram_expectation(small_model(), "ms0", TRAIN, 0.5, 1e-3)
+        with pytest.raises(ValueError, match="sample_histogram requires a seed"):
+            sample_histogram(expected, None)
+
     def test_zero_expectation_samples_zero(self):
         h = TcspcHistogram(
             bin_width=1.0,
@@ -119,6 +125,11 @@ class TestSimulateEvents:
         b = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9)
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.channels, b.channels)
+
+    @pytest.mark.parametrize("block", [None, 0])
+    def test_requires_seed(self, block):
+        with pytest.raises(ValueError, match="simulate_events requires a seed"):
+            simulate_events(small_model(), TRAIN, 2e-4, 50.0, None, block=block)
 
     def test_timestamps_sorted_and_in_range(self):
         ev = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9)
@@ -297,6 +308,10 @@ class TestMcSnr:
         b = mc_snr_distribution(m, gate, TRAIN, 1e-2, 2, 99)
         assert np.array_equal(a.samples, b.samples)
         assert a.mean == b.mean and a.std == b.std
+
+    def test_requires_seed(self):
+        with pytest.raises(ValueError, match="mc_snr_distribution requires a seed"):
+            mc_snr_distribution(small_model(), GateWindow(5.0, 50.0), TRAIN, 1e-2, 2, None)
 
     def test_infinite_count_limit_matches_analytic(self):
         m = small_model().scaled(500.0)

@@ -49,6 +49,19 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def write_scan(path, nx=5, ny=4):
+    rng = np.random.default_rng(2)
+    header = ["# nx=%d" % nx, "# ny=%d" % ny, "# pitch_um=0.5", "# dwell_s=0.01"]
+    header.append("ix,iy,mw_off_gated,mw_on_gated,mw_off_ungated,mw_on_ungated")
+    rows = []
+    for iy in range(ny):
+        for ix in range(nx):
+            off = rng.poisson(400)
+            on = rng.poisson(320)
+            rows.append(f"{ix},{iy},{off},{on},{off * 3},{on * 3}")
+    path.write_text("\n".join(header + rows) + "\n")
+
+
 class TestSimulate:
     def test_expected_histogram(self, config_path, tmp_path):
         out = str(tmp_path / "hist.csv")
@@ -186,6 +199,16 @@ class TestMonteCarlo:
             "--seed", "5", "--out", out,
         ) == 0
         assert read_report(out).metadata["tau_c_ns"] == "9.0500000000000007"
+
+    def test_metadata_formats(self, config_path, tmp_path):
+        # float metadata as "%.17g", ints in decimal
+        out = tmp_path / "mc.csv"
+        assert run_cli(
+            "mc", "--config", config_path, "--tau-c", "0.1", "--trials", "7",
+            "--seed", "11", "--out", str(out),
+        ) == 0
+        lines = out.read_text().splitlines()
+        assert lines[3:6] == ["# seed=11", "# trials=7", "# tau_c_ns=0.10000000000000001"]
 
     def test_requires_seed(self, config_path, tmp_path, capsys):
         code = run_cli("mc", "--config", config_path, "--tau-c", "9.2",
@@ -359,21 +382,9 @@ class TestHwSim:
 
 
 class TestSnrMapCommand:
-    def write_scan(self, path, nx=5, ny=4):
-        rng = np.random.default_rng(2)
-        header = ["# nx=%d" % nx, "# ny=%d" % ny, "# pitch_um=0.5", "# dwell_s=0.01"]
-        header.append("ix,iy,mw_off_gated,mw_on_gated,mw_off_ungated,mw_on_ungated")
-        rows = []
-        for iy in range(ny):
-            for ix in range(nx):
-                off = rng.poisson(400)
-                on = rng.poisson(320)
-                rows.append(f"{ix},{iy},{off},{on},{off * 3},{on * 3}")
-        path.write_text("\n".join(header + rows) + "\n")
-
     def test_map_output_shape_and_pitch(self, tmp_path):
         scan = tmp_path / "scan.csv"
-        self.write_scan(scan)
+        write_scan(scan)
         out = str(tmp_path / "map.csv")
         assert run_cli(
             "snr-map", "--input", str(scan), "--channel", "gated", "--factor", "2",
@@ -405,6 +416,49 @@ class TestSnrMapCommand:
                        "--out", str(tmp_path / "m"))
         assert code == 2
         assert "expected columns" in capsys.readouterr().err
+
+
+class TestReproducibility:
+    """Two runs of a subcommand on the same inputs and seed write the same bytes."""
+
+    ARGV = {
+        "simulate": ("--config", "{config}", "--sample", "--seed", "3"),
+        "gate-sweep": ("--config", "{config}"),
+        "rep-sweep": ("--config", "{grid}"),
+        "joint-opt": ("--config", "{grid}"),
+        "mc": ("--config", "{config}", "--tau-c", "9.2", "--trials", "50", "--seed", "11"),
+        "odmr-synth": ("--config", "{config}", "--tau-c", "9.2", "--seed", "4"),
+        "odmr-fit": ("--input", "{spectrum}"),
+        "gate-apply": ("--input", "{histogram}", "--tau-c", "9.2"),
+        "hw-sim": (
+            "--config", "{config}", "--seed", "21", "--integration", "0.0005",
+            "--delay", "9.2", "--jitter", "0.5",
+        ),
+        "snr-map": ("--input", "{scan}", "--channel", "gated", "--factor", "2"),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, config_path, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        (d / "grid.ini").write_text(CONFIG + "period_grid = 40:60:10\n")
+        write_scan(d / "scan.csv")
+        paths = {name: str(d / f"{name}.csv") for name in ("spectrum", "histogram")}
+        assert run_cli(
+            "odmr-synth", "--config", config_path, "--tau-c", "9.2", "--out", paths["spectrum"]
+        ) == 0
+        assert run_cli(
+            "simulate", "--config", config_path, "--sample", "--seed", "9",
+            "--out", paths["histogram"],
+        ) == 0
+        return dict(paths, config=config_path, grid=str(d / "grid.ini"), scan=str(d / "scan.csv"))
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_same_inputs_same_bytes(self, inputs, tmp_path, command):
+        argv = [command] + [arg.format(**inputs) for arg in self.ARGV[command]]
+        outs = [tmp_path / f"out{k}.csv" for k in range(2)]
+        for out in outs:
+            assert run_cli(*argv, "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestArgumentHandling:

@@ -147,6 +147,36 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError, match="not ints, floats or strings"):
             ColumnarReport(metadata={}, data={"a": [1 + 2j]})
 
+    def test_metadata_values_formatted_as_cells(self, tmp_path):
+        # floats as "%.17g", like float cells; anything else with str()
+        path = str(tmp_path / "m.csv")
+        meta = {
+            "f": 0.1,
+            "g": np.float64(1 / 3),
+            "inf": math.inf,
+            "i": 12,
+            "big": np.int64(2**62),
+            "s": "none",
+        }
+        write_report(path, ColumnarReport(metadata=meta, data={"a": [1]}))
+        assert open(path).read().splitlines()[:6] == [
+            "# f=0.10000000000000001",
+            "# g=0.33333333333333331",
+            "# inf=inf",
+            "# i=12",
+            "# big=4611686018427387904",
+            "# s=none",
+        ]
+
+    def test_columns_are_read_only_views(self):
+        source = np.arange(5.0)
+        column = ColumnarReport(metadata={}, data={"x": source}).data["x"]
+        assert np.shares_memory(column, source)
+        assert not column.flags.writeable
+        assert source.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+
     def test_cell_restrictions(self, tmp_path):
         path = str(tmp_path / "x.csv")
         with pytest.raises(ValueError, match="boolean"):
