@@ -347,7 +347,8 @@ def _cmd_hw_sim(args, run: RunConfig, seed):
         gate_length_ns=length,
         jitter_sigma_ns=args.jitter,
     )
-    channels = np.asarray(CHANNELS)[np.frombuffer(codes, np.uint8)]
+    # one pointer per row to the two shared label strings
+    channels = np.array(CHANNELS, dtype=object)[np.frombuffer(codes, np.uint8)]
     return meta, {"timestamp_ns": timestamps, "channel": channels}
 
 

@@ -35,8 +35,8 @@ COST_REL_TOL = 1e-10
 class OdmrSpectrum:
     """Counts per MW frequency, with the gate used during acquisition."""
 
-    freqs: np.ndarray  # Hz, strictly increasing
-    counts: np.ndarray
+    freqs: np.ndarray  # Hz, finite, strictly increasing
+    counts: np.ndarray  # finite, non-negative
     integration_per_point: float  # s
     gate: GateWindow | None = None  # None = ungated
 
@@ -45,6 +45,10 @@ class OdmrSpectrum:
         counts = np.asarray(self.counts, dtype=float)
         if freqs.ndim != 1 or counts.shape != freqs.shape or freqs.size == 0:
             raise ValueError("freqs and counts must be 1-D arrays of equal, non-zero length")
+        for label, values in (("frequency", freqs), ("count", counts)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"non-finite {label} {values[bad[0]]} at point {bad[0]}")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("freqs must be strictly increasing")
         if np.any(counts < 0):
@@ -293,7 +297,7 @@ def _initial_guess(f, y, f0, span, y_scale):
     is_min = (y[interior] <= y[interior - 1]) & (y[interior] <= y[interior + 1])
     minima = interior[is_min]
     centers: list[float] = []
-    for idx in sorted(minima, key=lambda i: y[i]):
+    for idx in minima[np.argsort(y[minima], kind="stable")]:
         # half-width separation so dips one linewidth apart stay distinct
         if all(abs(f[idx] - c) > 0.5 * fwhm_init for c in centers):
             centers.append(float(f[idx]))
@@ -325,7 +329,7 @@ def _initial_guess(f, y, f0, span, y_scale):
 
 def _model_and_jacobian(x, theta):
     baseline, c1, w1, d1, c2, w2, d2 = theta
-    cols = [np.empty_like(x) for _ in range(7)]
+    jac = np.empty((x.size, 7))
     dip_sum = np.zeros_like(x)
     for k, (c, w, d) in enumerate(((c1, w1, d1), (c2, w2, d2))):
         half_sq = (0.5 * w) ** 2
@@ -335,12 +339,12 @@ def _model_and_jacobian(x, theta):
         dip_sum += d * lorentz
         base = 1 + 3 * k
         # d/dc, d/dw, d/dd of baseline*(1 - d*L)
-        cols[base] = -baseline * d * (2.0 * dx * lorentz / denom)
-        cols[base + 1] = -baseline * d * (0.5 * w * dx * dx / (denom * denom))
-        cols[base + 2] = -baseline * lorentz
+        jac[:, base] = -baseline * d * (2.0 * dx * lorentz / denom)
+        jac[:, base + 1] = -baseline * d * (0.5 * w * dx * dx / (denom * denom))
+        jac[:, base + 2] = -baseline * lorentz
     model = baseline * (1.0 - dip_sum)
-    cols[0] = 1.0 - dip_sum
-    return model, np.stack(cols, axis=1)
+    jac[:, 0] = 1.0 - dip_sum
+    return model, jac
 
 
 # box bounds in scaled coordinates: centers near the unit span, widths

@@ -39,7 +39,10 @@ from .histogram import TcspcHistogram
 
 # "-0" is not an int: it is how "%.17g" writes -0.0, and str() of an int never
 # gives it.
-_INT_RE = re.compile(r"\+?\d+|-0*[1-9]\d*")
+_INT = r"(?:\+?\d+|-0*[1-9]\d*)"
+# A column block's cells joined by commas, every one an integer literal: the
+# literal grammar holds no comma, so one match checks the whole block.
+_INT_BLOCK_RE = re.compile(rf"{_INT}(?:,{_INT})*")
 
 HISTOGRAM_KEYS = ("bin_width_ns", "rep_rate_hz", "integration_s", "channel")
 
@@ -58,8 +61,10 @@ class ColumnarReport:
 
     metadata values are stored as text, through format_value. data maps each
     column name to a 1-D array of ints, floats or strings, in the order
-    given. A column is a read-only view of the array it was given, not a
-    copy: a later write to a writeable source array shows through.
+    given. A string column is a str array or an object array of str, so a
+    column of a few shared labels costs one pointer per row. A column is a
+    read-only view of the array it was given, not a copy: a later write to a
+    writeable source array shows through.
     """
 
     metadata: dict[str, str]
@@ -99,6 +104,12 @@ def _check_column(name: str, values: np.ndarray) -> None:
     kind = values.dtype.kind
     if values.ndim != 1:
         raise ValueError(f"column {name!r} must be 1-D")
+    if kind == "O":
+        # a column of shared label strings: each distinct label is checked
+        # once, as a string column of its own, in order of first occurrence
+        if not all(issubclass(t, str) for t in set(map(type, values))):
+            raise ValueError(f"column {name!r} holds objects that are not strings")
+        values, kind = np.array(list(dict.fromkeys(values)), dtype=str), "U"
     if kind == "b":
         raise ValueError("boolean cells are ambiguous; use 0/1")
     if kind == "U":
@@ -146,7 +157,7 @@ def _write_rows(path: str, header: list[str], columns) -> None:
     """Write the header lines, then the columns' rows in blocks of
     WRITE_BLOCK_ROWS, each block formatted by one % operation: decimal ints,
     strings as they are, else "%.17g"."""
-    row = ",".join("%s" if c.dtype.kind in "iuU" else "%.17g" for c in columns) + "\n"
+    row = ",".join("%s" if c.dtype.kind in "iuUO" else "%.17g" for c in columns) + "\n"
     with _atomic_file(path) as handle:
         handle.writelines(line + "\n" for line in header)
         for start in range(0, columns[0].size, WRITE_BLOCK_ROWS):
@@ -198,9 +209,9 @@ def _data_lines(lines: list[str], start: int):
 def _ints(cells: list[str]) -> np.ndarray:
     """Integer literals as int64: ValueError if a cell is not one,
     OverflowError if one does not fit."""
-    if not all(map(_INT_RE.fullmatch, cells)):
+    if not _INT_BLOCK_RE.fullmatch(",".join(cells)):
         raise ValueError("not an integer literal")
-    return np.array(list(map(int, cells)), dtype=np.int64)
+    return np.fromiter(map(int, cells), np.int64, len(cells))
 
 
 def _typed_columns(rows: list[str], k: int) -> list[np.ndarray]:
@@ -209,27 +220,33 @@ def _typed_columns(rows: list[str], k: int) -> list[np.ndarray]:
     float, else str.
 
     Rows are split and parsed READ_BLOCK_ROWS at a time, so the file's cells
-    are never all held. A column starts as int64 and widens to float64 at its
-    first other cell; its int64 blocks convert exactly, since int() and
-    float() both round the same literal's integer to the nearest double. A
-    column with a cell that is not a float is split from the rows again as
-    strings.
+    are never all held. Within a block, a column's cells are checked as
+    integer literals by one regex match over the cells joined by commas, and
+    its values are built by np.fromiter over int() or float(), with no
+    interpreted code run per cell. A column starts as int64 and widens to
+    float64 at its first other cell; its int64 blocks convert exactly, since
+    int() and float() both round the same literal's integer to the nearest
+    double. A column with a cell that is not a float is split from the rows
+    again as strings.
     """
     kinds = ["i"] * k
     blocks = [[] for _ in range(k)]
     for start in range(0, len(rows), READ_BLOCK_ROWS):
         cells = list(map(str.strip, ",".join(rows[start : start + READ_BLOCK_ROWS]).split(",")))
         for j in range(k):
+            if kinds[j] == "U":
+                continue
+            column = cells[j::k]
             if kinds[j] == "i":
                 try:
-                    blocks[j].append(_ints(cells[j::k]))
+                    blocks[j].append(_ints(column))
                     continue
                 except (ValueError, OverflowError):
                     kinds[j] = "f"
                     blocks[j] = [b.astype(float) for b in blocks[j]]
             if kinds[j] == "f":
                 try:
-                    blocks[j].append(np.array(list(map(float, cells[j::k])), dtype=float))
+                    blocks[j].append(np.fromiter(map(float, column), float, len(column)))
                 except ValueError:
                     kinds[j] = "U"
     columns = []
@@ -270,6 +287,15 @@ def write_histogram(path: str, hist: TcspcHistogram) -> None:
 
 
 def read_histogram(path: str) -> TcspcHistogram:
+    """A histogram file as a TcspcHistogram, with int64 counts if every count
+    is integral, else float64.
+
+    The data rows are split and parsed READ_BLOCK_ROWS at a time, each block
+    by one join, one split and one float() per cell, so the file's cells are
+    never all held. ParseError names the first offending line: a row that is
+    not a 'bin_start_ns,counts' pair, a non-numeric or non-finite cell, a bin
+    start out of order or off the grid, or negative counts.
+    """
     lines = _read_lines(path)
     meta, start = _split_metadata(lines)
     for key in HISTOGRAM_KEYS:
@@ -291,14 +317,16 @@ def read_histogram(path: str) -> TcspcHistogram:
     # it, so the error always names the first offending line.
     not_pairs = np.flatnonzero(commas != 1)
     pairs = rows[: not_pairs[0]] if not_pairs.size else rows
-    # cells are split row by row and parsed as they come, never held together
-    cells = itertools.chain.from_iterable(map(_split_cells, pairs))
+    # cells are split and parsed READ_BLOCK_ROWS rows at a time, never all
+    # held; extend keeps the values before a bad cell
     values = array.array("d")
-    try:
-        values.extend(map(float, cells))  # keeps the values before a bad cell
-        non_numeric = None
-    except ValueError as exc:
-        non_numeric = exc
+    non_numeric = None
+    for first in range(0, len(pairs), READ_BLOCK_ROWS):
+        try:
+            values.extend(map(float, ",".join(pairs[first : first + READ_BLOCK_ROWS]).split(",")))
+        except ValueError as exc:
+            non_numeric = exc
+            break
     n = len(values) // 2
     starts, counts = np.frombuffer(values, count=2 * n).reshape(n, 2).T
     expected = np.arange(n) * bin_width

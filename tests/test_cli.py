@@ -270,6 +270,24 @@ class TestOdmrChain:
         assert "residual_norm: " in err
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2850000000,nan", "non-finite count nan at point 10"),
+            ("2850000000,inf", "non-finite count inf at point 10"),
+            ("nan,100", "non-finite frequency nan at point 10"),
+        ],
+    )
+    def test_fit_rejects_non_finite_spectrum(self, tmp_path, capsys, row, message):
+        spect = tmp_path / "nf.csv"
+        lines = ["freq_hz,counts"] + [f"{2.84e9 + i * 1e6:.17g},{100 + i % 3}" for i in range(30)]
+        lines[11] = row
+        spect.write_text("\n".join(lines) + "\n")
+        code = run_cli("odmr-fit", "--input", str(spect), "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "f").exists()
+
     def test_fit_rejects_wrong_columns(self, tmp_path, capsys):
         bad = tmp_path / "wrong.csv"
         bad.write_text("a,b\n1,2\n")

@@ -3,10 +3,13 @@
 import glob
 import math
 import os
+import re
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingate.config import load_config, parse_config
 from spingate.errors import ConfigError, ParseError
@@ -184,6 +187,29 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError, match="comma"):
             write_report(path, ColumnarReport(metadata={}, data={"a": ["x,y"]}))
 
+    def test_label_objects_written_as_strings(self, tmp_path):
+        labels = np.array(["mw_off", "mw_on"], dtype=object)[[0, 1, 1, 0]]
+        for name, column in (("o.csv", labels), ("u.csv", labels.astype(str))):
+            report = ColumnarReport(metadata={}, data={"t": np.arange(4.0), "channel": column})
+            write_report(str(tmp_path / name), report)
+        assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+        assert read_report(str(tmp_path / "o.csv")).data["channel"].tolist() == labels.tolist()
+
+    @pytest.mark.parametrize(
+        "cells, match",
+        [
+            (["a", 1], "not strings"),
+            (["a", None], "not strings"),
+            ([["a"], "b"], "not strings"),
+            (["ok", "x#y", "ok"], r"'x#y' may not contain"),
+        ],
+    )
+    def test_label_objects_checked(self, cells, match):
+        column = np.empty(len(cells), dtype=object)
+        column[:] = cells
+        with pytest.raises(ValueError, match=match):
+            ColumnarReport(metadata={}, data={"a": column})
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "t.txt")
         atomic_write_text(path, "one\n")
@@ -256,6 +282,70 @@ class TestBlocks:
             assert blocked.data[name].tobytes() == whole.data[name].tobytes()
 
 
+# The per-cell typing rules, kept here as the oracle for the block-wise
+# reader: int64 if every stripped cell is an integer literal that fits, else
+# float64 if float() takes every cell, else str.
+_ORACLE_INT_RE = re.compile(r"\+?\d+|-0*[1-9]\d*")
+
+
+def oracle_column(cells: list[str]) -> np.ndarray:
+    cells = [c.strip() for c in cells]
+    if all(_ORACLE_INT_RE.fullmatch(c) and -(2**63) <= int(c) < 2**63 for c in cells):
+        return np.array([int(c) for c in cells], dtype=np.int64)
+    try:
+        return np.array([float(c) for c in cells], dtype=float)
+    except ValueError:
+        return np.array(cells, dtype=str)
+
+
+INT_CELL = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(
+        ["+7", "007", "\u0663", " 5 ", "9223372036854775807", "9223372036854775808",
+         "-9223372036854775808", "-9223372036854775809"]
+    ),
+)
+OTHER_CELL = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(
+        ["-0", "1_000", "nan", "-nan", "inf", "-Infinity", "1e3", ".5", "x", "word", "", "+-1"]
+    ),
+    st.text(alphabet="0123456789+-._eEinfaxy \u0663", max_size=6),
+)
+
+
+@st.composite
+def typed_column(draw, n):
+    """n integer literals with up to two of them replaced by other cells, so
+    that columns often stay int64 or widen in a late block."""
+    cells = draw(st.lists(INT_CELL, min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        cells[i] = draw(OTHER_CELL)
+    return cells
+
+
+class TestTypingOracle:
+    @given(data=st.data(), k=st.integers(2, 4), n=st.integers(1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_read_report_types_as_per_cell_oracle(self, tmp_path_factory, data, k, n):
+        # two or more columns, so no row is blank; blocks of three rows, so a
+        # column can widen in any block
+        columns = data.draw(st.lists(typed_column(n), min_size=k, max_size=k))
+        path = tmp_path_factory.mktemp("oracle") / "cells.csv"
+        header = ",".join(f"c{j}" for j in range(k))
+        path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n", "utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report_module, "READ_BLOCK_ROWS", 3)
+            got = read_report(str(path))
+        for cells, column in zip(columns, got.data.values()):
+            want = oracle_column(cells)
+            assert column.dtype.kind == want.dtype.kind
+            if want.dtype.kind == "U":
+                assert column.tolist() == want.tolist()
+            else:
+                assert column.tobytes() == want.tobytes()
+
+
 class TestHistogramFiles:
     def make_hist(self, counts):
         return TcspcHistogram(
@@ -324,6 +414,24 @@ class TestHistogramFiles:
         (tmp_path / "two.csv").write_text(text)
         with pytest.raises(ParseError, match=r"line 6: negative counts -1"):
             read_histogram(str(tmp_path / "two.csv"))
+
+    @pytest.mark.parametrize(
+        "bad_row, match",
+        [
+            ("3,x", r"line 9: non-numeric cell: could not convert string to float: 'x'"),
+            ("3,-2", r"line 9: negative counts -2"),
+            ("3", r"line 9: expected 'bin_start_ns,counts', got '3'"),
+        ],
+    )
+    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, bad_row, match):
+        text = (
+            "# bin_width_ns=1\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
+            f"0,5\n1,6\n\n2,7\n{bad_row}\n4,8\n5,x\n"
+        )
+        (tmp_path / "lb.csv").write_text(text)
+        monkeypatch.setattr(report_module, "READ_BLOCK_ROWS", 2)
+        with pytest.raises(ParseError, match=match):
+            read_histogram(str(tmp_path / "lb.csv"))
 
     def test_missing_metadata_key(self, tmp_path):
         (tmp_path / "m.csv").write_text("# bin_width_ns=1\n0,5\n")
