@@ -6,12 +6,13 @@ Three layers, each deterministic given a master seed:
   trials drawn from the expected gated counts of each channel.
 * Photon event streams: every decay component and the dark rate is a
   Poisson source per laser pulse, with exact exponential (plus Gaussian
-  IRF) or uniform arrival offsets; offsets past the period are dropped.
-  The MW drive toggles between channels as an ideal square wave
+  IRF) or uniform arrival phases. Only the photons whose phase falls in a
+  window inside [0, period) are drawn; those outside it are counted, not
+  drawn. The MW drive toggles between channels as an ideal square wave
   phase-locked to t = 0 (MW off first).
 * Event-level gating by a GateWindow: a hardware gate (optionally with
   per-pulse Gaussian edge jitter) and the equivalent offline modular-time
-  filter.
+  filter, and the closed-form expectation of what the hardware gate keeps.
 
 Randomness policy: every operation takes an explicit seed; nothing reads
 ambient entropy, so a None seed, which would seed from the operating
@@ -24,7 +25,8 @@ on which other blocks are drawn. The same seed gives the same result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .decay import (
     FluorescenceModel,
     GateWindow,
     PulseTrain,
+    _window_counts,
     spin_weight,
     steady_rate,
 )
@@ -45,16 +48,25 @@ CHANNEL_ON = 1
 # bulk NV model at 20 MHz, so a block's arrays stay a few MB.
 BLOCK_PULSES = 4096
 
+# Gaussian widths by which a draw window reaches past the window it keeps:
+# a photon beyond that reach lands inside with probability below
+# Phi(-8) = 6.2e-16.
+WINDOW_SIGMAS = 8.0
+
 
 @dataclass(frozen=True)
 class EventStream:
     """Column store of photon events sorted by timestamp.
 
-    channels holds CHANNEL_OFF/CHANNEL_ON codes.
+    channels holds CHANNEL_OFF/CHANNEL_ON codes. n_outside counts the
+    photons of the acquisition that the stream does not list: those outside
+    the window it was drawn in, and those a selection removed. So
+    len(stream) + n_outside is the acquisition's photon count.
     """
 
     timestamps: np.ndarray  # ns, float64, non-decreasing
     channels: np.ndarray  # uint8 codes
+    n_outside: int = 0
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
@@ -65,6 +77,8 @@ class EventStream:
             raise ValueError("timestamps must be non-negative and sorted")
         if np.any(ch > 1):
             raise ValueError("channel codes must be 0 (mw_off) or 1 (mw_on)")
+        if not self.n_outside >= 0:
+            raise ValueError("n_outside must be >= 0")
         ts = ts.copy()
         ch = ch.copy()
         ts.setflags(write=False)
@@ -76,7 +90,9 @@ class EventStream:
         return int(self.timestamps.size)
 
     def select(self, mask: np.ndarray) -> "EventStream":
-        return EventStream(self.timestamps[mask], self.channels[mask])
+        timestamps = self.timestamps[mask]
+        n_outside = self.n_outside + len(self) - timestamps.size
+        return EventStream(timestamps, self.channels[mask], n_outside)
 
 
 def _require_seed(seed, what: str):
@@ -125,18 +141,37 @@ def simulate_events(
     seed,
     c_sat: float = 0.15,
     block: int | None = None,
+    window: GateWindow | None = None,
 ) -> EventStream:
-    """Simulate the photon stream of a full acquisition, or of one block.
+    """Simulate the photon stream of a full acquisition, or of one block,
+    drawing only the photons whose phase lies in window.
 
     Every source emits an independent Poisson number of photons per laser
     pulse. A decay component (spin branch or background) of amplitude A and
-    lifetime tau has mean A * tau, with offsets pulse_time + tau * Exp(1)
-    plus sigma * N(0, 1) for a Gaussian IRF: the EMG that decay.py
-    integrates. The dark rate has mean dark_rate * period, with offsets
-    uniform over the period. Offsets outside [0, period) are dropped, which
-    thins each source to exactly the intensity histogram_expectation bins.
-    The MW-on channel weights the spin branches by c_sat; the channel is set
-    by the 50% duty MW square wave active at the pulse time.
+    lifetime tau emits at phase pulse_time + tau * Exp(1), plus
+    sigma * N(0, 1) for a Gaussian IRF: the EMG that decay.py integrates.
+    The dark rate emits dark_rate per ns, uniform over the period. Photons
+    outside [0, period) are lost, which thins each source to exactly the
+    intensity histogram_expectation bins.
+
+    window (a GateWindow, default [0, period); its end is clipped to the
+    period) selects the phases drawn. By Poisson thinning the photons inside
+    it are a Poisson source of their own. A decay component's pre-IRF
+    offsets are drawn over the window widened by WINDOW_SIGMAS * sigma on
+    each side: per pulse, a Poisson count with the component's mass there
+    as its mean (decay._window_counts), and offsets from the inverse CDF of
+    the exponential truncated to it. The Gaussian is then added, and photons
+    outside the window are dropped. A photon beyond the widened window
+    lands inside with probability below Phi(-8) < 1e-15, the mass this
+    misses. With sigma = 0 the widened window is the window itself. Dark
+    photons are uniform over the window.
+
+    The photons outside the window are counted, not drawn: each block draws
+    one Poisson count with the full-period mass less the window mass as its
+    mean, and the stream carries their sum as n_outside. So
+    len(stream) + n_outside has the distribution of the whole acquisition's
+    photon count. The MW-on channel weights the spin branches by c_sat; the
+    channel is set by the 50% duty MW square wave active at the pulse time.
 
     The pulses are drawn in block_count(train, integration_time) blocks of
     BLOCK_PULSES, block k from block_seed(seed, k). Every event lies inside
@@ -150,18 +185,42 @@ def simulate_events(
     if block is not None and not 0 <= block < n_blocks:
         raise ValueError(f"block must be in [0, {n_blocks})")
     period = train.period
+    window = GateWindow(0.0, period) if window is None else window
+    if window.t_start >= period:
+        raise ValueError("window must start inside the pulse period")
+    t_start, t_end = window.t_start, min(window.t_end, period)
     n_pulses = int(integration_time * train.rep_rate)
 
-    # sources: spin0, spin1 and background components, then the dark rate
+    # sources: spin0, spin1 and background components, then the dark rate;
+    # x is the time after the pulse, [x_lo, x_hi) the pre-IRF draw range
     comps = model.spin0 + model.spin1 + model.background
-    lifetimes = np.array([c.lifetime for c in comps] + [0.0])
-    mass = np.array([c.amplitude * c.lifetime for c in comps] + [model.dark_rate * period])
+    sigma, pulse = model.irf_sigma, model.pulse_time
+    x0, x1 = t_start - pulse, t_end - pulse
+    x_lo = max(x0 - WINDOW_SIGMAS * sigma, 0.0)
+    x_hi = max(x1 + WINDOW_SIGMAS * sigma, x_lo)
+
+    def masses(s, lo, hi):
+        """Per-pulse mass of each source in the phase windows [lo, hi) after the pulse."""
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        dark = model.dark_rate * (hi - lo)
+        return np.array([_window_counts((c,), s, lo, hi) for c in comps] + [dark])
+
+    full, inside = masses(sigma, [-pulse, x0], [period - pulse, x1]).T
+    outside = full - inside
+    drawn = masses(0.0, x_lo, x_hi)
+    drawn[-1] = inside[-1]  # dark photons are drawn over the window itself
     n0, n1 = len(model.spin0), len(model.spin1)
-    means = np.tile(mass, (2, 1))
-    means[CHANNEL_OFF, n0 : n0 + n1] = 0.0
+    weights = np.ones((2, drawn.size))
+    weights[CHANNEL_OFF, n0 : n0 + n1] = 0.0
     w = spin_weight(c_sat)
-    means[CHANNEL_ON, :n0] *= 1.0 - w
-    means[CHANNEL_ON, n0 : n0 + n1] *= w
+    weights[CHANNEL_ON, :n0] = 1.0 - w
+    weights[CHANNEL_ON, n0 : n0 + n1] = w
+    means = weights * drawn
+    outside_means = np.maximum(weights @ outside, 0.0)
+    lifetimes = np.array([c.lifetime for c in comps] + [0.0])
+    # log1p(u * shrink) inverts the truncated exponential's CDF; the dark
+    # source's 0 gives offset 0 before its uniform phase replaces it
+    shrink = np.append(np.expm1(-(x_hi - x_lo) / lifetimes[:-1]), 0.0)
     half_toggle_ns = 0.5e9 / mw_toggle_rate
     source_ids = np.arange(lifetimes.size, dtype=np.min_scalar_type(lifetimes.size))
 
@@ -172,26 +231,28 @@ def simulate_events(
         # (pulse x source) counts; np.repeat keeps the photons in pulse-major
         # order, so the sort sees a nearly sorted input
         counts = rng.poisson(means[pulse_channel])
+        n_outside = int(rng.poisson(outside_means[pulse_channel].sum()))
         source = np.repeat(np.tile(source_ids, pulse_idx.size), counts.ravel())
         photon_pulse = np.repeat(np.arange(pulse_idx.size), counts.sum(axis=1))
-        offsets = rng.standard_exponential(source.size)
-        offsets *= lifetimes[source]
-        offsets += model.pulse_time
-        if model.irf_sigma > 0.0:
-            offsets += model.irf_sigma * rng.standard_normal(source.size)
+        u = rng.random(source.size)
+        offsets = np.log1p(u * shrink[source])
+        offsets *= -lifetimes[source]
+        offsets += pulse + x_lo
+        if sigma > 0.0:
+            offsets += sigma * rng.standard_normal(source.size)
         dark = source == lifetimes.size - 1
-        offsets[dark] = period * rng.random(int(np.count_nonzero(dark)))
+        offsets[dark] = t_start + (t_end - t_start) * u[dark]
 
-        kept = (offsets >= 0.0) & (offsets < period)
+        kept = (offsets >= t_start) & (offsets < t_end)
         photon_pulse = photon_pulse[kept]
         timestamps = pulse_idx[photon_pulse] * period + offsets[kept]
         order = np.argsort(timestamps, kind="stable")
-        return timestamps[order], pulse_channel[photon_pulse[order]]
+        return timestamps[order], pulse_channel[photon_pulse[order]], n_outside
 
     if block is not None:
         return EventStream(*draw(block))
-    blocks = [draw(k) for k in range(n_blocks)]
-    return EventStream(*map(np.concatenate, zip(*blocks)))
+    timestamps, channels, n_outside = zip(*(draw(k) for k in range(n_blocks)))
+    return EventStream(np.concatenate(timestamps), np.concatenate(channels), sum(n_outside))
 
 
 def offline_gate(events: EventStream, train: PulseTrain, gate: GateWindow) -> EventStream:
@@ -211,7 +272,11 @@ def hw_gate(
     jitter, both gate edges shift together by an independent
     Normal(0, jitter_sigma) draw per laser pulse, which requires a seed; the
     draws run from the first event's pulse to the last, so their number is
-    set by the span of the stream, not by where it starts.
+    set by the span of the stream, not by where it starts. Shifted edges
+    neither wrap nor clip at the period edge: each event's phase in
+    [0, period) is compared with its own pulse's shifted edges, so an edge
+    shifted below 0 or past the period reaches no event of the neighbouring
+    period. hw_gate_expectation gives the expected kept counts.
     """
     period = train.period
     if gate.t_end > period * (1 + 1e-12):
@@ -228,6 +293,38 @@ def hw_gate(
         n_pulses = int(pulse_idx[-1]) + 1 if len(events) else 0
         shift = (rng.standard_normal(n_pulses) * jitter_sigma)[pulse_idx]
     return events.select((phase >= gate.t_start + shift) & (phase < gate.t_end + shift))
+
+
+def hw_gate_window(gate: GateWindow, train: PulseTrain, jitter_sigma: float) -> GateWindow:
+    """The phases from which hw_gate can keep an event: the gate widened by
+    WINDOW_SIGMAS * jitter_sigma on each side and clipped to [0, period).
+    An event outside it is kept with probability below Phi(-8) < 1e-15."""
+    reach = WINDOW_SIGMAS * jitter_sigma
+    return GateWindow(max(gate.t_start - reach, 0.0), min(gate.t_end + reach, train.period))
+
+
+def hw_gate_expectation(
+    model: FluorescenceModel,
+    train: PulseTrain,
+    gate: GateWindow,
+    jitter_sigma: float = 0.0,
+    c_sat: float = 0.15,
+) -> np.ndarray:
+    """Expected counts per pulse that hw_gate keeps from a simulate_events
+    stream, indexed by CHANNEL_OFF and CHANNEL_ON.
+
+    Both gate edges shift together by s ~ N(0, jitter_sigma) per pulse, so an
+    event at phase t is kept with probability
+    Phi((t - t_start) / jitter_sigma) - Phi((t - t_end) / jitter_sigma). The
+    gate therefore sees the intensity convolved with the jitter's Gaussian,
+    the EMG with irf_sigma = hypot(irf_sigma, jitter_sigma), and the
+    expectation is steady_rate of that model over the gate. It holds while
+    both edges stay several jitter_sigma inside [0, period), out of reach of
+    the intensity that the stream loses outside [0, period).
+    """
+    jittered = replace(model, irf_sigma=math.hypot(model.irf_sigma, jitter_sigma))
+    rates = [steady_rate(jittered, spin, gate.t_start, train, gate.t_end) for spin in ("ms0", c_sat)]
+    return np.array(rates) / train.rep_rate
 
 
 @dataclass(frozen=True)

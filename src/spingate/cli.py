@@ -29,6 +29,7 @@ from .acquisition import (
     block_count,
     block_seed,
     hw_gate,
+    hw_gate_window,
     mc_snr_distribution,
     offline_gate,
     sample_histogram,
@@ -314,6 +315,9 @@ def _cmd_hw_sim(args, run: RunConfig, seed):
     period = run.train.period
     length = args.length if args.length is not None else period - args.delay
     gate = GateWindow(args.delay, args.delay + length)
+    if not args.jitter >= 0:
+        raise ConfigError("--jitter must be >= 0")
+    window = hw_gate_window(gate, run.train, args.jitter)
     stream_seed, gate_seed = np.random.SeedSequence(seed).spawn(2)
     n_events = n_offline = 0
     identical = True
@@ -324,7 +328,7 @@ def _cmd_hw_sim(args, run: RunConfig, seed):
     for k in range(block_count(run.train, args.integration)):
         events = simulate_events(
             run.model, run.train, args.integration, args.toggle_rate, stream_seed,
-            c_sat=run.c_sat, block=k,
+            c_sat=run.c_sat, block=k, window=window,
         )
         kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k))
         offline = offline_gate(events, run.train, gate)
@@ -332,7 +336,7 @@ def _cmd_hw_sim(args, run: RunConfig, seed):
             np.array_equal(kept.timestamps, offline.timestamps)
             and np.array_equal(kept.channels, offline.channels)
         )
-        n_events += len(events)
+        n_events += len(events) + events.n_outside
         n_offline += len(offline)
         stamps.frombytes(kept.timestamps.tobytes())
         codes.frombytes(kept.channels.tobytes())

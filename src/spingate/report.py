@@ -178,8 +178,10 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _split_metadata(lines: list[str]):
-    """Leading '# key=value' lines -> (metadata, first body line index)."""
+    """Leading '# key=value' lines -> (metadata, first body line index, the
+    1-based line of each key)."""
     meta: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     body_start = len(lines)
     for i, line in enumerate(lines):
         if not line.startswith("#"):
@@ -190,7 +192,8 @@ def _split_metadata(lines: list[str]):
             raise ParseError(f"metadata line lacks '=': {line!r}", line=i + 1)
         key, value = entry.split("=", 1)
         meta[key.strip()] = value.strip()
-    return meta, body_start
+        key_lines[key.strip()] = i + 1
+    return meta, body_start, key_lines
 
 
 _split_cells = operator.methodcaller("split", ",")
@@ -261,7 +264,7 @@ def _typed_columns(rows: list[str], k: int) -> list[np.ndarray]:
 
 def read_report(path: str) -> ColumnarReport:
     lines = _read_lines(path)
-    meta, start = _split_metadata(lines)
+    meta, start, _ = _split_metadata(lines)
     if start >= len(lines) or not lines[start].strip():
         raise ParseError("missing column header line", line=start + 1)
     columns = [c.strip() for c in lines[start].split(",")]
@@ -297,16 +300,18 @@ def read_histogram(path: str) -> TcspcHistogram:
     start out of order or off the grid, or negative counts.
     """
     lines = _read_lines(path)
-    meta, start = _split_metadata(lines)
+    meta, start, key_lines = _split_metadata(lines)
     for key in HISTOGRAM_KEYS:
         if key not in meta:
             raise ParseError(f"missing metadata key '{key}'", line=start + 1)
-    try:
-        bin_width = float(meta["bin_width_ns"])
-        rep_rate = float(meta["rep_rate_hz"])
-        integration = float(meta["integration_s"])
-    except ValueError as exc:
-        raise ParseError(f"non-numeric metadata: {exc}", line=1) from exc
+
+    def number(key: str) -> float:
+        try:
+            return float(meta[key])
+        except ValueError as exc:
+            raise ParseError(f"non-numeric metadata {key}: {exc}", line=key_lines[key]) from exc
+
+    bin_width, rep_rate, integration = map(number, HISTOGRAM_KEYS[:3])
     channel = meta["channel"]
 
     rows, numbers, commas = _data_lines(lines, start)

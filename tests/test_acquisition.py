@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, ks_2samp
 
 from spingate.acquisition import (
     BLOCK_PULSES,
@@ -19,7 +19,10 @@ from spingate.acquisition import (
     CHANNEL_ON,
     EventStream,
     block_count,
+    block_seed,
     hw_gate,
+    hw_gate_expectation,
+    hw_gate_window,
     mc_snr_distribution,
     offline_gate,
     sample_histogram,
@@ -244,6 +247,94 @@ class TestEventBlocks:
         assert len(simulate_events(small_model(), TRAIN, 0.0, 50.0, 1, block=0)) == 0
 
 
+def irf_model(sigma: float) -> FluorescenceModel:
+    """small_model with a dark rate and the pulse 2.5 ns into the period."""
+    return FluorescenceModel(
+        spin0=(DecayComponent(0.2, 12.0),),
+        spin1=(DecayComponent(0.2, 8.0),),
+        background=(DecayComponent(1.0, 1.7),),
+        dark_rate=0.02,
+        irf_sigma=sigma,
+        pulse_time=2.5,
+    )
+
+
+# None is the full period; [2, 22) opens before the pulse, [9, 29) after it
+WINDOWS = [None, GateWindow(2.0, 22.0), GateWindow(9.0, 29.0)]
+
+
+class TestWindowedDraw:
+    # 40k pulses with a 1 kHz toggle: 20k pulses per channel
+    INTEGRATION = 2e-3
+    TOGGLE = 1000.0
+
+    def draw(self, sigma, window, seed):
+        return simulate_events(
+            irf_model(sigma), TRAIN, self.INTEGRATION, self.TOGGLE, seed, window=window
+        )
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_phases_match_expectation_chi_square(self, sigma, window):
+        start, end = (0, 50) if window is None else (int(window.t_start), int(window.t_end))
+        ev = self.draw(sigma, window, 31)
+        phase = ev.timestamps % TRAIN.period
+        assert np.all((phase >= start) & (phase < end))
+        for code, spin in ((CHANNEL_OFF, "ms0"), (CHANNEL_ON, 0.15)):
+            obs, _ = np.histogram(phase[ev.channels == code], bins=end - start, range=(start, end))
+            full = histogram_expectation(irf_model(sigma), spin, TRAIN, 1.0, self.INTEGRATION / 2)
+            want = full.counts[start:end]
+            assert np.all(want > 10)
+            stat = float(np.sum((obs - want) ** 2 / want))
+            assert stat < chi2.ppf(0.999, end - start)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_drawn_plus_outside_is_the_full_period_count(self, sigma, window):
+        ev = self.draw(sigma, window, 17)
+        want = sum(
+            steady_rate(irf_model(sigma), spin, 0.0, TRAIN) * self.INTEGRATION / 2
+            for spin in ("ms0", 0.15)
+        )
+        assert abs(len(ev) + ev.n_outside - want) < 4.0 * math.sqrt(want)
+        assert (ev.n_outside == 0) == (window is None)
+
+    @pytest.mark.parametrize("window", WINDOWS[1:])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_windowed_and_full_draws_agree_inside_the_window(self, sigma, window):
+        full = self.draw(sigma, None, 41)
+        windowed = self.draw(sigma, window, 42)
+        inside = offline_gate(full, TRAIN, window)
+        for code in (CHANNEL_OFF, CHANNEL_ON):
+            a = inside.timestamps[inside.channels == code] % TRAIN.period
+            b = windowed.timestamps[windowed.channels == code] % TRAIN.period
+            assert abs(a.size - b.size) < 4.0 * math.sqrt(a.size + b.size)
+            assert ks_2samp(a, b).pvalue > 1e-3
+
+    def test_blocks_with_a_window_concatenate_to_the_stream(self):
+        integration = 2.5 * BLOCK_PULSES / TRAIN.rep_rate
+        window = GateWindow(2.0, 22.0)
+        whole = simulate_events(irf_model(0.3), TRAIN, integration, 1000.0, 12, window=window)
+        blocks = [
+            simulate_events(irf_model(0.3), TRAIN, integration, 1000.0, 12, block=k, window=window)
+            for k in range(block_count(TRAIN, integration))
+        ]
+        assert np.array_equal(np.concatenate([b.timestamps for b in blocks]), whole.timestamps)
+        assert np.array_equal(np.concatenate([b.channels for b in blocks]), whole.channels)
+        assert sum(b.n_outside for b in blocks) == whole.n_outside
+        assert set(whole.channels.tolist()) == {CHANNEL_OFF, CHANNEL_ON}
+
+    def test_window_must_start_inside_the_period(self):
+        with pytest.raises(ValueError, match="window must start inside"):
+            self.draw(0.0, GateWindow(50.0, 60.0), 1)
+
+    def test_selection_keeps_the_acquisition_count(self):
+        ev = self.draw(0.0, GateWindow(2.0, 22.0), 5)
+        kept = offline_gate(ev, TRAIN, GateWindow(9.0, 29.0))
+        assert 0 < len(kept) < len(ev)
+        assert len(kept) + kept.n_outside == len(ev) + ev.n_outside
+
+
 @pytest.fixture(scope="module")
 def stream():
     return simulate_events(small_model(), TRAIN, 1e-3, 200.0, 77)
@@ -289,6 +380,31 @@ class TestGating:
         # no-jitter count sits inside the same envelope (zero-mean jitter)
         no_jitter = len(hw_gate(stream, TRAIN, gate))
         assert abs(no_jitter - center) < 5.0 * spread
+
+    @pytest.mark.parametrize("jitter", [0.5, 2.0])
+    def test_jittered_kept_counts_match_closed_form(self, jitter):
+        # The MW square wave toggles every BLOCK_PULSES pulses, so the blocks
+        # alternate channel and each channel's blocks are independent draws of
+        # one distribution: their spread gives the standard error, which the
+        # per-pulse shift shared by a pulse's events widens beyond Poisson.
+        gate = GateWindow(9.2, 29.2)
+        n_blocks = 40
+        integration = n_blocks * BLOCK_PULSES / TRAIN.rep_rate
+        toggle = TRAIN.rep_rate / (2 * BLOCK_PULSES)
+        window = hw_gate_window(gate, TRAIN, jitter)
+        stream_seed, gate_seed = np.random.SeedSequence(2026).spawn(2)
+        kept = []
+        for k in range(n_blocks):
+            events = simulate_events(
+                small_model(), TRAIN, integration, toggle, stream_seed, block=k, window=window
+            )
+            assert np.all(events.channels == k % 2)
+            kept.append(len(hw_gate(events, TRAIN, gate, jitter, block_seed(gate_seed, k))))
+        per_pulse = hw_gate_expectation(small_model(), TRAIN, gate, jitter)
+        for code in (CHANNEL_OFF, CHANNEL_ON):
+            blocks = np.array(kept[code::2])
+            error = blocks.std(ddof=1) * math.sqrt(blocks.size)
+            assert abs(blocks.sum() - per_pulse[code] * BLOCK_PULSES * blocks.size) < 5.0 * error
 
     def test_gate_beyond_period_rejected(self, stream):
         with pytest.raises(ValueError, match="exceeds the pulse period"):

@@ -362,6 +362,15 @@ class TestHwSim:
         assert meta["identical_to_offline"] == "0"
         assert 0 < int(meta["n_kept_hw"]) < int(meta["n_events"])
 
+    def test_negative_jitter_rejected(self, config_path, tmp_path, capsys):
+        out = tmp_path / "hw.csv"
+        assert run_cli(
+            "hw-sim", "--config", config_path, "--out", str(out), "--seed", "5",
+            "--delay", "9.2", "--jitter", "-10",
+        ) == 2
+        assert "--jitter must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     # A child's ru_maxrss starts from the peak of the process that spawned it,
     # so hw-sim is spawned from a fresh interpreter, not from the test runner.
     MEASURE = textwrap.dedent(
@@ -542,6 +551,8 @@ class TestImportCost:
                   "--out", os.path.join(out, "hist.csv")]),
             main(["mc", "--config", config, "--tau-c", "9.2", "--trials", "200", "--seed", "3",
                   "--out", os.path.join(out, "mc.csv")]),
+            main(["hw-sim", "--config", config, "--delay", "9.2", "--jitter", "0.5",
+                  "--integration", "0.0005", "--seed", "3", "--out", os.path.join(out, "hw.csv")]),
         ]
         print(*codes)
         """
@@ -569,5 +580,5 @@ class TestImportCost:
         path = tmp_path / "irf.ini"
         path.write_text(CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\nirf_sigma = 0.3"))
         lines = self.run_script(self.NO_SCIPY, str(path), str(tmp_path))
-        assert lines == ["0 0 0"]
+        assert lines == ["0 0 0 0"]
         assert read_histogram(str(tmp_path / "hist.csv")).counts.sum() > 0

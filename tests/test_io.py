@@ -438,6 +438,12 @@ class TestHistogramFiles:
         with pytest.raises(ParseError, match="rep_rate_hz"):
             read_histogram(str(tmp_path / "m.csv"))
 
+    def test_non_numeric_metadata_names_its_line(self, tmp_path):
+        text = "# bin_width_ns=1\n# rep_rate_hz=2e7\n# integration_s=abc\n# channel=mw_off\n0,5\n"
+        (tmp_path / "nn.csv").write_text(text)
+        with pytest.raises(ParseError, match="line 3: non-numeric metadata integration_s"):
+            read_histogram(str(tmp_path / "nn.csv"))
+
     def test_non_monotone_bins(self, tmp_path):
         text = (
             "# bin_width_ns=1\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
