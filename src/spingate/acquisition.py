@@ -25,6 +25,7 @@ on which other blocks are drawn. The same seed gives the same result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -133,6 +134,53 @@ def block_count(train: PulseTrain, integration_time: float) -> int:
     return max(1, -(-n_pulses // BLOCK_PULSES))
 
 
+@functools.lru_cache(maxsize=8)
+def _source_means(
+    model: FluorescenceModel, period: float, t_start: float, t_end: float, c_sat: float
+):
+    """simulate_events' per-source draw parameters for the phase window
+    [t_start, t_end): per-pulse means per channel and source, per-pulse
+    means outside the window per channel, lifetimes, the truncated
+    exponential's CDF scale per source, and x_lo. Cached, so a stream drawn
+    block by block evaluates its EMG tails once, not once per block; the
+    arrays are read-only, since every call with the same window shares them.
+
+    Sources are the spin0, spin1 and background components, then the dark
+    rate; x is the time after the pulse, [x_lo, x_hi) the pre-IRF draw
+    range."""
+    comps = model.spin0 + model.spin1 + model.background
+    sigma, pulse = model.irf_sigma, model.pulse_time
+    x0, x1 = t_start - pulse, t_end - pulse
+    x_lo = max(x0 - WINDOW_SIGMAS * sigma, 0.0)
+    x_hi = max(x1 + WINDOW_SIGMAS * sigma, x_lo)
+
+    def masses(s, lo, hi):
+        """Per-pulse mass of each source in the phase windows [lo, hi) after the pulse."""
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        dark = model.dark_rate * (hi - lo)
+        return np.array([_window_counts((c,), s, lo, hi) for c in comps] + [dark])
+
+    full, inside = masses(sigma, [-pulse, x0], [period - pulse, x1]).T
+    outside = full - inside
+    drawn = masses(0.0, x_lo, x_hi)
+    drawn[-1] = inside[-1]  # dark photons are drawn over the window itself
+    n0, n1 = len(model.spin0), len(model.spin1)
+    weights = np.ones((2, drawn.size))
+    weights[CHANNEL_OFF, n0 : n0 + n1] = 0.0
+    w = spin_weight(c_sat)
+    weights[CHANNEL_ON, :n0] = 1.0 - w
+    weights[CHANNEL_ON, n0 : n0 + n1] = w
+    means = weights * drawn
+    outside_means = np.maximum(weights @ outside, 0.0)
+    lifetimes = np.array([c.lifetime for c in comps] + [0.0])
+    # log1p(u * shrink) inverts the truncated exponential's CDF; the dark
+    # source's 0 gives offset 0 before its uniform phase replaces it
+    shrink = np.append(np.expm1(-(x_hi - x_lo) / lifetimes[:-1]), 0.0)
+    for values in (means, outside_means, lifetimes, shrink):
+        values.setflags(write=False)
+    return means, outside_means, lifetimes, shrink, x_lo
+
+
 def simulate_events(
     model: FluorescenceModel,
     train: PulseTrain,
@@ -190,37 +238,10 @@ def simulate_events(
         raise ValueError("window must start inside the pulse period")
     t_start, t_end = window.t_start, min(window.t_end, period)
     n_pulses = int(integration_time * train.rep_rate)
-
-    # sources: spin0, spin1 and background components, then the dark rate;
-    # x is the time after the pulse, [x_lo, x_hi) the pre-IRF draw range
-    comps = model.spin0 + model.spin1 + model.background
     sigma, pulse = model.irf_sigma, model.pulse_time
-    x0, x1 = t_start - pulse, t_end - pulse
-    x_lo = max(x0 - WINDOW_SIGMAS * sigma, 0.0)
-    x_hi = max(x1 + WINDOW_SIGMAS * sigma, x_lo)
-
-    def masses(s, lo, hi):
-        """Per-pulse mass of each source in the phase windows [lo, hi) after the pulse."""
-        lo, hi = np.asarray(lo), np.asarray(hi)
-        dark = model.dark_rate * (hi - lo)
-        return np.array([_window_counts((c,), s, lo, hi) for c in comps] + [dark])
-
-    full, inside = masses(sigma, [-pulse, x0], [period - pulse, x1]).T
-    outside = full - inside
-    drawn = masses(0.0, x_lo, x_hi)
-    drawn[-1] = inside[-1]  # dark photons are drawn over the window itself
-    n0, n1 = len(model.spin0), len(model.spin1)
-    weights = np.ones((2, drawn.size))
-    weights[CHANNEL_OFF, n0 : n0 + n1] = 0.0
-    w = spin_weight(c_sat)
-    weights[CHANNEL_ON, :n0] = 1.0 - w
-    weights[CHANNEL_ON, n0 : n0 + n1] = w
-    means = weights * drawn
-    outside_means = np.maximum(weights @ outside, 0.0)
-    lifetimes = np.array([c.lifetime for c in comps] + [0.0])
-    # log1p(u * shrink) inverts the truncated exponential's CDF; the dark
-    # source's 0 gives offset 0 before its uniform phase replaces it
-    shrink = np.append(np.expm1(-(x_hi - x_lo) / lifetimes[:-1]), 0.0)
+    means, outside_means, lifetimes, shrink, x_lo = _source_means(
+        model, period, t_start, t_end, c_sat
+    )
     half_toggle_ns = 0.5e9 / mw_toggle_rate
     source_ids = np.arange(lifetimes.size, dtype=np.min_scalar_type(lifetimes.size))
 

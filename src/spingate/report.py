@@ -17,8 +17,22 @@ no column header line; their metadata keys are bin_width_ns, rep_rate_hz,
 integration_s and channel.
 
 All writes go through a temp file in the target directory followed by an
-atomic rename. Rows are written and typed in blocks, so neither direction
-holds a whole file's text or cells.
+atomic rename. Rows are written in blocks, so a file's text is never whole
+in memory.
+
+Reading types the first READ_BLOCK_ROWS lines of a report cell by cell in
+Python, which fixes each column's dtype. If every column is numeric, the
+remaining rows go to numpy's C text parser in one call with those dtypes.
+Its float converter is CPython's PyOS_string_to_double, the routine float()
+itself uses, so where it accepts the rows its values are the per-cell
+values. The per-cell path reads the whole body instead where the C parser
+cannot give the same answer: it refuses a cell that float() or the integer
+grammar takes ("1_000", non-ASCII digits such as "\u0663", a whitespace-only
+line), a row is ragged, a column is strings, or a row where an int column
+reads 0 holds a "-" (the C parser reads "-0" as the int 0; the format reads
+it as the float -0.0). Histogram data rows go to the C parser as two float
+columns, and the per-cell path runs only when it refuses them or a check
+fails, so every ParseError names the first offending line either way.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ import operator
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +122,13 @@ def _check_column(name: str, values: np.ndarray) -> None:
     if kind == "O":
         # a column of shared label strings: each distinct label is checked
         # once, as a string column of its own, in order of first occurrence
-        if not all(issubclass(t, str) for t in set(map(type, values))):
+        try:
+            labels = list(dict.fromkeys(values))
+        except TypeError:  # an unhashable item, so not a string
+            labels = None
+        if labels is None or not all(isinstance(label, str) for label in labels):
             raise ValueError(f"column {name!r} holds objects that are not strings")
-        values, kind = np.array(list(dict.fromkeys(values)), dtype=str), "U"
+        values, kind = np.array(labels, dtype=str), "U"
     if kind == "b":
         raise ValueError("boolean cells are ambiguous; use 0/1")
     if kind == "U":
@@ -123,7 +142,9 @@ def _check_column(name: str, values: np.ndarray) -> None:
         raise ValueError(f"column {name!r} holds {values.dtype}, not ints, floats or strings")
 
 
-# Data rows typed per block on reading, so a file's cells are never all held.
+# Data rows typed per block by the per-cell path, so a file's cells are never
+# all held; the first block of a report fixes the dtypes the C parser reads
+# the rest with.
 READ_BLOCK_ROWS = 4096
 
 # Rows formatted and written per block, so a file's text is never whole in
@@ -231,6 +252,10 @@ def _typed_columns(rows: list[str], k: int) -> list[np.ndarray]:
     int() and float() both round the same literal's integer to the nearest
     double. A column with a cell that is not a float is split from the rows
     again as strings.
+
+    read_report runs this on a report's first READ_BLOCK_ROWS lines, whose
+    dtypes the C parser then reads the rest with, and on the whole body only
+    where the C parser cannot give this function's answer (_numeric_tail).
     """
     kinds = ["i"] * k
     blocks = [[] for _ in range(k)]
@@ -262,15 +287,47 @@ def _typed_columns(rows: list[str], k: int) -> list[np.ndarray]:
     return columns
 
 
-def read_report(path: str) -> ColumnarReport:
-    lines = _read_lines(path)
-    meta, start, _ = _split_metadata(lines)
-    if start >= len(lines) or not lines[start].strip():
-        raise ParseError("missing column header line", line=start + 1)
-    columns = [c.strip() for c in lines[start].split(",")]
-    if len(set(columns)) != len(columns):
-        raise ParseError(f"duplicate column name in {lines[start]!r}", line=start + 1)
-    rows, numbers, commas = _data_lines(lines, start + 1)
+def _parsed_columns(rows: list[str], dtypes) -> list[np.ndarray] | None:
+    """The comma-separated cells of rows as columns of dtypes, parsed by
+    numpy's C text parser in one call, or None where it refuses them: a cell
+    it cannot convert, a row of another width, a whitespace-only line, or no
+    row at all (a warning counts as a refusal). Empty lines are skipped, as
+    the per-cell path skips them."""
+    dtype = np.dtype([("", dt) for dt in dtypes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return [table[name] for name in dtype.names]
+
+
+def _numeric_tail(lines: list[str], start: int, head: list[np.ndarray]) -> list[np.ndarray] | None:
+    """The non-empty lines from index start on, read by the C parser with the
+    dtypes of the typed head columns, or None where the per-cell path must
+    read them: a column of strings, a line the C parser refuses, or a row
+    where an int column reads 0 and that holds a '-' (the C parser reads "-0"
+    as the int 0, where the format reads it as the float -0.0)."""
+    if any(column.dtype.kind == "U" for column in head):
+        return None
+    rows = list(filter(None, itertools.islice(lines, start, None)))
+    tail = _parsed_columns(rows, [column.dtype for column in head])
+    if tail is None:
+        return None
+    zero = np.zeros(len(rows), bool)
+    for column, values in zip(head, tail):
+        if column.dtype.kind == "i":
+            zero |= values == 0
+    if any("-" in rows[i] for i in np.flatnonzero(zero)):
+        return None
+    return tail
+
+
+def _per_cell_columns(lines: list[str], start: int, columns: list[str]) -> list[np.ndarray]:
+    """The data rows of lines from index start on as typed columns, cell by
+    cell; ParseError at the first ragged row."""
+    rows, numbers, commas = _data_lines(lines, start)
     widths = commas + 1
     ragged = np.flatnonzero(widths != len(columns))
     if ragged.size:
@@ -279,8 +336,29 @@ def read_report(path: str) -> ColumnarReport:
             f"ragged row: {widths[i]} cells against {len(columns)} columns",
             line=int(numbers[i]),
         )
-    data = dict(zip(columns, _typed_columns(rows, len(columns))))
-    return ColumnarReport(metadata=meta, data=data)
+    return _typed_columns(rows, len(columns))
+
+
+def read_report(path: str) -> ColumnarReport:
+    """A report file: its first READ_BLOCK_ROWS data lines typed cell by
+    cell, the rest by the C parser where it gives the per-cell result (see
+    the module docstring). ParseError names the first ragged row's line."""
+    lines = _read_lines(path)
+    meta, start, _ = _split_metadata(lines)
+    if start >= len(lines) or not lines[start].strip():
+        raise ParseError("missing column header line", line=start + 1)
+    columns = [c.strip() for c in lines[start].split(",")]
+    if len(set(columns)) != len(columns):
+        raise ParseError(f"duplicate column name in {lines[start]!r}", line=start + 1)
+    head_end = start + 1 + READ_BLOCK_ROWS
+    typed = _per_cell_columns(lines[:head_end], start + 1, columns)
+    if len(lines) > head_end:
+        tail = _numeric_tail(lines, head_end, typed)
+        if tail is None:
+            typed = _per_cell_columns(lines, start + 1, columns)
+        else:
+            typed = [np.concatenate(parts) for parts in zip(typed, tail)]
+    return ColumnarReport(metadata=meta, data=dict(zip(columns, typed)))
 
 
 def write_histogram(path: str, hist: TcspcHistogram) -> None:
@@ -289,35 +367,26 @@ def write_histogram(path: str, hist: TcspcHistogram) -> None:
     _write_rows(path, header, [hist.bin_starts, hist.counts])
 
 
-def read_histogram(path: str) -> TcspcHistogram:
-    """A histogram file as a TcspcHistogram, with int64 counts if every count
-    is integral, else float64.
+def _histogram_failures(starts: np.ndarray, counts: np.ndarray, bin_width: float) -> np.ndarray:
+    """Per-row flags, one row per check: a non-finite cell, a bin start out
+    of order, a bin start off the grid, negative counts."""
+    expected = np.arange(starts.size) * bin_width
+    return np.array(
+        [
+            ~(np.isfinite(starts) & np.isfinite(counts)),
+            starts <= np.r_[np.nan, starts[:-1]],  # the first bin has no predecessor
+            np.abs(starts - expected) > 1e-9 * np.maximum(np.abs(expected), bin_width),
+            counts < 0,
+        ]
+    )
 
-    The data rows are split and parsed READ_BLOCK_ROWS at a time, each block
-    by one join, one split and one float() per cell, so the file's cells are
-    never all held. ParseError names the first offending line: a row that is
-    not a 'bin_start_ns,counts' pair, a non-numeric or non-finite cell, a bin
-    start out of order or off the grid, or negative counts.
-    """
-    lines = _read_lines(path)
-    meta, start, key_lines = _split_metadata(lines)
-    for key in HISTOGRAM_KEYS:
-        if key not in meta:
-            raise ParseError(f"missing metadata key '{key}'", line=start + 1)
 
-    def number(key: str) -> float:
-        try:
-            return float(meta[key])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric metadata {key}: {exc}", line=key_lines[key]) from exc
-
-    bin_width, rep_rate, integration = map(number, HISTOGRAM_KEYS[:3])
-    channel = meta["channel"]
-
+def _per_cell_histogram(lines: list[str], start: int, bin_width: float):
+    """The data lines from index start on, parsed cell by cell, as (bin
+    starts, counts) float64; ParseError names the first offending line."""
     rows, numbers, commas = _data_lines(lines, start)
     if not rows:
         raise ParseError("no data rows", line=len(lines) + 1)
-    del lines
     # Each check runs on the lines before the first failure of the one above
     # it, so the error always names the first offending line.
     not_pairs = np.flatnonzero(commas != 1)
@@ -334,15 +403,7 @@ def read_histogram(path: str) -> TcspcHistogram:
             break
     n = len(values) // 2
     starts, counts = np.frombuffer(values, count=2 * n).reshape(n, 2).T
-    expected = np.arange(n) * bin_width
-    failed = np.array(
-        [
-            ~(np.isfinite(starts) & np.isfinite(counts)),
-            starts <= np.r_[np.nan, starts[:-1]],  # the first bin has no predecessor
-            np.abs(starts - expected) > 1e-9 * np.maximum(np.abs(expected), bin_width),
-            counts < 0,
-        ]
-    )
+    failed = _histogram_failures(starts, counts, bin_width)
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         message = (
@@ -356,6 +417,43 @@ def read_histogram(path: str) -> TcspcHistogram:
         raise ParseError(f"non-numeric cell: {non_numeric}", line=int(numbers[n])) from non_numeric
     if n < len(rows):
         raise ParseError(f"expected 'bin_start_ns,counts', got {rows[n]!r}", line=int(numbers[n]))
+    return starts, counts
+
+
+def read_histogram(path: str) -> TcspcHistogram:
+    """A histogram file as a TcspcHistogram, with int64 counts if every count
+    is integral, else float64.
+
+    The data rows go to numpy's C text parser as two float64 columns in one
+    call, and the checks run once over them. Only where the C parser refuses
+    the rows (a non-numeric cell, a row that is not a pair, a whitespace-only
+    line, no rows) or a check fails does the per-cell path run: the rows are
+    split and parsed READ_BLOCK_ROWS at a time, one float() per cell, and
+    ParseError names the first offending line: a row that is not a
+    'bin_start_ns,counts' pair, a non-numeric or non-finite cell, a bin start
+    out of order or off the grid, or negative counts. Where both parse a
+    cell, they give the same value (see the module docstring).
+    """
+    lines = _read_lines(path)
+    meta, start, key_lines = _split_metadata(lines)
+    for key in HISTOGRAM_KEYS:
+        if key not in meta:
+            raise ParseError(f"missing metadata key '{key}'", line=start + 1)
+
+    def number(key: str) -> float:
+        try:
+            return float(meta[key])
+        except ValueError as exc:
+            raise ParseError(f"non-numeric metadata {key}: {exc}", line=key_lines[key]) from exc
+
+    bin_width, rep_rate, integration = map(number, HISTOGRAM_KEYS[:3])
+    channel = meta["channel"]
+
+    parsed = _parsed_columns(lines[start:], (float, float))
+    if parsed is None or _histogram_failures(*parsed, bin_width).any():
+        parsed = _per_cell_histogram(lines, start, bin_width)
+    del lines
+    counts = parsed[1]
     if np.all(counts == np.floor(counts)):
         counts = counts.astype(np.int64)
     try:

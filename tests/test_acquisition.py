@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, ks_2samp
 
+from spingate import acquisition
 from spingate.acquisition import (
     BLOCK_PULSES,
     CHANNEL_OFF,
@@ -242,6 +243,21 @@ class TestEventBlocks:
             with pytest.raises(ValueError, match="block"):
                 simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=block)
 
+    def test_source_means_computed_once_per_stream(self, monkeypatch):
+        # drawing a stream block by block evaluates the per-source window
+        # masses (EMG tails under an IRF) once, not once per block
+        calls = []
+        window_counts = acquisition._window_counts
+        monkeypatch.setattr(
+            acquisition, "_window_counts", lambda *a: calls.append(1) or window_counts(*a)
+        )
+        acquisition._source_means.cache_clear()
+        window = GateWindow(2.0, 22.0)
+        model = irf_model(0.3)
+        for k in range(block_count(TRAIN, self.INTEGRATION)):
+            simulate_events(model, TRAIN, self.INTEGRATION, 1000.0, 12, block=k, window=window)
+            assert len(calls) == 2 * 3  # two mass evaluations per decay component
+
     def test_no_pulses_is_one_empty_block(self):
         assert block_count(TRAIN, 0.0) == 1
         assert len(simulate_events(small_model(), TRAIN, 0.0, 50.0, 1, block=0)) == 0
@@ -405,6 +421,38 @@ class TestGating:
             blocks = np.array(kept[code::2])
             error = blocks.std(ddof=1) * math.sqrt(blocks.size)
             assert abs(blocks.sum() - per_pulse[code] * BLOCK_PULSES * blocks.size) < 5.0 * error
+
+    def test_jittered_edges_neither_wrap_nor_clip(self, stream):
+        # A gate within 2 sigma_j of 0 and of the period, where
+        # hw_gate_expectation (which integrates the intensity past the period
+        # edge) and the truncated stream part ways. Independently written
+        # reference: each event is compared with its own pulse's edges,
+        # shifted by that pulse's draw, even when they leave [0, period).
+        jitter, seed, period = 2.0, 8, TRAIN.period
+        gate = GateWindow(1.0, period - 1.0)
+        kept = hw_gate(stream, TRAIN, gate, jitter, seed=seed)
+        t = stream.timestamps
+        pulse = np.floor(t / period).astype(np.int64)
+        phase = t - pulse * period
+        pulse -= pulse[0]
+        shift = np.random.default_rng(seed).standard_normal(pulse[-1] + 1) * jitter
+        start, end = gate.t_start + shift, gate.t_end + shift
+        own = (phase >= start[pulse]) & (phase < end[pulse])
+        assert np.array_equal(kept.timestamps, t[own])
+        assert np.array_equal(kept.channels, stream.channels[own])
+        # both edges leave the period in pulses that keep events
+        assert np.any(own & (start[pulse] < 0.0))
+        assert np.any(own & (end[pulse] > period))
+        # a wrapping gate would also keep the next period's phases below an
+        # end past the period, and the previous period's phases above a start
+        # below 0; a gate held inside the period would clip the shift
+        prev_end = np.r_[-np.inf, end[:-1] - period][pulse]
+        next_start = np.r_[start[1:] + period, np.inf][pulse]
+        wrapped = own | (phase < prev_end) | (phase >= next_start)
+        assert np.any(wrapped & ~own)
+        held = np.clip(shift, -gate.t_start, period - gate.t_end)[pulse]
+        clipped = (phase >= gate.t_start + held) & (phase < gate.t_end + held)
+        assert np.any(clipped != own)
 
     def test_gate_beyond_period_rejected(self, stream):
         with pytest.raises(ValueError, match="exceeds the pulse period"):

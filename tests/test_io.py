@@ -346,6 +346,62 @@ class TestTypingOracle:
                 assert column.tobytes() == want.tobytes()
 
 
+class TestCParserBoundary:
+    """Cells past the first READ_BLOCK_ROWS rows at the default block size,
+    where read_report hands the rest of the file to numpy's C text parser
+    with the dtypes the first block fixed."""
+
+    N = 5000
+    AT = 4500  # a data row past the first block
+
+    def write(self, path, ints, floats, extra=()):
+        lines = ["# k=v", "i,x", *map(",".join, zip(ints, floats))]
+        for at, line in extra:
+            lines.insert(at, line)
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+
+    def columns(self):
+        return [str(k) for k in range(self.N)], [repr(k / 3) for k in range(self.N)]
+
+    @pytest.mark.parametrize("cell", ["-0", "1_000", "\u0663", "1.5"])
+    def test_int_column_cell_read_as_per_cell_oracle(self, tmp_path, cell):
+        # "-0" reads as the int 0 in the C parser but as the float -0.0 by the
+        # cell grammar; the C parser refuses the other three
+        assert report_module.READ_BLOCK_ROWS < self.AT
+        ints, floats = self.columns()
+        ints[self.AT] = cell
+        path = tmp_path / "c.csv"
+        self.write(path, ints, floats)
+        got = read_report(str(path))
+        for cells, column in zip((ints, floats), got.data.values()):
+            want = oracle_column(cells)
+            assert column.dtype == want.dtype
+            assert column.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blank", ["", "   "])
+    def test_blank_line_skipped(self, tmp_path, blank):
+        ints, floats = self.columns()
+        path = tmp_path / "b.csv"
+        self.write(path, ints, floats, [(2 + self.AT, blank)])
+        got = read_report(str(path))
+        assert got.data["i"].tobytes() == oracle_column(ints).tobytes()
+        assert got.data["x"].tobytes() == oracle_column(floats).tobytes()
+
+    @pytest.mark.parametrize("blank", [None, "", "   "])
+    def test_ragged_row_names_its_line(self, tmp_path, blank):
+        # the ragged row is file line AT + 3, one more after a blank line
+        # above it
+        ints, floats = self.columns()
+        extra = [(2 + self.AT, "7")]
+        if blank is not None:
+            extra.append((2 + self.AT - 100, blank))
+        path = tmp_path / "r.csv"
+        self.write(path, ints, floats, extra)
+        line = self.AT + 3 + (blank is not None)
+        with pytest.raises(ParseError, match=rf"^line {line}: ragged row: 1 cells against 2"):
+            read_report(str(path))
+
+
 class TestHistogramFiles:
     def make_hist(self, counts):
         return TcspcHistogram(
@@ -432,6 +488,19 @@ class TestHistogramFiles:
         monkeypatch.setattr(report_module, "READ_BLOCK_ROWS", 2)
         with pytest.raises(ParseError, match=match):
             read_histogram(str(tmp_path / "lb.csv"))
+
+    @pytest.mark.parametrize("cell, count", [("1_000", 1000), ("\u0663", 3), (" 7 ", 7)])
+    def test_file_the_c_parser_refuses_read_per_cell(self, tmp_path, cell, count):
+        # the C parser refuses the file (a whitespace-only line, and the first
+        # two cells), and the per-cell path reads each cell with float()
+        text = (
+            "# bin_width_ns=12.5\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
+            f"0,5\n12.5,6\n  \n25,7\n37.5,{cell}\n"
+        )
+        (tmp_path / "cp.csv").write_text(text, "utf-8")
+        back = read_histogram(str(tmp_path / "cp.csv"))
+        assert back.counts.dtype == np.int64
+        assert back.counts.tolist() == [5, 6, 7, count]
 
     def test_missing_metadata_key(self, tmp_path):
         (tmp_path / "m.csv").write_text("# bin_width_ns=1\n0,5\n")
