@@ -271,13 +271,23 @@ def _cmd_odmr_fit(args, run, seed):
     if tuple(table.columns[:2]) != ("freq_hz", "counts"):
         raise ParseError(f"{args.input}: expected columns freq_hz,counts")
     meta = table.metadata
-    integration = float(meta.get("integration_per_point_s", 1.0))
+
+    def number(key: str, default=None) -> float:
+        value = meta.get(key, default)
+        if value is None:
+            raise ParseError(f"{args.input}: missing metadata key {key}")
+        try:
+            return float(value)
+        except ValueError:
+            raise ParseError(f"{args.input}: metadata {key}={value!r} is not a number") from None
+
+    integration = number("integration_per_point_s", 1.0)
     gate = None
     if meta.get("gate_start_ns", "none") != "none":
-        gate = GateWindow(float(meta["gate_start_ns"]), float(meta["gate_end_ns"]))
+        gate = GateWindow(number("gate_start_ns"), number("gate_end_ns"))
     spectrum = OdmrSpectrum(
-        freqs=table.data["freq_hz"],
-        counts=table.data["counts"],
+        freqs=_numeric_column(args.input, table, "freq_hz"),
+        counts=_numeric_column(args.input, table, "counts"),
         integration_per_point=integration,
         gate=gate,
     )
@@ -370,6 +380,23 @@ def _cmd_snr_map(args, run, seed):
     return meta, {"ix": ix.ravel(), "iy": iy.ravel(), "snr": result.values.ravel()}
 
 
+def _numeric_column(path: str, table: ColumnarReport, name: str) -> np.ndarray:
+    """A report column that must be numeric, as read_report typed it.
+    read_report types a column as strings when one of its cells is not a
+    number; ParseError names the first such cell and its data row."""
+    values = table.data[name]
+    if values.dtype.kind in "iuf":
+        return values
+    for row, cell in enumerate(values, start=1):
+        try:
+            float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: column {name}: {str(cell)!r} in data row {row} is not a number"
+            ) from None
+    return values.astype(float)
+
+
 _SCAN_PLANES = ("mw_off_gated", "mw_on_gated", "mw_off_ungated", "mw_on_ungated")
 
 
@@ -385,8 +412,8 @@ def _read_scan(path: str) -> ScanMap:
         dwell = float(table.metadata.get("dwell_s", 1.0))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: bad or missing scan metadata ({exc})") from exc
-    ix = table.data["ix"].astype(np.int64)
-    iy = table.data["iy"].astype(np.int64)
+    ix = _numeric_column(path, table, "ix").astype(np.int64)
+    iy = _numeric_column(path, table, "iy").astype(np.int64)
     outside = np.flatnonzero((ix < 0) | (ix >= nx) | (iy < 0) | (iy >= ny))
     if outside.size:
         i = outside[0]
@@ -394,7 +421,7 @@ def _read_scan(path: str) -> ScanMap:
     planes = {}
     for name in _SCAN_PLANES:
         planes[name] = np.full((ny, nx), np.nan)
-        planes[name][iy, ix] = table.data[name]
+        planes[name][iy, ix] = _numeric_column(path, table, name)
     for name, plane in planes.items():
         if np.any(np.isnan(plane)):
             raise ParseError(f"{path}: plane {name} has missing pixels")

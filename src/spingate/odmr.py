@@ -10,9 +10,18 @@ unit-peak Lorentzians L; fitted depths are therefore measured contrast
 contributions (population depth times the gated two-level contrast), not the
 population depths themselves.
 
-The fitter is a damped least-squares (Levenberg-Marquardt) loop with an
-analytic Jacobian, run in shifted/scaled coordinates for conditioning.
-Convergence: relative cost change below 1e-10; at most 200 iterations.
+The fit is separable least squares (variable projection; Golub & Pereyra,
+SIAM J. Numer. Anal. 10, 413, 1973), in frequency scaled to the span and
+counts scaled to their maximum. The model b + b1 L1 + b2 L2 is linear in
+(b, b1, b2), with baseline = b and depth_k = -b_k / b, so those are solved at
+every step and only the centers and widths are iterated. The start is global: every pair of
+dips on a grid of centers and widths, each pair's linear part solved in
+closed form. A damped Gauss-Newton loop then refines it, first on a binned
+copy of a long spectrum and then on all points. It stops when the undamped
+step is under SE_TOL standard errors of the fit (the residual's angle to the
+model's tangent plane; Transtrum & Sethna, arXiv:1201.5885), or the damped
+step under STEP_TOL of the parameters; at most MAX_ITERATIONS model
+evaluations.
 """
 
 from __future__ import annotations
@@ -27,8 +36,15 @@ from .errors import FitError, NonConvergenceError
 from .histogram import TcspcHistogram
 from .metrics import PhysicalConstants, RatePair, sensitivity_cw
 
-MAX_ITERATIONS = 200
-COST_REL_TOL = 1e-10
+MAX_ITERATIONS = 500
+SE_TOL = 1e-5
+STEP_TOL = 1e-12
+SEARCH_POINTS = 500  # from twice this length, search and first refine on this many bins
+
+# search grid: 31 centers over the span, each at three widths (span units)
+_GRID_CENTERS = np.tile(np.linspace(0.0, 1.0, 31), 3)
+_GRID_WIDTHS = np.repeat([0.05, 0.1, 0.2], 31)
+_PAIR_I, _PAIR_J = np.triu_indices(_GRID_WIDTHS.size, 1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +238,8 @@ def fit_double_lorentzian(spectrum: OdmrSpectrum) -> tuple[LorentzianDoublet, fl
 
     Returns the fitted doublet (dips ordered by center) and the residual
     2-norm. Raises NonConvergenceError (carrying the last iterate) if the
-    damped least-squares loop cannot converge, FitError on degenerate input.
+    refinement cannot converge or leaves the valid domain, FitError on
+    degenerate input.
     """
     if len(spectrum) < 7:
         raise ValueError("fit requires at least 7 frequency points")
@@ -234,15 +251,23 @@ def fit_double_lorentzian(spectrum: OdmrSpectrum) -> tuple[LorentzianDoublet, fl
     f0 = f[0]
     span = f[-1] - f[0]
     x = (f - f0) / span
-    y_scale = float(np.median(y_raw))
-    if y_scale <= 0:
-        y_scale = float(np.max(y_raw))
+    y_scale = float(np.max(y_raw))  # > 0: counts are non-negative, not all equal
     y = y_raw / y_scale
 
-    theta = _initial_guess(f, y_raw, f0, span, y_scale)
-    theta, cost, failure = _levenberg_marquardt(x, y, theta)
+    run = x.size // SEARCH_POINTS
+    if run >= 2:  # bin means; a remainder of under one run is left out
+        n = x.size // run * run
+        x_bin, y_bin = (v[:n].reshape(-1, run).mean(axis=1) for v in (x, y))
+        theta = _refine(x_bin, y_bin, _search(x_bin, y_bin))[0]
+    else:
+        theta = _search(x, y)
+    theta, linear, cost, failure = _refine(x, y, theta)
 
-    params = _doublet_params(theta, f0, span, y_scale)
+    c1, w1, c2, w2 = theta * span
+    baseline, b1, b2 = linear
+    dips = sorted([(f0 + c1, w1, -b1 / baseline), (f0 + c2, w2, -b2 / baseline)])
+    params = dict(zip(("baseline", "center1", "fwhm1", "depth1", "center2", "fwhm2", "depth2"),
+                      (baseline * y_scale, *dips[0], *dips[1])))
     residual_norm = math.sqrt(cost) * y_scale
     if failure is not None:
         raise NonConvergenceError(failure, last_params=params, residual_norm=residual_norm)
@@ -264,136 +289,106 @@ def fit_double_lorentzian(spectrum: OdmrSpectrum) -> tuple[LorentzianDoublet, fl
     return doublet, residual_norm
 
 
-def _doublet_params(theta, f0: float, span: float, y_scale: float) -> dict:
-    """LorentzianDoublet fields in Hz and counts from the scaled 7-vector,
-    dips ordered by center."""
-    baseline, c1, w1, d1, c2, w2, d2 = theta
-    dips = sorted(
-        [(f0 + c1 * span, abs(w1) * span, d1), (f0 + c2 * span, abs(w2) * span, d2)],
-        key=lambda dip: dip[0],
-    )
-    return {
-        "baseline": baseline * y_scale,
-        "center1": dips[0][0],
-        "fwhm1": dips[0][1],
-        "depth1": dips[0][2],
-        "center2": dips[1][0],
-        "fwhm2": dips[1][1],
-        "depth2": dips[1][2],
-    }
+def _search(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(c1, w1, c2, w2) of the pair of grid dips that lowers the residual most.
+
+    A pair's linear part b + b1 L1 + b2 L2 is a 3x3 least-squares problem.
+    Centring each Lorentzian and y on their means eliminates b, which leaves
+    a 2x2 system in the Gram matrix G of the centred Lorentzians and their
+    products p with y, solved in closed form; the residual falls by
+    p^T G^-1 p. A pair counts only if both b1 and b2 are dips (negative).
+    """
+    half_sq = (0.5 * _GRID_WIDTHS[:, None]) ** 2
+    lorentz = half_sq / ((x - _GRID_CENTERS[:, None]) ** 2 + half_sq)
+    lorentz -= lorentz.mean(axis=1, keepdims=True)
+    gram = lorentz @ lorentz.T
+    p = lorentz @ (y - y.mean())
+    g = gram.diagonal()
+    g_ij = gram.ravel()[_PAIR_I * g.size + _PAIR_J]
+    p_i, p_j, g_i, g_j = p[_PAIR_I], p[_PAIR_J], g[_PAIR_I], g[_PAIR_J]
+    # b1 and b2 times det = g_i g_j - g_ij^2, which is > 0
+    b_i = g_j * p_i - g_ij * p_j
+    b_j = g_i * p_j - g_ij * p_i
+    gain = (b_i * p_i + b_j * p_j) / (g_i * g_j - g_ij * g_ij)
+    gain[(b_i >= 0) | (b_j >= 0)] = 0.0
+    best = np.argmax(gain)
+    i, j = _PAIR_I[best], _PAIR_J[best]
+    return np.array([_GRID_CENTERS[i], _GRID_WIDTHS[i], _GRID_CENTERS[j], _GRID_WIDTHS[j]])
 
 
-def _initial_guess(f, y, f0, span, y_scale):
-    """Starting point: outer-decile baseline, dip centers from the two lowest
-    local minima (clustered minima deduplicated), 10 MHz linewidths."""
-    n = y.size
-    k = max(1, round(0.05 * n))
-    baseline = float(np.median(np.concatenate([y[:k], y[-k:]])))
-    if baseline <= 0:
-        baseline = max(float(np.mean(y)), 1e-12)
+def _profile(x: np.ndarray, y: np.ndarray, theta: np.ndarray):
+    """(linear, cost, hess, grad) of the model b + b1 L1 + b2 L2 at theta =
+    (c1, w1, c2, w2), with linear = (b, b1, b2) solved.
 
-    fwhm_init = 10e6  # Hz
-    interior = np.arange(1, n - 1)
-    is_min = (y[interior] <= y[interior - 1]) & (y[interior] <= y[interior + 1])
-    minima = interior[is_min]
-    centers: list[float] = []
-    for idx in minima[np.argsort(y[minima], kind="stable")]:
-        # half-width separation so dips one linewidth apart stay distinct
-        if all(abs(f[idx] - c) > 0.5 * fwhm_init for c in centers):
-            centers.append(float(f[idx]))
-        if len(centers) == 2:
-            break
-    if len(centers) == 0:
-        centers = [float(f[int(np.argmin(y))])]
-    if len(centers) == 1:
-        centers = [centers[0] - 0.5 * fwhm_init, centers[0] + 0.5 * fwhm_init]
-    centers.sort()
-
-    depths = []
-    for c in centers:
-        y_near = float(y[int(np.argmin(np.abs(f - c)))])
-        depths.append(min(max((baseline - y_near) / baseline, 0.01), 0.95))
-
-    return np.array(
-        [
-            baseline / y_scale,
-            (centers[0] - f0) / span,
-            fwhm_init / span,
-            depths[0],
-            (centers[1] - f0) / span,
-            fwhm_init / span,
-            depths[1],
-        ]
-    )
+    cost is the squared norm of the explicit residual r. hess and grad are
+    Kaufman's normal equations, J^T J = A D^T P D A and J^T r = -A D^T P y,
+    with P the projection off Phi = [1, L1, L2], D the four lineshape
+    derivatives and A the coefficient each scales by. All of it comes from
+    the one Gram matrix of [Phi, D, y]: with G = Phi^T Phi and E = [D, y],
+    E^T P E = E^T E - (Phi^T E)^T G^-1 Phi^T E.
+    """
+    columns = np.empty((8, x.size))
+    columns[0] = 1.0
+    columns[7] = y
+    width = theta[1::2, None]
+    dx = x - theta[0::2, None]
+    half_sq = 0.25 * width * width
+    inv = 1.0 / (dx * dx + half_sq)
+    lorentz = np.multiply(inv, half_sq, out=columns[1:3])
+    derivs = columns[3:7].reshape(2, 2, -1)  # dip, (d/dc, d/dw), point
+    np.multiply(2.0 * dx * lorentz, inv, out=derivs[:, 0])
+    np.multiply(0.5 * width * (1.0 - lorentz), inv, out=derivs[:, 1])
+    gram = columns @ columns.T
+    solved = np.linalg.solve(gram[:3, :3], gram[:3, 3:])
+    linear = solved[:, 4]
+    projected = gram[3:, 3:] - gram[:3, 3:].T @ solved
+    residual = linear @ columns[:3] - y
+    scale = np.repeat(linear[1:], 2)
+    hess = projected[:4, :4] * scale[:, None] * scale
+    # einsum, not BLAS's dot, whose summation order follows the thread count
+    return linear, float(np.einsum("i,i", residual, residual)), hess, -scale * projected[:4, 4]
 
 
-def _model_and_jacobian(x, theta):
-    baseline, c1, w1, d1, c2, w2, d2 = theta
-    jac = np.empty((x.size, 7))
-    dip_sum = np.zeros_like(x)
-    for k, (c, w, d) in enumerate(((c1, w1, d1), (c2, w2, d2))):
-        half_sq = (0.5 * w) ** 2
-        dx = x - c
-        denom = dx * dx + half_sq
-        lorentz = half_sq / denom
-        dip_sum += d * lorentz
-        base = 1 + 3 * k
-        # d/dc, d/dw, d/dd of baseline*(1 - d*L)
-        jac[:, base] = -baseline * d * (2.0 * dx * lorentz / denom)
-        jac[:, base + 1] = -baseline * d * (0.5 * w * dx * dx / (denom * denom))
-        jac[:, base + 2] = -baseline * lorentz
-    model = baseline * (1.0 - dip_sum)
-    jac[:, 0] = 1.0 - dip_sum
-    return model, jac
+def _refine(x: np.ndarray, y: np.ndarray, theta: np.ndarray):
+    """Damped Gauss-Newton from theta = (c1, w1, c2, w2): (theta, linear,
+    cost, failure), failure None on convergence and otherwise why the loop
+    stopped at the returned iterate.
 
-
-# box bounds in scaled coordinates: centers near the unit span, widths
-# positive and sub-span, depths a physical dip fraction
-_SCALED_LO = np.array([1e-9, -0.25, 1e-6, 0.0, -0.25, 1e-6, 0.0])
-_SCALED_HI = np.array([np.inf, 1.25, 4.0, 0.999, 1.25, 4.0, 0.999])
-
-
-def _project(theta: np.ndarray) -> np.ndarray:
-    out = theta.copy()
-    # the lineshape is even in the width, so folding the sign is exact
-    out[2] = abs(out[2])
-    out[5] = abs(out[5])
-    return np.clip(out, _SCALED_LO, _SCALED_HI)
-
-
-def _levenberg_marquardt(x, y, theta):
-    """Damped least squares in scaled units: (theta, cost, failure), where
-    failure is None on convergence and otherwise says why the loop stopped
-    at the returned iterate."""
-    theta = _project(theta)
-    model, jac = _model_and_jacobian(x, theta)
-    residual = model - y
-    cost = float(residual @ residual)
-    lam = 1e-3
+    The damping is Marquardt's, lam * diag(J^T J), moved by Nielsen's rule.
+    No width goes below the point spacing, the narrowest dip the samples
+    resolve: a dip could otherwise close on one low point, its depth growing
+    without bound as the cost falls. A width on that floor which the
+    gradient pushes lower is held, and the stop rule looks at the rest.
+    """
+    floor = (x[-1] - x[0]) / (x.size - 1)
+    dof = max(x.size - 7, 1)
+    theta = theta.copy()
+    theta[1::2] = np.maximum(theta[1::2], floor)
+    linear, cost, hess, grad = _profile(x, y, theta)
+    lam, nu = 1e-3, 2.0
     for _ in range(MAX_ITERATIONS):
-        a = jac.T @ jac
-        g = jac.T @ residual
-        diag = np.diag(np.clip(np.diag(a), 1e-30, None))
-        accepted = False
-        while lam < 1e15:
-            try:
-                step = np.linalg.solve(a + lam * diag, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            candidate = _project(theta + step)
-            model, jac_new = _model_and_jacobian(x, candidate)
-            residual_new = model - y
-            cost_new = float(residual_new @ residual_new)
-            if math.isfinite(cost_new) and cost_new <= cost:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            return theta, cost, "damping exhausted without reducing the cost"
-        drop = cost - cost_new
-        theta, residual, jac, cost = candidate, residual_new, jac_new, cost_new
-        lam = max(lam * 0.1, 1e-15)
-        if drop <= COST_REL_TOL * max(cost, 1e-300):
-            return theta, cost, None
-    return theta, cost, f"no convergence within {MAX_ITERATIONS} iterations"
+        free = np.array([True, theta[1] > floor or grad[1] < 0, True, theta[3] > floor or grad[3] < 0])
+        h, g = hess[free][:, free], grad[free]
+        damping = lam * h.diagonal()
+        step = np.linalg.solve(h + np.diag(damping), -g)
+        # g H^-1 g, the cost the undamped step would remove, is at most bound
+        # when that step is SE_TOL standard errors long; -g @ step never
+        # exceeds it. At rounding level no trial lowers the cost, and the
+        # damping grows until the step rule ends the fit.
+        bound = SE_TOL**2 * cost / dof
+        small = step @ step <= STEP_TOL**2 * (theta @ theta)
+        if small or (-g @ step <= bound and g @ np.linalg.solve(h, g) <= bound):
+            return theta, linear, cost, None
+        trial = theta.copy()
+        trial[free] += step
+        trial[1::2] = np.maximum(trial[1::2], floor)
+        state = _profile(x, y, trial)
+        gain = (cost - state[1]) / (step @ (damping * step - g))
+        if gain > 0:
+            theta, (linear, cost, hess, grad) = trial, state
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
+    return theta, linear, cost, f"no convergence within {MAX_ITERATIONS} iterations"

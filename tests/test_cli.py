@@ -288,6 +288,36 @@ class TestOdmrChain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [
+            ("# gate_start_ns=9", "missing metadata key gate_end_ns"),
+            ("# integration_per_point_s=abc", "metadata integration_per_point_s='abc' is not a number"),
+            ("# gate_start_ns=abc\n# gate_end_ns=50", "metadata gate_start_ns='abc' is not a number"),
+            ("# gate_start_ns=9\n# gate_end_ns=abc", "metadata gate_end_ns='abc' is not a number"),
+        ],
+    )
+    def test_fit_names_a_bad_metadata_key(self, tmp_path, capsys, metadata, message):
+        spect = tmp_path / "meta.csv"
+        lines = [f"{2.84e9 + i * 1e6:.17g},{100 + i % 3}" for i in range(30)]
+        spect.write_text("\n".join([metadata, "freq_hz,counts", *lines]) + "\n")
+        code = run_cli("odmr-fit", "--input", str(spect), "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {spect}: {message}\n"
+
+    # a cell in the first READ_BLOCK_ROWS data rows, and one in the rows
+    # after them, which go to numpy's text parser
+    @pytest.mark.parametrize("row", [10, 5000])
+    def test_fit_names_a_non_numeric_cell(self, tmp_path, capsys, row):
+        spect = tmp_path / "cell.csv"
+        lines = [f"{2.84e9 + i * 1e4:.17g},{100 + i % 3}" for i in range(6000)]
+        lines[row - 1] = lines[row - 1].split(",")[0] + ",x"
+        spect.write_text("\n".join(["freq_hz,counts", *lines]) + "\n")
+        code = run_cli("odmr-fit", "--input", str(spect), "--out", str(tmp_path / "f"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {spect}: column counts: 'x' in data row {row} is not a number\n"
+
     def test_fit_rejects_wrong_columns(self, tmp_path, capsys):
         bad = tmp_path / "wrong.csv"
         bad.write_text("a,b\n1,2\n")
@@ -445,6 +475,22 @@ class TestSnrMapCommand:
         assert "expected columns" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("row", [10, 4100])
+    def test_non_numeric_cell_named(self, tmp_path, capsys, row):
+        scan = tmp_path / "scan.csv"
+        write_scan(scan, nx=70, ny=60)
+        lines = scan.read_text().splitlines()
+        cells = lines[4 + row].split(",")
+        cells[3] = "x"
+        lines[4 + row] = ",".join(cells)
+        scan.write_text("\n".join(lines) + "\n")
+        code = run_cli("snr-map", "--input", str(scan), "--channel", "gated",
+                       "--out", str(tmp_path / "m"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {scan}: column mw_on_gated: 'x' in data row {row} is not a number\n"
+
+
 class TestReproducibility:
     """Two runs of a subcommand on the same inputs and seed write the same bytes."""
 
@@ -485,6 +531,29 @@ class TestReproducibility:
         outs = [tmp_path / f"out{k}.csv" for k in range(2)]
         for out in outs:
             assert run_cli(*argv, "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+    # seed 1 gave other bytes at two threads with the fit's earlier
+    # Levenberg-Marquardt loop, seed 5 with a cost summed by BLAS's dot
+    @pytest.mark.parametrize("seed", ["1", "5"])
+    def test_fit_bytes_do_not_depend_on_blas_threads(self, config_path, tmp_path, seed):
+        spectrum = str(tmp_path / "spectrum.csv")
+        assert run_cli(
+            "odmr-synth", "--config", config_path, "--points", "100000", "--seed", seed,
+            "--out", spectrum,
+        ) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            outs.append(tmp_path / f"fit{threads}.csv")
+            subprocess.run(
+                [sys.executable, "-m", "spingate.cli", "odmr-fit", "--input", spectrum,
+                 "--out", str(outs[-1])],
+                env=env, timeout=120, check=True,
+            )
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

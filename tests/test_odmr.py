@@ -25,7 +25,7 @@ from spingate.odmr import (
     sensitivity_from_fit,
     synth_odmr,
 )
-from spingate.presets import BULK_REP_RATE, bulk_model
+from spingate.presets import BULK_C_SAT, BULK_REP_RATE, bulk_model
 
 TRAIN = PulseTrain(BULK_REP_RATE)
 FREQS = np.linspace(2.84e9, 2.90e9, 121)
@@ -169,6 +169,49 @@ class TestFitRoundTrip:
         assert fit.depth2 == pytest.approx(want["depth2"], rel=0.05)
         assert fit.fwhm1 == pytest.approx(want["fwhm1"], rel=0.05)
         assert fit.fwhm2 == pytest.approx(want["fwhm2"], rel=0.05)
+
+
+def readout_spectrum(seed: int):
+    """The 100,000-point spectrum of the benchmark's readout workload for a
+    seed (two 8 MHz dips 3 % and 2.5 % deep on 1e5 counts, centers jittered
+    by up to 1 MHz): (freqs, Poisson counts, true centers)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
+    freqs = np.linspace(2.84e9, 2.90e9, 100_000)
+    centers = [2.865e9 + rng.uniform(-1e6, 1e6), 2.875e9 + rng.uniform(-1e6, 1e6)]
+    dip = sum(d * odmr_mod._lorentz(freqs, c, 8e6) for d, c in zip((0.03, 0.025), centers))
+    return freqs, rng.poisson(1e5 * (1.0 - dip)).astype(float), centers
+
+
+class TestFitGlobalMinimum:
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        return {seed: readout_spectrum(seed) for seed in (1, 6301)}
+
+    # one count far from the dips, near either end of the span; a start
+    # taken from the spectrum's minima locked onto that cell
+    @pytest.mark.parametrize("seed, index", [(1, 4999), (1, 95_005), (6301, 4), (6301, 95_005)])
+    @pytest.mark.parametrize("value", [0.0, 1000.0, 3.0, 1.5])
+    def test_single_outlier_keeps_the_centers(self, spectra, seed, index, value):
+        freqs, counts, centers = spectra[seed]
+        counts = counts.copy()
+        counts[index] = value
+        fit, _ = fit_double_lorentzian(OdmrSpectrum(freqs, counts, 0.1))
+        assert abs(fit.center1 - centers[0]) <= 0.5e6
+        assert abs(fit.center2 - centers[1]) <= 0.5e6
+
+    # bulk ungated, 0.1 ms per point: about 1 % contrast, the seeds where a
+    # local start failed to converge or settled far off
+    @pytest.mark.parametrize("seed", [16, 491, 551, 669, 908, 965, 1258, 1673, 1752])
+    def test_low_contrast_fit_reaches_the_truth_started_minimum(self, seed):
+        truth = DoubletTruth(2.865e9, 8e6, BULK_C_SAT, 2.875e9, 8e6, BULK_C_SAT)
+        sp = synth_odmr(bulk_model(), TRAIN, None, FREQS, truth, 1e-4, seed=seed)
+        _, residual_norm = fit_double_lorentzian(sp)
+        span = FREQS[-1] - FREQS[0]
+        start = np.array([truth.center1 - FREQS[0], truth.fwhm1, truth.center2 - FREQS[0], truth.fwhm2])
+        y_scale = np.median(sp.counts)
+        *_, cost, failure = odmr_mod._refine((FREQS - FREQS[0]) / span, sp.counts / y_scale, start / span)
+        assert failure is None
+        assert residual_norm**2 <= (1 + 1e-9) * cost * y_scale**2
 
 
 class TestFitErrors:
