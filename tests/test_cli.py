@@ -593,6 +593,68 @@ class TestArgumentHandling:
         assert "output path" in capsys.readouterr().err
 
 
+class TestQuietCells:
+    """nan, +-inf, +-0 and subnormal cells, which take the writer's per-cell
+    path, print nothing to stderr: no numpy cast or log warning reaches a
+    user."""
+
+    HISTOGRAM = textwrap.dedent(
+        """\
+        # bin_width_ns=12.5
+        # rep_rate_hz=20000000
+        # integration_s=1
+        # channel=mw_off
+        0,0.5
+        12.5,-0
+        25,5e-324
+        37.5,2.5e-310
+        """
+    )
+    SCRIPT = textwrap.dedent(
+        """\
+        import sys
+        import numpy as np
+        from spingate import ColumnarReport, write_report
+        cells = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.5]
+        data = {np.dtype(t).name: np.array(cells, t) for t in (np.float64, np.float32, np.float16)}
+        write_report(sys.argv[1], ColumnarReport(metadata={}, data=data))
+        """
+    )
+
+    def run(self, *argv: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # -W default shows every warning once, whatever the interpreter's filters
+        return subprocess.run(
+            [sys.executable, "-W", "default", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_gate_apply_writes_zero_and_subnormal_counts_silently(self, tmp_path):
+        hist, out = tmp_path / "hist.csv", tmp_path / "gated.csv"
+        hist.write_text(self.HISTOGRAM)
+        done = self.run(
+            "-m", "spingate.cli", "gate-apply", "--input", str(hist), "--tau-c", "0",
+            "--out", str(out),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert out.read_text().splitlines()[-4:] == [
+            "0,0.5", "12.5,-0", "25,4.9406564584124654e-324", "37.5,2.5000000000000171e-310"
+        ]
+
+    def test_non_finite_zero_and_subnormal_cells_write_silently(self, tmp_path):
+        out = tmp_path / "cells.csv"
+        done = self.run("-c", self.SCRIPT, str(out))
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "float64,float32,float16"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324",
+            "-2.5000000000000171e-310", "1.5",
+        ]
+
+
 class TestImportCost:
     """No command loads scipy: IRF-free runs never import it, and the IRF
     kernel's special functions are numpy arithmetic."""

@@ -1,10 +1,13 @@
 """File formats: columnar reports, histogram files, INI run configs."""
 
 import glob
+import itertools
 import math
 import os
 import re
+import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +19,18 @@ from spingate.errors import ConfigError, ParseError
 from spingate.histogram import TcspcHistogram
 from spingate import report as report_module
 from spingate.report import (
+    HISTOGRAM_KEYS,
     ColumnarReport,
     atomic_write_text,
+    format_value,
     read_histogram,
     read_report,
     write_histogram,
     write_report,
 )
+
+# The characters str.splitlines ends a line at; the reader splits files with it.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 BULK_INI = textwrap.dedent(
     """\
@@ -187,6 +195,31 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError, match="comma"):
             write_report(path, ColumnarReport(metadata={}, data={"a": ["x,y"]}))
 
+    @pytest.mark.parametrize("char", LINE_BREAKS)
+    def test_line_breaks_rejected(self, char):
+        # the reader splits files with str.splitlines, which ends a line at
+        # each of these, so none may be written inside an entry or a cell
+        assert f"a{char}b".splitlines() == ["a", "b"]
+        with pytest.raises(ValueError, match="metadata"):
+            ColumnarReport(metadata={f"k{char}": "v"}, data={"a": [1]})
+        with pytest.raises(ValueError, match="metadata"):
+            ColumnarReport(metadata={"k": f"v{char}w"}, data={"a": [1]})
+        with pytest.raises(ValueError, match="line breaks"):
+            ColumnarReport(metadata={}, data={f"a{char}b": [1]})
+        for column in (np.array(["ok", f"a{char}b"]), np.array(["ok", f"a{char}b"], object)):
+            with pytest.raises(ValueError, match="may not contain"):
+                ColumnarReport(metadata={}, data={"a": column})
+
+    @pytest.mark.parametrize("cell", ["a\x00b", "\x00a", "a\x00"])
+    def test_nul_in_string_cell_rejected(self, cell):
+        # a str array drops a trailing NUL, so such a cell would not be
+        # written as given
+        with pytest.raises(ValueError, match="may not contain"):
+            ColumnarReport(metadata={}, data={"a": np.array(["ok", cell], object)})
+        if not cell.endswith("\x00"):
+            with pytest.raises(ValueError, match="may not contain"):
+                ColumnarReport(metadata={}, data={"a": np.array(["ok", cell])})
+
     def test_label_objects_written_as_strings(self, tmp_path):
         labels = np.array(["mw_off", "mw_on"], dtype=object)[[0, 1, 1, 0]]
         for name, column in (("o.csv", labels), ("u.csv", labels.astype(str))):
@@ -230,19 +263,29 @@ class TestReportRoundTrip:
 class TestBlocks:
     """Files written or read in blocks of rows equal those done in one block."""
 
-    FLOATS = [-0.0, math.nan, math.inf, 5e-324]
+    # each column interleaves cells the block formatter's kernels take with
+    # cells they refuse to the per-cell path
+    INTS = [-2, 2**63 - 1, 0, -(2**63), 7, 10**17, -(10**17) + 1, 10**17 - 1, -9, 2**62]
+    UINTS = [3, 2**64 - 1, 0, 10**17, 99, 10**17 - 1, 1, 2**63, 42, 5]
+    STRINGS = [
+        "row0", "\u00e9", "row2", "\u65e5\u672c", "", "a b", "\u00fcber", "z", "\U0001f600", "x"
+    ]
+    LABELS = ["mw_off", "\u00fc", "mw_on", "mw_off", "\u00fc", "mw_on", "", "mw_on", "mw_off", ""]
+    FLOATS = [-0.0, 1.5, math.nan, -0.1, math.inf, 123.25, 5e-324, 1e300, 2.5e-05, -math.inf]
 
     def report(self, n):
         return ColumnarReport(
             metadata={"n": str(n)},
             data={
-                "i": np.arange(n) - 2,
-                "s": [f"row{k}" for k in range(n)],
-                "x": self.FLOATS[:n],
+                "i": np.array(self.INTS[:n], np.int64),
+                "u": np.array(self.UINTS[:n], np.uint64),
+                "s": np.array(self.STRINGS[:n], str),
+                "l": np.array(self.LABELS[:n], object),
+                "x": np.array(self.FLOATS[:n], np.float64),
             },
         )
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 10])
     def test_write_blocks_same_bytes(self, tmp_path, monkeypatch, n):
         bins = max(n, 1)  # a histogram has at least one bin
         hist = TcspcHistogram(
@@ -256,13 +299,17 @@ class TestBlocks:
             write_histogram(str(tmp_path / "h.csv"), hist)
             return (tmp_path / "r.csv").read_bytes(), (tmp_path / "h.csv").read_bytes()
 
-        one, blocked = written(1000), written(3)
-        assert one == blocked
+        one = written(1000)
+        assert written(1) == one
+        assert written(3) == one
         lines = one[0].decode().splitlines()
         assert len(lines) == 2 + n
         if n == 4:
             assert lines[2:] == [
-                "-2,row0,-0", "-1,row1,nan", "0,row2,inf", "1,row3,4.9406564584124654e-324"
+                "-2,3,row0,mw_off,-0",
+                "9223372036854775807,18446744073709551615,\u00e9,\u00fc,1.5",
+                "0,0,row2,mw_on,nan",
+                "-9223372036854775808,100000000000000000,\u65e5\u672c,mw_off,-0.10000000000000001",
             ]
 
     def test_read_blocks_widen_each_column(self, tmp_path, monkeypatch):
@@ -280,6 +327,136 @@ class TestBlocks:
         for name in whole.columns:
             assert blocked.data[name].dtype == whole.data[name].dtype
             assert blocked.data[name].tobytes() == whole.data[name].tobytes()
+
+
+# The rows as one "%" operation per block formatted them before the numpy
+# block formatter, kept here as its oracle: decimal ints, strings as they
+# are, else "%.17g".
+def percent_text(header: list[str], columns: list[np.ndarray]) -> bytes:
+    row = ",".join("%s" if c.dtype.kind in "iuUO" else "%.17g" for c in columns) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    text = "".join(line + "\n" for line in header) + (row * columns[0].size) % cells
+    return text.encode("utf-8")
+
+
+def _powers_of_ten_and_neighbours():
+    for j in range(-5, 18):
+        power = float(f"1e{j}")
+        yield from (math.nextafter(power, -math.inf), power, math.nextafter(power, math.inf))
+
+
+# Doubles where "%.17g" is easy to get wrong: 10**j and its neighbours (the
+# fixed-notation range is [1e-4, 1e17)); ties at the 18th significant digit,
+# which round half to even, in [1e14, 1e16); 2**53 and around it; the
+# subnormals, the largest double and 99999999999999999.0, written "1e+17".
+EDGE_FLOATS = [
+    *_powers_of_ten_and_neighbours(),
+    *(float(n) + f for n in (10**14 + 3, 10**15, 10**15 + 1, 2**51 - 8)
+      for f in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)),
+    2.0**53 - 1, 2.0**53, float(2**53 + 1), 2.0**53 + 2,
+    0.1, 9.2, 0.5, 1.0, 1e-4, math.nextafter(1e-4, 0.0), 99999999999999999.0,
+    5e-324, 2.5e-310, sys.float_info.min, sys.float_info.max,
+    0.0, -0.0, math.nan, math.inf, -math.inf,
+]
+# Every character a string cell may hold: no surrogate (not UTF-8), comma,
+# '#', NUL or line break.
+CELL_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters=",#\x00" + LINE_BREAKS),
+    max_size=5,
+)
+
+
+@st.composite
+def writer_column(draw, n):
+    """n cells of one of the column types a report holds."""
+    kind = draw(st.sampled_from(["f8", "f4", "f2", "i8", "u8", "labels", "U"]))
+    values = {
+        "f8": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+        "f4": st.floats(width=32),
+        "f2": st.floats(width=16),
+        "i8": st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(10**17), 10**17)),
+        "u8": st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([10**17 - 1, 10**17])),
+        "U": CELL_TEXT,
+    }
+    if kind == "labels":
+        labels = np.array(draw(st.lists(CELL_TEXT, min_size=1, max_size=3)), dtype=object)
+        return labels[draw(st.lists(st.integers(0, labels.size - 1), min_size=n, max_size=n))]
+    cells = draw(st.lists(values[kind], min_size=n, max_size=n))
+    return np.array(cells, dtype=str if kind == "U" else kind)
+
+
+class TestCellFormatter:
+    """The block formatter writes the bytes the "%" formatter wrote."""
+
+    @given(data=st.data(), n=st.integers(0, 12), k=st.integers(1, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_report_bytes_as_percent_formatter(self, tmp_path_factory, data, n, k):
+        columns = [data.draw(writer_column(n)) for _ in range(k)]
+        report = ColumnarReport(
+            metadata={"k": k, "x": data.draw(st.floats())},
+            data={f"c{j}": column for j, column in enumerate(columns)},
+        )
+        path = tmp_path_factory.mktemp("fmt") / "r.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report_module, "WRITE_BLOCK_ROWS", data.draw(st.sampled_from([1, 5, 64])))
+            write_report(str(path), report)
+        header = [f"# {key}={value}" for key, value in report.metadata.items()]
+        assert path.read_bytes() == percent_text([*header, ",".join(report.columns)], columns)
+
+    @given(data=st.data(), n=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_histogram_bytes_as_percent_formatter(self, tmp_path_factory, data, n):
+        counts = data.draw(
+            st.one_of(
+                st.lists(st.one_of(st.floats(min_value=0.0), st.just(-0.0)), min_size=n,
+                         max_size=n).map(np.array),
+                st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n).map(np.array),
+            )
+        )
+        rep_rate = data.draw(st.floats(1e3, 1e9))
+        hist = TcspcHistogram(
+            bin_width=1e9 / rep_rate / n, counts=counts,
+            channel=data.draw(st.sampled_from(["mw_off", "mw_on"])),
+            integration_time=data.draw(st.floats(0.0, 1e6)), rep_rate=rep_rate,
+        )
+        path = tmp_path_factory.mktemp("fmt") / "h.csv"
+        write_histogram(str(path), hist)
+        values = (hist.bin_width, hist.rep_rate, hist.integration_time, hist.channel)
+        header = [f"# {k}={format_value(v)}" for k, v in zip(HISTOGRAM_KEYS, values)]
+        assert path.read_bytes() == percent_text(header, [hist.bin_starts, hist.counts])
+
+    def test_edge_floats_as_percent_formatter(self, tmp_path):
+        column = np.array(EDGE_FLOATS + [-v for v in EDGE_FLOATS])
+        path = tmp_path / "e.csv"
+        write_report(str(path), ColumnarReport(metadata={}, data={"x": column}))
+        assert path.read_bytes() == percent_text(["x"], [column])
+        assert "99999999999999999.0" not in path.read_text()
+        assert "\n1e+17\n" in path.read_text()
+
+    def test_extreme_ints_as_percent_formatter(self, tmp_path):
+        signed = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -(10**17), 10**17,
+                           -(10**17) + 1, 10**17 - 1, 0, -1])
+        unsigned = np.array([np.iinfo(np.uint64).max, 10**17, 10**17 - 1, 0, 1, 2**63, 2**64 - 2,
+                             9], dtype=np.uint64)
+        path = tmp_path / "i.csv"
+        write_report(str(path), ColumnarReport(metadata={}, data={"i": signed, "u": unsigned}))
+        assert path.read_bytes() == percent_text(["i,u"], [signed, unsigned])
+
+    def test_no_double_rounds_up_to_the_next_power_of_ten(self):
+        # the formatter takes a float's decimal exponent from the thresholds
+        # alone, with no carry: the largest double below each threshold,
+        # scaled to 17 digits, rounds to less than 10**17
+        for j, threshold in zip(range(-3, 18), report_module._POW10[1:22]):
+            below = Fraction(math.nextafter(threshold, 0.0))
+            assert round(below * Fraction(10) ** (17 - j)) < 10**17
+
+    def test_thresholds_are_the_smallest_doubles_at_or_above_powers_of_ten(self):
+        thresholds = report_module._POW10
+        assert len(thresholds) == 25  # 10**-4 ... 10**20
+        for j, threshold in zip(range(-4, 21), thresholds):
+            power = Fraction(10) ** j
+            assert Fraction(threshold) >= power
+            assert Fraction(math.nextafter(threshold, 0.0)) < power
 
 
 # The per-cell typing rules, kept here as the oracle for the block-wise
