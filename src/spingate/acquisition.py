@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import operator
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .decay import (
 )
 from .histogram import TcspcHistogram
 from .metrics import CountPair, snr
+from .record import Record, replace
 
 CHANNEL_OFF = 0
 CHANNEL_ON = 1
@@ -55,8 +56,7 @@ BLOCK_PULSES = 4096
 WINDOW_SIGMAS = 8.0
 
 
-@dataclass(frozen=True)
-class EventStream:
+class EventStream(Record):
     """Column store of photon events sorted by timestamp.
 
     channels holds CHANNEL_OFF/CHANNEL_ON codes. n_outside counts the
@@ -74,11 +74,17 @@ class EventStream:
         ch = np.asarray(self.channels, dtype=np.uint8)
         if ts.ndim != 1 or ch.shape != ts.shape:
             raise ValueError("timestamps and channels must be 1-D arrays of equal length")
-        if ts.size and (np.any(ts < 0) or np.any(np.diff(ts) < 0)):
-            raise ValueError("timestamps must be non-negative and sorted")
+        # a NaN fails every comparison, so sorted steps (>= 0) between a
+        # first value >= 0 and a last value < inf admit only finite values
+        if ts.size and not (ts[0] >= 0 and ts[-1] < math.inf and np.all(np.diff(ts) >= 0)):
+            raise ValueError("timestamps must be finite, non-negative and sorted")
         if np.any(ch > 1):
             raise ValueError("channel codes must be 0 (mw_off) or 1 (mw_on)")
-        if not self.n_outside >= 0:
+        try:
+            n_outside = operator.index(self.n_outside)
+        except TypeError:
+            raise ValueError(f"n_outside must be an integer, got {self.n_outside!r}") from None
+        if n_outside < 0:
             raise ValueError("n_outside must be >= 0")
         ts = ts.copy()
         ch = ch.copy()
@@ -86,6 +92,7 @@ class EventStream:
         ch.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "channels", ch)
+        object.__setattr__(self, "n_outside", n_outside)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -348,8 +355,7 @@ def hw_gate_expectation(
     return np.array(rates) / train.rep_rate
 
 
-@dataclass(frozen=True)
-class McSnrResult:
+class McSnrResult(Record):
     """Empirical SNR distribution over Monte-Carlo trials, with the analytic
     SNR of the expected counts it was sampled from."""
 

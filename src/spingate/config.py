@@ -27,13 +27,12 @@ valid domain objects or fails loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .decay import DecayComponent, FluorescenceModel, PulseTrain
 from .errors import ConfigError
 from .presets import background_amplitude
+from .record import Record
 from .sweep import POWER_MODES, SweepConfig
 
 _COMPONENT_KEYS = ("spin0", "spin1", "background")
@@ -63,8 +62,7 @@ _SECTION_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Parsed and validated configuration."""
 
     model: FluorescenceModel

@@ -25,19 +25,18 @@ channel is the mixture with ``w = C_sat``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import GateError
 from .histogram import TcspcHistogram
+from .record import Record
 
 SpinSelector = Union[str, float]
 
 
-@dataclass(frozen=True)
-class DecayComponent:
+class DecayComponent(Record):
     """One exponential decay component.
 
     amplitude: counts/ns at the pulse instant, per excitation cycle.
@@ -58,8 +57,7 @@ class DecayComponent:
         return DecayComponent(self.amplitude * factor, self.lifetime, self.label)
 
 
-@dataclass(frozen=True)
-class GateWindow:
+class GateWindow(Record):
     """Detection window [t_start, t_end) in ns after the pulse trigger."""
 
     t_start: float
@@ -72,8 +70,7 @@ class GateWindow:
             )
 
 
-@dataclass(frozen=True)
-class PulseTrain:
+class PulseTrain(Record):
     """Periodic excitation at rep_rate Hz; period in ns."""
 
     rep_rate: float
@@ -95,8 +92,7 @@ def _components(value, group: str) -> tuple[DecayComponent, ...]:
     return comps
 
 
-@dataclass(frozen=True)
-class FluorescenceModel:
+class FluorescenceModel(Record):
     """Full emitter model: two spin branches, background, dark rate, IRF."""
 
     spin0: tuple[DecayComponent, ...]
@@ -183,8 +179,7 @@ def spin_weight(spin: SpinSelector) -> float:
     return w
 
 
-@dataclass(frozen=True)
-class GatedCounts:
+class GatedCounts(Record):
     """Per-pulse counts inside a gate window, split by origin."""
 
     signal: float

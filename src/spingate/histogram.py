@@ -7,19 +7,17 @@ must reproduce the period to within 1e-9 relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GateError
+from .record import Record
 
 CHANNELS = ("mw_off", "mw_on")
 
 PERIOD_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TcspcHistogram:
+class TcspcHistogram(Record):
     """Per-period photon arrival histogram for one MW channel.
 
     counts may be real-valued (an expectation) or integer (a sampled or

@@ -13,9 +13,9 @@ their sum (analytically 1) so constant inputs are reproduced bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .record import Record
 
 CHANNEL_KINDS = ("gated", "ungated")
 
@@ -26,8 +26,7 @@ def _plane(arr) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ScanMap:
+class ScanMap(Record):
     """Raster scan: four (ny, nx) count planes plus geometry."""
 
     pitch: float  # um between pixel centers
@@ -75,8 +74,7 @@ class ScanMap:
         raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")
 
 
-@dataclass(frozen=True)
-class SnrMap:
+class SnrMap(Record):
     """Upsampled SNR plane plus the pixel-resolution zero-count flags."""
 
     values: np.ndarray  # (ny * factor, nx * factor)

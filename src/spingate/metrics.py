@@ -11,15 +11,14 @@ and raise if any element is undefined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MetricError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CountPair:
+class CountPair(Record):
     """Detected counts per channel: n0 = MW off (reference), n1 = MW on."""
 
     n0: float | np.ndarray
@@ -30,8 +29,7 @@ class CountPair:
             raise ValueError(f"counts must be non-negative, got ({self.n0}, {self.n1})")
 
 
-@dataclass(frozen=True)
-class RatePair:
+class RatePair(Record):
     """Detected steady rates (counts/s) per channel, background included."""
 
     r0: float | np.ndarray
@@ -42,8 +40,7 @@ class RatePair:
             raise ValueError(f"rates must be non-negative, got ({self.r0}, {self.r1})")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """CODATA 2018 defaults; injectable so results can be pinned bit-exactly."""
 
     planck_h: float = 6.62607015e-34  # J s

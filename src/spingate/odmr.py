@@ -27,7 +27,6 @@ evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .decay import FluorescenceModel, GateWindow, PulseTrain, steady_rate
 from .errors import FitError, NonConvergenceError
 from .histogram import TcspcHistogram
 from .metrics import PhysicalConstants, RatePair, sensitivity_cw
+from .record import Record
 
 MAX_ITERATIONS = 500
 SE_TOL = 1e-5
@@ -47,8 +47,7 @@ _GRID_WIDTHS = np.repeat([0.05, 0.1, 0.2], 31)
 _PAIR_I, _PAIR_J = np.triu_indices(_GRID_WIDTHS.size, 1)
 
 
-@dataclass(frozen=True)
-class OdmrSpectrum:
+class OdmrSpectrum(Record):
     """Counts per MW frequency, with the gate used during acquisition."""
 
     freqs: np.ndarray  # Hz, finite, strictly increasing
@@ -82,8 +81,7 @@ class OdmrSpectrum:
         return int(self.freqs.size)
 
 
-@dataclass(frozen=True)
-class DoubletTruth:
+class DoubletTruth(Record):
     """Ground-truth resonance pair for synthesis.
 
     depth here is the driven population fraction at the dip center (the
@@ -112,8 +110,7 @@ class DoubletTruth:
         ) * self.depth2
 
 
-@dataclass(frozen=True)
-class LorentzianDoublet:
+class LorentzianDoublet(Record):
     """Fitted double-dip model: baseline * (1 - sum depth_k L_k)."""
 
     baseline: float  # counts

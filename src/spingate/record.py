@@ -1,0 +1,98 @@
+"""Frozen records: the immutable value classes of the package.
+
+A subclass of Record lists its fields as class annotations, in order; a
+class attribute of the same name is that field's default. Every record
+shares one __init__, __eq__, __hash__ and __repr__, which read the field
+names from the class, so defining a record generates and compiles no code.
+The semantics are those of a frozen dataclass: __init__ takes the fields
+positionally or by keyword and then calls __post_init__, which may
+normalise a field with object.__setattr__; assignment and deletion raise
+FrozenRecordError; two records are equal when they are of the same class
+and their field tuples are equal, and a record hashes as its field tuple;
+the repr is "Name(field=value, ...)".
+"""
+
+from __future__ import annotations
+
+import inspect
+
+
+class FrozenRecordError(AttributeError):
+    """Raised on assignment to, or deletion of, an attribute of a record."""
+
+
+class Record:
+    """Base of the frozen records: see the module docstring."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls.__signature__ = inspect.Signature(
+            [
+                inspect.Parameter(
+                    name,
+                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                    default=cls._defaults.get(name, inspect.Parameter.empty),
+                )
+                for name in cls._fields
+            ]
+        )
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes at most {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in fields if name not in values and name not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(missing)}")
+        state = self.__dict__
+        for name in fields:
+            state[name] = values[name] if name in values else cls._defaults[name]
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        state = self.__dict__
+        return tuple([state[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        state = self.__dict__
+        fields = ", ".join(f"{name}={state[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of record with the given fields changed, built through the
+    class's __init__, so __post_init__ validates it again."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})

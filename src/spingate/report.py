@@ -62,12 +62,12 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError
 from .histogram import TcspcHistogram
+from .record import Record
 
 # "-0" is not an int: it is how "%.17g" writes -0.0, and str() of an int never
 # gives it.
@@ -84,6 +84,12 @@ _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # A string cell also holds no comma, no '#' (a row starting with one would
 # read as metadata) and no NUL (a str array drops a trailing one).
 _UNSAFE_CELL = ",#\x00" + _LINE_BREAKS
+# The characters str.strip removes, as the reader strips metadata keys and
+# values, column names and cells: none may start or end one.
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 def _holds_any(text: str, chars: str) -> bool:
@@ -98,8 +104,7 @@ def format_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ColumnarReport:
+class ColumnarReport(Record):
     """Named columns of equal length plus ordered key=value metadata.
 
     metadata values are stored as text, through format_value. data maps each
@@ -107,7 +112,9 @@ class ColumnarReport:
     given. A string column is a str array or an object array of str, so a
     column of a few shared labels costs one pointer per row. No metadata
     entry, column name or string cell holds a line break (any str.splitlines
-    ends a line at), and no string cell a comma, '#' or NUL. A column is a
+    ends a line at) or starts or ends with whitespace (any str.strip
+    removes), and no string cell holds a comma, '#' or NUL; the reader splits
+    lines and strips entries, names and cells with those. A column is a
     read-only view of the array it was given, not a copy: a later write to a
     writeable source array shows through.
     """
@@ -122,11 +129,18 @@ class ColumnarReport:
             value = format_value(value)
             if "=" in key or _holds_any(key + value, _LINE_BREAKS):
                 raise ValueError(f"invalid metadata entry {key!r}")
+            if key != key.strip() or value != value.strip():
+                raise ValueError(
+                    f"metadata entry {key!r}={value!r} may not start or end with whitespace"
+                )
             meta[key] = value
         object.__setattr__(self, "metadata", meta)
         data = {str(name): np.asarray(values).view() for name, values in dict(self.data).items()}
         if not data or any(_holds_any(c, "," + _LINE_BREAKS) for c in data):
             raise ValueError("columns must be non-empty names free of commas and line breaks")
+        for name in data:
+            if name != name.strip():
+                raise ValueError(f"column name {name!r} may not start or end with whitespace")
         for name, values in data.items():
             _check_column(name, values)
             values.setflags(write=False)
@@ -159,30 +173,45 @@ def _check_column(name: str, values: np.ndarray) -> None:
         if labels is None or not all(isinstance(label, str) for label in labels):
             raise ValueError(f"column {name!r} holds objects that are not strings")
         unsafe = [label for label in labels if _holds_any(label, _UNSAFE_CELL)]
+        padded = [label for label in labels if label != label.strip()]
     elif kind == "U":
         # the cells' code points, width of them per cell; a str array keeps
         # no trailing NUL, so a NUL is a zero followed by a non-zero in a cell
         width = values.itemsize // 4
         codes = np.ascontiguousarray(values).view(np.uint32)
         unsafe_codes = [ord(c) for c in _UNSAFE_CELL]
-        lookup = np.zeros(max(unsafe_codes) + 2, bool)
-        lookup[unsafe_codes] = True
-        lookup[0] = False  # the padding; a NUL inside a cell is found below
-        bad = np.take(lookup, np.minimum(codes, lookup.size - 1))
-        nul = (codes[:-1] == 0) & (codes[1:] != 0)
+        space_codes = [ord(c) for c in _WHITESPACE]
+        lookup = np.zeros(max(unsafe_codes + space_codes) + 2, np.uint8)
+        lookup[unsafe_codes] = 1
+        lookup[space_codes] |= 2
+        lookup[0] = 0  # the padding; a NUL inside a cell is found below
+        classes = np.take(lookup, np.minimum(codes, lookup.size - 1))
+        zero = codes == 0
+        nul = zero[:-1] & ~zero[1:]
         nul[width - 1 :: width] = False  # a pair across two cells
+        bad = (classes & 1).view(bool)
         bad[:-1] |= nul
         unsafe = values[np.flatnonzero(bad)[:1] // width].tolist()
+        # a cell's first code point, and its last: the one the padding or
+        # the next cell follows
+        outer = np.ones(codes.size, bool)
+        outer[:-1] = zero[1:]
+        outer[width - 1 :: width] = True
+        outer[::width] = True
+        outer &= (classes & 2).view(bool)
+        padded = values[np.flatnonzero(outer)[:1] // width].tolist()
     elif kind == "b":
         raise ValueError("boolean cells are ambiguous; use 0/1")
     elif kind not in "iuf":
         raise ValueError(f"column {name!r} holds {values.dtype}, not ints, floats or strings")
     else:
-        unsafe = []
+        unsafe = padded = []
     if unsafe:
         raise ValueError(
             f"string cell {unsafe[0]!r} may not contain comma, '#', NUL or a line break"
         )
+    if padded:
+        raise ValueError(f"string cell {padded[0]!r} may not start or end with whitespace")
 
 
 # Data rows typed per block by the per-cell path, so a file's cells are never

@@ -12,8 +12,6 @@ and the MW-on channel the population mixture with weight ``c_sat``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .decay import FluorescenceModel, PulseTrain, steady_rate
@@ -25,12 +23,12 @@ from .metrics import (
     sensitivity_cw,
     snr,
 )
+from .record import Record
 
 POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Knobs shared by the gate and repetition-rate sweeps.
 
     Each MW channel (off and on) integrates for channel_time.
@@ -45,7 +43,7 @@ class SweepConfig:
     c_sat: float = 0.15  # MW-on mixture weight
     power_mode: str = "constant-pulse-energy"
     reference_rate: float = 40e6  # Hz; amplitude anchor for constant-mean-power
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
         if not self.integration_time > 0:
@@ -87,8 +85,7 @@ def _as_readonly(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class GateSweepReport:
+class GateSweepReport(Record):
     """Figure-of-merit columns over a gate-onset grid."""
 
     tau_c_grid: np.ndarray  # ns
@@ -116,8 +113,7 @@ class GateSweepReport:
             raise ValueError("optimum index does not attain the maximum SNR")
 
 
-@dataclass(frozen=True)
-class RepRateSweepReport:
+class RepRateSweepReport(Record):
     """Per-repetition-rate summary, each rate swept over its own gate grid."""
 
     rate_grid: np.ndarray  # Hz

@@ -546,6 +546,26 @@ class TestEventTypes:
         with pytest.raises(ValueError):
             EventStream(np.array([2.0, 1.0]), np.array([0, 0], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "timestamps",
+        [[math.nan], [1.0, math.nan, 2.0], [math.nan, 1.0], [1.0, math.nan],
+         [math.inf], [1.0, math.inf], [-math.inf, 1.0], [-0.5, 1.0]],
+    )
+    def test_stream_timestamps_must_be_finite_and_non_negative(self, timestamps):
+        # a NaN passes both a "< 0" check and an np.diff order check
+        with pytest.raises(ValueError, match="finite, non-negative and sorted"):
+            EventStream(np.array(timestamps), np.zeros(len(timestamps), np.uint8))
+
+    @pytest.mark.parametrize("n_outside", [1.5, 2.0, -1, np.int64(-3), "2", None])
+    def test_stream_n_outside_must_be_a_non_negative_integer(self, n_outside):
+        with pytest.raises(ValueError, match="n_outside"):
+            EventStream(np.array([1.0]), np.array([0], np.uint8), n_outside)
+
+    def test_stream_n_outside_stored_as_int(self):
+        stream = EventStream(np.array([1.0]), np.array([0], np.uint8), np.int64(4))
+        assert type(stream.n_outside) is int and stream.n_outside == 4
+        assert stream.select(np.array([False])).n_outside == 5
+
     def test_hw_gate_config_validation(self):
         # the gate is a GateWindow, which rejects a negative delay and an
         # empty window; hw_gate itself rejects a negative jitter

@@ -248,6 +248,16 @@ class TestOdmrChain:
         assert meta["gate_start_ns"] == "none"
         assert meta["gate_end_ns"] == "none"
 
+    def test_fit_input_path_with_outer_whitespace_exits_2(self, config_path, tmp_path, capsys):
+        # the path goes into the fit's metadata, which the reader would strip
+        spect = str(tmp_path / "spect.csv ")
+        assert run_cli("odmr-synth", "--config", config_path, "--out", spect) == 0
+        capsys.readouterr()
+        code = run_cli("odmr-fit", "--input", spect, "--out", str(tmp_path / "f"))
+        assert code == 2
+        assert "may not start or end with whitespace" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
     def test_fit_degenerate_input_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "flat.csv"
         lines = ["freq_hz,counts"] + [f"{2.84e9 + i * 1e6},100" for i in range(30)]
@@ -657,7 +667,8 @@ class TestQuietCells:
 
 class TestImportCost:
     """No command loads scipy: IRF-free runs never import it, and the IRF
-    kernel's special functions are numpy arithmetic."""
+    kernel's special functions are numpy arithmetic. The records generate no
+    code per class, so the package does not load dataclasses either."""
 
     SCRIPT = textwrap.dedent(
         """\
@@ -713,3 +724,7 @@ class TestImportCost:
         lines = self.run_script(self.NO_SCIPY, str(path), str(tmp_path))
         assert lines == ["0 0 0 0"]
         assert read_histogram(str(tmp_path / "hist.csv")).counts.sum() > 0
+
+    def test_cli_import_leaves_dataclasses_unloaded(self):
+        script = "import sys, spingate.cli; print('dataclasses' in sys.modules)"
+        assert self.run_script(script) == ["False"]

@@ -210,6 +210,42 @@ class TestReportRoundTrip:
             with pytest.raises(ValueError, match="may not contain"):
                 ColumnarReport(metadata={}, data={"a": column})
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u2009", "\u3000"])
+    def test_outer_whitespace_rejected(self, space):
+        # the reader strips metadata keys and values, column names and cells,
+        # so none may start or end with whitespace
+        assert f"{space}x{space}".strip() == "x"
+        for meta in ({f"{space}k": "v"}, {f"k{space}": "v"}, {"k": f"{space}v"}, {"k": f"v{space}"}):
+            with pytest.raises(ValueError, match="metadata entry .* whitespace"):
+                ColumnarReport(metadata=meta, data={"a": [1]})
+        for name in (f"{space}a", f"a{space}", space):
+            with pytest.raises(ValueError, match="column name .* whitespace"):
+                ColumnarReport(metadata={}, data={name: [1]})
+        for cell in (f"{space}x", f"x{space}", space, f"{space}x{space}"):
+            # beside "okay" a str array pads the cell; before a cell as wide,
+            # it does not
+            full = np.array([cell, "y" * len(cell)])
+            for column in (np.array(["okay", cell]), full, np.array([cell], object)):
+                with pytest.raises(ValueError, match=r"string cell .* whitespace"):
+                    ColumnarReport(metadata={}, data={"a": column})
+
+    def test_whitespace_list_is_what_strip_removes(self):
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert report_module._WHITESPACE == "".join(c for c in chars if c.isspace())
+
+    def test_inner_whitespace_round_trips(self, tmp_path):
+        path = str(tmp_path / "w.csv")
+        cells = ["a b", "", "x\u3000y", "c\td"]
+        report = ColumnarReport(
+            metadata={"k k": "v v", "e": ""},
+            data={"a b": np.array(cells), "labels": np.array(cells, object)},
+        )
+        write_report(path, report)
+        back = read_report(path)
+        assert back.metadata == {"k k": "v v", "e": ""}
+        assert back.columns == ("a b", "labels")
+        assert [column.tolist() for column in back.data.values()] == [cells, cells]
+
     @pytest.mark.parametrize("cell", ["a\x00b", "\x00a", "a\x00"])
     def test_nul_in_string_cell_rejected(self, cell):
         # a str array drops a trailing NUL, so such a cell would not be
@@ -358,12 +394,12 @@ EDGE_FLOATS = [
     5e-324, 2.5e-310, sys.float_info.min, sys.float_info.max,
     0.0, -0.0, math.nan, math.inf, -math.inf,
 ]
-# Every character a string cell may hold: no surrogate (not UTF-8), comma,
-# '#', NUL or line break.
+# Every text a string cell may hold: no surrogate (not UTF-8), comma, '#',
+# NUL or line break, and no whitespace at either end.
 CELL_TEXT = st.text(
     st.characters(exclude_categories=("Cs",), exclude_characters=",#\x00" + LINE_BREAKS),
     max_size=5,
-)
+).map(str.strip)
 
 
 @st.composite
