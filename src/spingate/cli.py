@@ -267,9 +267,7 @@ def _cmd_odmr_synth(args, run: RunConfig, seed):
 
 
 def _cmd_odmr_fit(args, run, seed):
-    table = read_report(args.input)
-    if tuple(table.columns[:2]) != ("freq_hz", "counts"):
-        raise ParseError(f"{args.input}: expected columns freq_hz,counts")
+    table = read_report(args.input, ("freq_hz", "counts"))
     meta = table.metadata
 
     def number(key: str, default=None) -> float:
@@ -286,8 +284,8 @@ def _cmd_odmr_fit(args, run, seed):
     if meta.get("gate_start_ns", "none") != "none":
         gate = GateWindow(number("gate_start_ns"), number("gate_end_ns"))
     spectrum = OdmrSpectrum(
-        freqs=_numeric_column(args.input, table, "freq_hz"),
-        counts=_numeric_column(args.input, table, "counts"),
+        freqs=table.data["freq_hz"],
+        counts=table.data["counts"],
         integration_per_point=integration,
         gate=gate,
     )
@@ -380,31 +378,11 @@ def _cmd_snr_map(args, run, seed):
     return meta, {"ix": ix.ravel(), "iy": iy.ravel(), "snr": result.values.ravel()}
 
 
-def _numeric_column(path: str, table: ColumnarReport, name: str) -> np.ndarray:
-    """A report column that must be numeric, as read_report typed it.
-    read_report types a column as strings when one of its cells is not a
-    number; ParseError names the first such cell and its data row."""
-    values = table.data[name]
-    if values.dtype.kind in "iuf":
-        return values
-    for row, cell in enumerate(values, start=1):
-        try:
-            float(cell)
-        except ValueError:
-            raise ParseError(
-                f"{path}: column {name}: {str(cell)!r} in data row {row} is not a number"
-            ) from None
-    return values.astype(float)
-
-
 _SCAN_PLANES = ("mw_off_gated", "mw_on_gated", "mw_off_ungated", "mw_on_ungated")
 
 
 def _read_scan(path: str) -> ScanMap:
-    table = read_report(path)
-    expected = ("ix", "iy") + _SCAN_PLANES
-    if tuple(table.columns) != expected:
-        raise ParseError(f"{path}: expected columns {','.join(expected)}")
+    table = read_report(path, ("ix", "iy") + _SCAN_PLANES)
     try:
         nx = int(table.metadata["nx"])
         ny = int(table.metadata["ny"])
@@ -412,16 +390,26 @@ def _read_scan(path: str) -> ScanMap:
         dwell = float(table.metadata.get("dwell_s", 1.0))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: bad or missing scan metadata ({exc})") from exc
-    ix = _numeric_column(path, table, "ix").astype(np.int64)
-    iy = _numeric_column(path, table, "iy").astype(np.int64)
-    outside = np.flatnonzero((ix < 0) | (ix >= nx) | (iy < 0) | (iy >= ny))
+    ix, iy = table.data["ix"], table.data["iy"]
+
+    def pixel(i: int) -> str:
+        return f"{path}: pixel ({format_value(ix[i])}, {format_value(iy[i])})"
+
+    # checked as floats, before the cast to ints, so nan and +-inf fail too
+    fractional = np.flatnonzero((ix != np.floor(ix)) | (iy != np.floor(iy)))
+    if fractional.size:
+        raise ParseError(f"{pixel(fractional[0])} is not an integer index")
+    outside = np.flatnonzero(~((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)))
     if outside.size:
-        i = outside[0]
-        raise ParseError(f"{path}: pixel ({ix[i]}, {iy[i]}) outside the {nx}x{ny} grid")
+        raise ParseError(f"{pixel(outside[0])} outside the {nx}x{ny} grid")
+    flat = iy.astype(np.int64) * nx + ix.astype(np.int64)
+    repeated = np.flatnonzero(np.bincount(flat, minlength=nx * ny)[flat] > 1)
+    if repeated.size:
+        raise ParseError(f"{pixel(repeated[0])} appears in more than one row")
     planes = {}
     for name in _SCAN_PLANES:
         planes[name] = np.full((ny, nx), np.nan)
-        planes[name][iy, ix] = _numeric_column(path, table, name)
+        planes[name].flat[flat] = table.data[name]
     for name, plane in planes.items():
         if np.any(np.isnan(plane)):
             raise ParseError(f"{path}: plane {name} has missing pixels")

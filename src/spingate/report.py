@@ -9,12 +9,10 @@ Format, shared by every file the toolkit emits:
 Each column has one type and one format: floats with "%.17g"
 (17 significant digits, so write -> read -> write is byte-stable), ints in
 decimal and strings as they are. Metadata values are formatted as cells
-are: floats with "%.17g", anything else with str() (format_value). On
-reading, a column is int64 if every cell is an integer literal that fits,
-else float64 if every cell is a float, else strings. Histogram files use the
-same cell formatting in a fixed two-column layout (bin_start_ns,counts) with
-no column header line; their metadata keys are bin_width_ns, rep_rate_hz,
-integration_s and channel.
+are: floats with "%.17g", anything else with str() (format_value). Histogram
+files use the same cell formatting in a fixed two-column layout
+(bin_start_ns,counts) with no column header line; their metadata keys are
+bin_width_ns, rep_rate_hz, integration_s and channel.
 
 All writes go through a temp file in the target directory followed by an
 atomic rename. Rows are written in blocks of WRITE_BLOCK_ROWS, so a file's
@@ -36,19 +34,14 @@ matrix: nan, +-inf, +-0, |x| < 1e-4 (subnormals too) and |x| >= 1e17,
 which "%.17g" writes in e-notation or as words, ints with |v| >= 10**17,
 and strings that are not ASCII.
 
-Reading types the first READ_BLOCK_ROWS lines of a report cell by cell in
-Python, which fixes each column's dtype. If every column is numeric, the
-remaining rows go to numpy's C text parser in one call with those dtypes.
-Its float converter is CPython's PyOS_string_to_double, the routine float()
-itself uses, so where it accepts the rows its values are the per-cell
-values. The per-cell path reads the whole body instead where the C parser
-cannot give the same answer: it refuses a cell that float() or the integer
-grammar takes ("1_000", non-ASCII digits such as "\u0663", a whitespace-only
-line), a row is ragged, a column is strings, or a row where an int column
-reads 0 holds a "-" (the C parser reads "-0" as the int 0; the format reads
-it as the float -0.0). Histogram data rows go to the C parser as two float
-columns, and the per-cell path runs only when it refuses them or a check
-fails, so every ParseError names the first offending line either way.
+Reading takes float64 columns only, under the header the caller expects.
+The data rows go to numpy's C text parser in one call. Its float converter
+is CPython's PyOS_string_to_double, the routine float() uses, so where it
+accepts the rows its values are float()'s. Where it refuses them (a cell it
+does not take, "1_000" or non-ASCII digits among them, a whitespace-only
+line, a ragged row, no rows) or a histogram check fails, one per-line pass
+reads them, one float() per cell, and returns its own values or names the
+first offending line.
 """
 
 from __future__ import annotations
@@ -57,9 +50,7 @@ import array
 import contextlib
 import functools
 import itertools
-import operator
 import os
-import re
 import tempfile
 import warnings
 
@@ -68,13 +59,6 @@ import numpy as np
 from .errors import ParseError
 from .histogram import TcspcHistogram
 from .record import Record
-
-# "-0" is not an int: it is how "%.17g" writes -0.0, and str() of an int never
-# gives it.
-_INT = r"(?:\+?\d+|-0*[1-9]\d*)"
-# A column block's cells joined by commas, every one an integer literal: the
-# literal grammar holds no comma, so one match checks the whole block.
-_INT_BLOCK_RE = re.compile(rf"{_INT}(?:,{_INT})*")
 
 HISTOGRAM_KEYS = ("bin_width_ns", "rep_rate_hz", "integration_s", "channel")
 
@@ -113,10 +97,11 @@ class ColumnarReport(Record):
     column of a few shared labels costs one pointer per row. No metadata
     entry, column name or string cell holds a line break (any str.splitlines
     ends a line at) or starts or ends with whitespace (any str.strip
-    removes), and no string cell holds a comma, '#' or NUL; the reader splits
-    lines and strips entries, names and cells with those. A column is a
-    read-only view of the array it was given, not a copy: a later write to a
-    writeable source array shows through.
+    removes), and no string cell holds a comma, '#' or NUL, so splitting
+    lines and stripping entries, names and cells with those gives them back.
+    No column name is empty, nor a string cell of a one-column report (a
+    blank line). A column is a read-only view of the array it was given, not
+    a copy: a later write to a writeable source array shows through.
     """
 
     metadata: dict[str, str]
@@ -136,13 +121,15 @@ class ColumnarReport(Record):
             meta[key] = value
         object.__setattr__(self, "metadata", meta)
         data = {str(name): np.asarray(values).view() for name, values in dict(self.data).items()}
-        if not data or any(_holds_any(c, "," + _LINE_BREAKS) for c in data):
+        if not data or any(not c or _holds_any(c, "," + _LINE_BREAKS) for c in data):
             raise ValueError("columns must be non-empty names free of commas and line breaks")
         for name in data:
             if name != name.strip():
                 raise ValueError(f"column name {name!r} may not start or end with whitespace")
         for name, values in data.items():
             _check_column(name, values)
+            if len(data) == 1 and values.dtype.kind in "UO" and (values == "").any():
+                raise ValueError(f"column {name!r} is alone, so an empty string cell is a blank line")
             values.setflags(write=False)
         lengths = sorted({values.size for values in data.values()})
         if len(lengths) > 1:
@@ -213,11 +200,6 @@ def _check_column(name: str, values: np.ndarray) -> None:
     if padded:
         raise ValueError(f"string cell {padded[0]!r} may not start or end with whitespace")
 
-
-# Data rows typed per block by the per-cell path, so a file's cells are never
-# all held; the first block of a report fixes the dtypes the C parser reads
-# the rest with.
-READ_BLOCK_ROWS = 4096
 
 # Rows formatted and written per block, so a file's text is never whole in
 # memory.
@@ -490,148 +472,61 @@ def _split_metadata(lines: list[str]):
     return meta, body_start, key_lines
 
 
-_split_cells = operator.methodcaller("split", ",")
-
-
-def _data_lines(lines: list[str], start: int):
-    """Stripped non-blank lines from index start on -> (lines, 1-based line
-    numbers, comma count per line)."""
-    stripped = list(map(str.strip, lines[start:]))
-    numbers = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped)))
-    rows = list(filter(None, stripped))
-    commas = np.fromiter(map(operator.methodcaller("count", ","), rows), np.int64, len(rows))
-    return rows, numbers + start + 1, commas
-
-
-def _ints(cells: list[str]) -> np.ndarray:
-    """Integer literals as int64: ValueError if a cell is not one,
-    OverflowError if one does not fit."""
-    if not _INT_BLOCK_RE.fullmatch(",".join(cells)):
-        raise ValueError("not an integer literal")
-    return np.fromiter(map(int, cells), np.int64, len(cells))
-
-
-def _typed_columns(rows: list[str], k: int) -> list[np.ndarray]:
-    """The k comma-separated cells of each row as k columns: int64 if every
-    cell is an integer literal that fits, else float64 if every cell is a
-    float, else str.
-
-    Rows are split and parsed READ_BLOCK_ROWS at a time, so the file's cells
-    are never all held. Within a block, a column's cells are checked as
-    integer literals by one regex match over the cells joined by commas, and
-    its values are built by np.fromiter over int() or float(), with no
-    interpreted code run per cell. A column starts as int64 and widens to
-    float64 at its first other cell; its int64 blocks convert exactly, since
-    int() and float() both round the same literal's integer to the nearest
-    double. A column with a cell that is not a float is split from the rows
-    again as strings.
-
-    read_report runs this on a report's first READ_BLOCK_ROWS lines, whose
-    dtypes the C parser then reads the rest with, and on the whole body only
-    where the C parser cannot give this function's answer (_numeric_tail).
-    """
-    kinds = ["i"] * k
-    blocks = [[] for _ in range(k)]
-    for start in range(0, len(rows), READ_BLOCK_ROWS):
-        cells = list(map(str.strip, ",".join(rows[start : start + READ_BLOCK_ROWS]).split(",")))
-        for j in range(k):
-            if kinds[j] == "U":
-                continue
-            column = cells[j::k]
-            if kinds[j] == "i":
-                try:
-                    blocks[j].append(_ints(column))
-                    continue
-                except (ValueError, OverflowError):
-                    kinds[j] = "f"
-                    blocks[j] = [b.astype(float) for b in blocks[j]]
-            if kinds[j] == "f":
-                try:
-                    blocks[j].append(np.fromiter(map(float, column), float, len(column)))
-                except ValueError:
-                    kinds[j] = "U"
-    columns = []
-    for j in range(k):
-        if kinds[j] == "U":
-            cells = map(str.strip, map(operator.itemgetter(j), map(_split_cells, rows)))
-            columns.append(np.array(list(cells), dtype=str))
-        else:
-            columns.append(np.concatenate([np.empty(0, np.int64), *blocks[j]]))
-    return columns
-
-
-def _parsed_columns(rows: list[str], dtypes) -> list[np.ndarray] | None:
-    """The comma-separated cells of rows as columns of dtypes, parsed by
+def _loaded_columns(lines: list[str], k: int) -> np.ndarray | None:
+    """The comma-separated rows of lines as a (k, n) float64 array, parsed by
     numpy's C text parser in one call, or None where it refuses them: a cell
-    it cannot convert, a row of another width, a whitespace-only line, or no
-    row at all (a warning counts as a refusal). Empty lines are skipped, as
-    the per-cell path skips them."""
-    dtype = np.dtype([("", dt) for dt in dtypes])
+    it cannot convert, a row of other than k cells, a whitespace-only line,
+    no rows (a warning counts as a refusal). It skips empty lines."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
-    return [table[name] for name in dtype.names]
+    return table.T if table.shape[1] == k else None
 
 
-def _numeric_tail(lines: list[str], start: int, head: list[np.ndarray]) -> list[np.ndarray] | None:
-    """The non-empty lines from index start on, read by the C parser with the
-    dtypes of the typed head columns, or None where the per-cell path must
-    read them: a column of strings, a line the C parser refuses, or a row
-    where an int column reads 0 and that holds a '-' (the C parser reads "-0"
-    as the int 0, where the format reads it as the float -0.0)."""
-    if any(column.dtype.kind == "U" for column in head):
-        return None
-    rows = list(filter(None, itertools.islice(lines, start, None)))
-    tail = _parsed_columns(rows, [column.dtype for column in head])
-    if tail is None:
-        return None
-    zero = np.zeros(len(rows), bool)
-    for column, values in zip(head, tail):
-        if column.dtype.kind == "i":
-            zero |= values == 0
-    if any("-" in rows[i] for i in np.flatnonzero(zero)):
-        return None
-    return tail
+def _per_line(lines: list[str], start: int, k: int):
+    """The per-line pass: the non-blank lines from index start on, stripped,
+    their 1-based numbers, the float() of each cell before the first row
+    that is not k cells or holds a cell float() refuses, as float64, and
+    that ValueError or None. Row values.size // k, if any, is the bad row."""
+    stripped = list(map(str.strip, lines[start:]))
+    numbers = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped))) + start + 1
+    rows = list(filter(None, stripped))
+    good = next((i for i, row in enumerate(rows) if row.count(",") != k - 1), len(rows))
+    values = array.array("d")
+    error = None
+    try:  # extend keeps the values before a bad cell; the cells are never all held
+        values.extend(map(float, itertools.chain.from_iterable(r.split(",") for r in rows[:good])))
+    except ValueError as exc:
+        error = exc
+    return rows, numbers, np.frombuffer(values, count=len(values)), error
 
 
-def _per_cell_columns(lines: list[str], start: int, columns: list[str]) -> list[np.ndarray]:
-    """The data rows of lines from index start on as typed columns, cell by
-    cell; ParseError at the first ragged row."""
-    rows, numbers, commas = _data_lines(lines, start)
-    widths = commas + 1
-    ragged = np.flatnonzero(widths != len(columns))
-    if ragged.size:
-        i = ragged[0]
-        raise ParseError(
-            f"ragged row: {widths[i]} cells against {len(columns)} columns",
-            line=int(numbers[i]),
-        )
-    return _typed_columns(rows, len(columns))
-
-
-def read_report(path: str) -> ColumnarReport:
-    """A report file: its first READ_BLOCK_ROWS data lines typed cell by
-    cell, the rest by the C parser where it gives the per-cell result (see
-    the module docstring). ParseError names the first ragged row's line."""
+def read_report(path: str, columns: tuple[str, ...]) -> ColumnarReport:
+    """A report file whose header names columns, in order, as float64
+    columns. ParseError names the first ragged row or non-numeric cell."""
     lines = _read_lines(path)
     meta, start, _ = _split_metadata(lines)
     if start >= len(lines) or not lines[start].strip():
         raise ParseError("missing column header line", line=start + 1)
-    columns = [c.strip() for c in lines[start].split(",")]
-    if len(set(columns)) != len(columns):
-        raise ParseError(f"duplicate column name in {lines[start]!r}", line=start + 1)
-    head_end = start + 1 + READ_BLOCK_ROWS
-    typed = _per_cell_columns(lines[:head_end], start + 1, columns)
-    if len(lines) > head_end:
-        tail = _numeric_tail(lines, head_end, typed)
-        if tail is None:
-            typed = _per_cell_columns(lines, start + 1, columns)
-        else:
-            typed = [np.concatenate(parts) for parts in zip(typed, tail)]
-    return ColumnarReport(metadata=meta, data=dict(zip(columns, typed)))
+    if [c.strip() for c in lines[start].split(",")] != list(columns):
+        raise ParseError(f"{path}: expected columns {','.join(columns)}")
+    k = len(columns)
+    table = _loaded_columns(lines[start + 1 :], k)
+    if table is None:
+        rows, numbers, values, error = _per_line(lines, start + 1, k)
+        n, j = divmod(values.size, k)
+        if error is not None:
+            cell = rows[n].split(",")[j].strip()
+            message = f"column {columns[j]}: {cell!r} in data row {n + 1} is not a number"
+            raise ParseError(f"{path}: {message}") from error
+        if n < len(rows):
+            cells = rows[n].count(",") + 1
+            raise ParseError(f"ragged row: {cells} cells against {k} columns", line=int(numbers[n]))
+        table = values.reshape(n, k).T
+    return ColumnarReport(metadata=meta, data=dict(zip(columns, table)))
 
 
 def write_histogram(path: str, hist: TcspcHistogram) -> None:
@@ -654,28 +549,14 @@ def _histogram_failures(starts: np.ndarray, counts: np.ndarray, bin_width: float
     )
 
 
-def _per_cell_histogram(lines: list[str], start: int, bin_width: float):
-    """The data lines from index start on, parsed cell by cell, as (bin
-    starts, counts) float64; ParseError names the first offending line."""
-    rows, numbers, commas = _data_lines(lines, start)
+def _per_line_histogram(lines: list[str], start: int, bin_width: float):
+    """(bin starts, counts) by the per-line pass; ParseError names the first
+    offending line, since the checks run on the rows before the bad one."""
+    rows, numbers, values, error = _per_line(lines, start, 2)
     if not rows:
         raise ParseError("no data rows", line=len(lines) + 1)
-    # Each check runs on the lines before the first failure of the one above
-    # it, so the error always names the first offending line.
-    not_pairs = np.flatnonzero(commas != 1)
-    pairs = rows[: not_pairs[0]] if not_pairs.size else rows
-    # cells are split and parsed READ_BLOCK_ROWS rows at a time, never all
-    # held; extend keeps the values before a bad cell
-    values = array.array("d")
-    non_numeric = None
-    for first in range(0, len(pairs), READ_BLOCK_ROWS):
-        try:
-            values.extend(map(float, ",".join(pairs[first : first + READ_BLOCK_ROWS]).split(",")))
-        except ValueError as exc:
-            non_numeric = exc
-            break
-    n = len(values) // 2
-    starts, counts = np.frombuffer(values, count=2 * n).reshape(n, 2).T
+    n = values.size // 2
+    starts, counts = values[: 2 * n].reshape(n, 2).T
     failed = _histogram_failures(starts, counts, bin_width)
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
@@ -686,8 +567,8 @@ def _per_cell_histogram(lines: list[str], start: int, bin_width: float):
             f"negative counts {rows[i].split(',')[1]}",
         )[int(np.argmax(failed[:, i]))]
         raise ParseError(message, line=int(numbers[i]))
-    if non_numeric is not None:
-        raise ParseError(f"non-numeric cell: {non_numeric}", line=int(numbers[n])) from non_numeric
+    if error is not None:
+        raise ParseError(f"non-numeric cell: {error}", line=int(numbers[n])) from error
     if n < len(rows):
         raise ParseError(f"expected 'bin_start_ns,counts', got {rows[n]!r}", line=int(numbers[n]))
     return starts, counts
@@ -700,8 +581,7 @@ def read_histogram(path: str) -> TcspcHistogram:
     The data rows go to numpy's C text parser as two float64 columns in one
     call, and the checks run once over them. Only where the C parser refuses
     the rows (a non-numeric cell, a row that is not a pair, a whitespace-only
-    line, no rows) or a check fails does the per-cell path run: the rows are
-    split and parsed READ_BLOCK_ROWS at a time, one float() per cell, and
+    line, no rows) or a check fails does the per-line pass run, and
     ParseError names the first offending line: a row that is not a
     'bin_start_ns,counts' pair, a non-numeric or non-finite cell, a bin start
     out of order or off the grid, or negative counts. Where both parse a
@@ -720,11 +600,9 @@ def read_histogram(path: str) -> TcspcHistogram:
             raise ParseError(f"non-numeric metadata {key}: {exc}", line=key_lines[key]) from exc
 
     bin_width, rep_rate, integration = map(number, HISTOGRAM_KEYS[:3])
-    channel = meta["channel"]
-
-    parsed = _parsed_columns(lines[start:], (float, float))
+    parsed = _loaded_columns(lines[start:], 2)
     if parsed is None or _histogram_failures(*parsed, bin_width).any():
-        parsed = _per_cell_histogram(lines, start, bin_width)
+        parsed = _per_line_histogram(lines, start, bin_width)
     del lines
     counts = parsed[1]
     if np.all(counts == np.floor(counts)):
@@ -733,7 +611,7 @@ def read_histogram(path: str) -> TcspcHistogram:
         return TcspcHistogram(
             bin_width=bin_width,
             counts=counts,
-            channel=channel,
+            channel=meta["channel"],
             integration_time=integration,
             rep_rate=rep_rate,
         )

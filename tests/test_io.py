@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spingate.config import load_config, parse_config
@@ -28,6 +28,8 @@ from spingate.report import (
     write_histogram,
     write_report,
 )
+
+from report_oracle import oracle_column, read_table
 
 # The characters str.splitlines ends a line at; the reader splits files with it.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -72,7 +74,7 @@ class TestReportRoundTrip:
         path = str(tmp_path / "r.csv")
         report = self.make_report()
         write_report(path, report)
-        back = read_report(path)
+        back = read_table(path)
         assert back.metadata == report.metadata
         assert back.columns == report.columns
         assert back.rows == report.rows
@@ -86,7 +88,7 @@ class TestReportRoundTrip:
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
         write_report(a, self.make_report())
-        write_report(b, read_report(a))
+        write_report(b, read_table(a))
         assert open(a, "rb").read() == open(b, "rb").read()
 
     @pytest.mark.parametrize(
@@ -111,16 +113,16 @@ class TestReportRoundTrip:
         b = str(tmp_path / "b.csv")
         column = np.array([value])
         write_report(a, ColumnarReport(metadata={}, data={"x": column}))
-        back = read_report(a).data["x"]
+        back = (read_report(a, ("x",)) if column.dtype.kind == "f" else read_table(a)).data["x"]
         assert back.dtype == column.dtype
         assert back.tobytes() == column.tobytes()
-        write_report(b, read_report(a))
+        write_report(b, ColumnarReport(metadata={}, data={"x": back}))
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_header_only_report(self, tmp_path):
         path = str(tmp_path / "h.csv")
         write_report(path, ColumnarReport(metadata={"n": "0"}, data={"a": [], "b": []}))
-        back = read_report(path)
+        back = read_report(path, ("a", "b"))
         assert back.rows == ()
         assert back.columns == ("a", "b")
 
@@ -128,23 +130,37 @@ class TestReportRoundTrip:
         path = str(tmp_path / "bad.csv")
         path_obj = tmp_path / "bad.csv"
         path_obj.write_text("# k=v\na,b\n1,2\n3\n")
-        with pytest.raises(ParseError, match="line 4"):
-            read_report(path)
+        with pytest.raises(ParseError, match="line 4: ragged row: 1 cells against 2"):
+            read_report(path, ("a", "b"))
 
     def test_duplicate_column_name(self, tmp_path):
+        # a header that repeats a name is not the header the caller expects
+        path = str(tmp_path / "d.csv")
         (tmp_path / "d.csv").write_text("a,b,a\n1,2,3\n")
-        with pytest.raises(ParseError, match="line 1: duplicate column"):
-            read_report(str(tmp_path / "d.csv"))
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: expected columns a,b,c$"):
+            read_report(path, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("header", ["a", "a,b,c", "b,a", "a,B"])
+    def test_other_header_rejected(self, tmp_path, header):
+        (tmp_path / "o.csv").write_text(f"{header}\n")
+        with pytest.raises(ParseError, match="expected columns a,b$"):
+            read_report(str(tmp_path / "o.csv"), ("a", "b"))
+
+    def test_header_names_stripped(self, tmp_path):
+        (tmp_path / "s.csv").write_text("# k= v \n a , b \n1,2\n")
+        back = read_report(str(tmp_path / "s.csv"), ("a", "b"))
+        assert back.metadata == {"k": "v"}
+        assert back.rows == ((1.0, 2.0),)
 
     def test_missing_header_line(self, tmp_path):
         (tmp_path / "empty.csv").write_text("# k=v\n")
         with pytest.raises(ParseError, match="column header"):
-            read_report(str(tmp_path / "empty.csv"))
+            read_report(str(tmp_path / "empty.csv"), ("a",))
 
     def test_metadata_without_equals(self, tmp_path):
         (tmp_path / "m.csv").write_text("# justakey\na\n1\n")
         with pytest.raises(ParseError, match="lacks '='"):
-            read_report(str(tmp_path / "m.csv"))
+            read_report(str(tmp_path / "m.csv"), ("a",))
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -153,6 +169,10 @@ class TestReportRoundTrip:
             ColumnarReport(metadata={"a=b": "c"}, data={"a": []})
         with pytest.raises(ValueError, match="columns"):
             ColumnarReport(metadata={}, data={})
+        with pytest.raises(ValueError, match="non-empty names"):
+            ColumnarReport(metadata={}, data={"": [1]})
+        with pytest.raises(ValueError, match="non-empty names"):
+            ColumnarReport(metadata={}, data={"a": [1], "": [2]})
         with pytest.raises(ValueError, match="1-D"):
             ColumnarReport(metadata={}, data={"a": [[1, 2]]})
         with pytest.raises(ValueError, match="not ints, floats or strings"):
@@ -241,7 +261,7 @@ class TestReportRoundTrip:
             data={"a b": np.array(cells), "labels": np.array(cells, object)},
         )
         write_report(path, report)
-        back = read_report(path)
+        back = read_table(path)
         assert back.metadata == {"k k": "v v", "e": ""}
         assert back.columns == ("a b", "labels")
         assert [column.tolist() for column in back.data.values()] == [cells, cells]
@@ -262,7 +282,16 @@ class TestReportRoundTrip:
             report = ColumnarReport(metadata={}, data={"t": np.arange(4.0), "channel": column})
             write_report(str(tmp_path / name), report)
         assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
-        assert read_report(str(tmp_path / "o.csv")).data["channel"].tolist() == labels.tolist()
+        assert read_table(tmp_path / "o.csv").data["channel"].tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("cells", [["x", "", "y"], [""], ["", "a"]])
+    def test_empty_cell_of_a_one_column_report_rejected(self, cells):
+        # the cell would be written as a blank line, which a reader skips
+        for column in (np.array(cells), np.array(cells, object)):
+            with pytest.raises(ValueError, match="'a' is alone, so an empty string cell"):
+                ColumnarReport(metadata={}, data={"a": column})
+        # beside another column the row is not blank
+        ColumnarReport(metadata={}, data={"a": np.array(cells), "b": np.zeros(len(cells))})
 
     @pytest.mark.parametrize(
         "cells, match",
@@ -297,7 +326,7 @@ class TestReportRoundTrip:
 
 
 class TestBlocks:
-    """Files written or read in blocks of rows equal those done in one block."""
+    """Files written in blocks of rows equal those written in one block."""
 
     # each column interleaves cells the block formatter's kernels take with
     # cells they refuse to the per-cell path
@@ -347,22 +376,6 @@ class TestBlocks:
                 "0,0,row2,mw_on,nan",
                 "-9223372036854775808,100000000000000000,\u65e5\u672c,mw_off,-0.10000000000000001",
             ]
-
-    def test_read_blocks_widen_each_column(self, tmp_path, monkeypatch):
-        # per column: int then float, float then string, int then an int
-        # past int64, and int throughout; each change falls in a later block
-        path = tmp_path / "w.csv"
-        path.write_text(
-            "a,b,c,d\n1,0.5,1,7\n2,1.5,2,8\n3,2.5,3,9\n4.25,x,99999999999999999999,10\n"
-        )
-        monkeypatch.setattr(report_module, "READ_BLOCK_ROWS", 2)
-        blocked = read_report(str(path))
-        monkeypatch.setattr(report_module, "READ_BLOCK_ROWS", 1000)
-        whole = read_report(str(path))
-        assert [v.dtype.kind for v in whole.data.values()] == ["f", "U", "f", "i"]
-        for name in whole.columns:
-            assert blocked.data[name].dtype == whole.data[name].dtype
-            assert blocked.data[name].tobytes() == whole.data[name].tobytes()
 
 
 # The rows as one "%" operation per block formatted them before the numpy
@@ -428,6 +441,9 @@ class TestCellFormatter:
     @settings(max_examples=400, deadline=None)
     def test_report_bytes_as_percent_formatter(self, tmp_path_factory, data, n, k):
         columns = [data.draw(writer_column(n)) for _ in range(k)]
+        # a one-column report holds no empty string cell, which would be a
+        # blank line
+        assume(k > 1 or columns[0].dtype.kind not in "UO" or not (columns[0] == "").any())
         report = ColumnarReport(
             metadata={"k": k, "x": data.draw(st.floats())},
             data={f"c{j}": column for j, column in enumerate(columns)},
@@ -495,77 +511,73 @@ class TestCellFormatter:
             assert Fraction(math.nextafter(threshold, 0.0)) < power
 
 
-# The per-cell typing rules, kept here as the oracle for the block-wise
-# reader: int64 if every stripped cell is an integer literal that fits, else
-# float64 if float() takes every cell, else str.
-_ORACLE_INT_RE = re.compile(r"\+?\d+|-0*[1-9]\d*")
-
-
-def oracle_column(cells: list[str]) -> np.ndarray:
-    cells = [c.strip() for c in cells]
-    if all(_ORACLE_INT_RE.fullmatch(c) and -(2**63) <= int(c) < 2**63 for c in cells):
-        return np.array([int(c) for c in cells], dtype=np.int64)
-    try:
-        return np.array([float(c) for c in cells], dtype=float)
-    except ValueError:
-        return np.array(cells, dtype=str)
-
-
-INT_CELL = st.one_of(
+# Cells for the reader's float oracle: numbers float() takes, some of which
+# the C parser refuses, and cells that are not numbers.
+FLOAT_CELL = st.one_of(
     st.integers(-(2**70), 2**70).map(str),
-    st.sampled_from(
-        ["+7", "007", "\u0663", " 5 ", "9223372036854775807", "9223372036854775808",
-         "-9223372036854775808", "-9223372036854775809"]
-    ),
+    st.floats().map(repr),
+    st.sampled_from(["-0", "1_000", "\u0663", " 7 ", "+.5", "1e3", "nan", "-inf", "Infinity"]),
 )
 OTHER_CELL = st.one_of(
-    st.floats().map(repr),
-    st.sampled_from(
-        ["-0", "1_000", "nan", "-nan", "inf", "-Infinity", "1e3", ".5", "x", "word", "", "+-1"]
-    ),
+    st.sampled_from(["x", "", "+-1", "1__0", "0x10", "1,5"]),
     st.text(alphabet="0123456789+-._eEinfaxy \u0663", max_size=6),
 )
 
 
-@st.composite
-def typed_column(draw, n):
-    """n integer literals with up to two of them replaced by other cells, so
-    that columns often stay int64 or widen in a late block."""
-    cells = draw(st.lists(INT_CELL, min_size=n, max_size=n))
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-        cells[i] = draw(OTHER_CELL)
-    return cells
+def float_oracle(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
 
 
-class TestTypingOracle:
-    @given(data=st.data(), k=st.integers(2, 4), n=st.integers(1, 10))
+class TestFloatOracle:
+    @given(data=st.data(), k=st.integers(1, 4), n=st.integers(0, 8))
     @settings(max_examples=300, deadline=None)
-    def test_read_report_types_as_per_cell_oracle(self, tmp_path_factory, data, k, n):
-        # two or more columns, so no row is blank; blocks of three rows, so a
-        # column can widen in any block
-        columns = data.draw(st.lists(typed_column(n), min_size=k, max_size=k))
+    def test_read_report_reads_as_float_oracle(self, tmp_path_factory, data, k, n):
+        # every cell float() takes reads as float() reads it; otherwise the
+        # error names the first ragged row or non-numeric cell, row by row
+        rows = data.draw(st.lists(st.lists(FLOAT_CELL, min_size=k, max_size=k), min_size=n,
+                                  max_size=n))
+        for i in data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 if n else 0)):
+            rows[i][data.draw(st.integers(0, k - 1))] = data.draw(OTHER_CELL)
+        names = tuple(f"c{j}" for j in range(k))
         path = tmp_path_factory.mktemp("oracle") / "cells.csv"
-        header = ",".join(f"c{j}" for j in range(k))
-        path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n", "utf-8")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(report_module, "READ_BLOCK_ROWS", 3)
-            got = read_report(str(path))
-        for cells, column in zip(columns, got.data.values()):
-            want = oracle_column(cells)
-            assert column.dtype.kind == want.dtype.kind
-            if want.dtype.kind == "U":
-                assert column.tolist() == want.tolist()
+        lines = [",".join(row) for row in rows]
+        path.write_text("\n".join([",".join(names), *lines]) + "\n", "utf-8")
+        bad = None
+        for i, row in enumerate(line.strip().split(",") for line in lines):
+            if row == [""]:  # a blank line, which the reader skips
+                continue
+            if len(row) != k:
+                bad = f"^line {i + 2}: ragged row: {len(row)} cells against {k} columns$"
             else:
-                assert column.tobytes() == want.tobytes()
+                j = next((j for j, cell in enumerate(row) if float_oracle(cell) is None), None)
+                if j is not None:
+                    number = sum(bool(line.strip()) for line in lines[: i + 1])
+                    cell = re.escape(repr(row[j].strip()))
+                    bad = f"^{re.escape(str(path))}: column c{j}: {cell} in data row {number} "
+                    bad += "is not a number$"
+            if bad:
+                break
+        if bad:
+            with pytest.raises(ParseError, match=bad):
+                read_report(str(path), names)
+            return
+        got = read_report(str(path), names)
+        kept = [line.strip().split(",") for line in lines if line.strip()]
+        for j, column in enumerate(got.data.values()):
+            want = np.array([float(row[j]) for row in kept], dtype=float)
+            assert column.dtype == np.float64
+            assert column.tobytes() == want.tobytes()
 
 
 class TestCParserBoundary:
-    """Cells past the first READ_BLOCK_ROWS rows at the default block size,
-    where read_report hands the rest of the file to numpy's C text parser
-    with the dtypes the first block fixed."""
+    """Cells deep in a file that numpy's C text parser reads in one call, or
+    refuses to the per-line pass."""
 
     N = 5000
-    AT = 4500  # a data row past the first block
+    AT = 4500  # a data row far into the file
 
     def write(self, path, ints, floats, extra=()):
         lines = ["# k=v", "i,x", *map(",".join, zip(ints, floats))]
@@ -576,18 +588,18 @@ class TestCParserBoundary:
     def columns(self):
         return [str(k) for k in range(self.N)], [repr(k / 3) for k in range(self.N)]
 
-    @pytest.mark.parametrize("cell", ["-0", "1_000", "\u0663", "1.5"])
+    @pytest.mark.parametrize("cell", ["-0", "1_000", "\u0663", "1.5", " 7 "])
     def test_int_column_cell_read_as_per_cell_oracle(self, tmp_path, cell):
-        # "-0" reads as the int 0 in the C parser but as the float -0.0 by the
-        # cell grammar; the C parser refuses the other three
-        assert report_module.READ_BLOCK_ROWS < self.AT
+        # a column of integer literals reads as float64, each cell as float()
+        # reads it: the C parser reads "-0" as -0.0 and refuses "1_000" and
+        # "\u0663" to the per-line pass
         ints, floats = self.columns()
         ints[self.AT] = cell
         path = tmp_path / "c.csv"
         self.write(path, ints, floats)
-        got = read_report(str(path))
+        got = read_report(str(path), ("i", "x"))
         for cells, column in zip((ints, floats), got.data.values()):
-            want = oracle_column(cells)
+            want = np.array([float(c) for c in cells])
             assert column.dtype == want.dtype
             assert column.tobytes() == want.tobytes()
 
@@ -596,8 +608,8 @@ class TestCParserBoundary:
         ints, floats = self.columns()
         path = tmp_path / "b.csv"
         self.write(path, ints, floats, [(2 + self.AT, blank)])
-        got = read_report(str(path))
-        assert got.data["i"].tobytes() == oracle_column(ints).tobytes()
+        got = read_report(str(path), ("i", "x"))
+        assert got.data["i"].tobytes() == oracle_column(ints).astype(float).tobytes()
         assert got.data["x"].tobytes() == oracle_column(floats).tobytes()
 
     @pytest.mark.parametrize("blank", [None, "", "   "])
@@ -612,7 +624,7 @@ class TestCParserBoundary:
         self.write(path, ints, floats, extra)
         line = self.AT + 3 + (blank is not None)
         with pytest.raises(ParseError, match=rf"^line {line}: ragged row: 1 cells against 2"):
-            read_report(str(path))
+            read_report(str(path), ("i", "x"))
 
 
 class TestHistogramFiles:
@@ -692,13 +704,14 @@ class TestHistogramFiles:
             ("3", r"line 9: expected 'bin_start_ns,counts', got '3'"),
         ],
     )
-    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, bad_row, match):
+    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, bad_row, match):
+        # the bad row follows good rows and a blank line, and a second bad
+        # row follows it
         text = (
             "# bin_width_ns=1\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
             f"0,5\n1,6\n\n2,7\n{bad_row}\n4,8\n5,x\n"
         )
         (tmp_path / "lb.csv").write_text(text)
-        monkeypatch.setattr(report_module, "READ_BLOCK_ROWS", 2)
         with pytest.raises(ParseError, match=match):
             read_histogram(str(tmp_path / "lb.csv"))
 
