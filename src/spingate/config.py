@@ -204,7 +204,7 @@ def _build_model(entries) -> FluorescenceModel:
         lifetime = _get_scalar(
             entries, "model", "background_lifetime", _parse_float, required=True
         )
-        rep_rate = _peek_rep_rate(entries)
+        rep_rate = _get_scalar(entries, "train", "rep_rate", _parse_float, required=True)
         try:
             amp = background_amplitude(
                 ratio, lifetime, spin0, PulseTrain(rep_rate).period, mode
@@ -227,16 +227,6 @@ def _build_model(entries) -> FluorescenceModel:
         )
     except ValueError as exc:
         raise ConfigError(f"[model] invalid: {exc}") from exc
-
-
-def _peek_rep_rate(entries) -> float:
-    slot = entries.get("train.rep_rate")
-    if slot is None:
-        raise ConfigError("missing required key 'rep_rate' in [train]")
-    try:
-        return float(slot[0].value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 'rep_rate': {exc}", line=slot[0].line) from exc
 
 
 def _build_train(entries) -> PulseTrain:

@@ -68,12 +68,6 @@ _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # A string cell also holds no comma, no '#' (a row starting with one would
 # read as metadata) and no NUL (a str array drops a trailing one).
 _UNSAFE_CELL = ",#\x00" + _LINE_BREAKS
-# The characters str.strip removes, as the reader strips metadata keys and
-# values, column names and cells: none may start or end one.
-_WHITESPACE = (
-    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
-    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-)
 
 
 def _holds_any(text: str, chars: str) -> bool:
@@ -127,9 +121,7 @@ class ColumnarReport(Record):
             if name != name.strip():
                 raise ValueError(f"column name {name!r} may not start or end with whitespace")
         for name, values in data.items():
-            _check_column(name, values)
-            if len(data) == 1 and values.dtype.kind in "UO" and (values == "").any():
-                raise ValueError(f"column {name!r} is alone, so an empty string cell is a blank line")
+            _check_column(name, values, alone=len(data) == 1)
             values.setflags(write=False)
         lengths = sorted({values.size for values in data.values()})
         if len(lengths) > 1:
@@ -146,59 +138,38 @@ class ColumnarReport(Record):
         return tuple(zip(*(values.tolist() for values in self.data.values())))
 
 
-def _check_column(name: str, values: np.ndarray) -> None:
-    kind = values.dtype.kind
+def _check_column(name: str, values: np.ndarray, alone: bool) -> None:
     if values.ndim != 1:
         raise ValueError(f"column {name!r} must be 1-D")
-    if kind == "O":
-        # a column of shared label strings: each distinct label is checked
-        # once, in order of first occurrence
-        try:
-            labels = list(dict.fromkeys(values))
-        except TypeError:  # an unhashable item, so not a string
-            labels = None
-        if labels is None or not all(isinstance(label, str) for label in labels):
-            raise ValueError(f"column {name!r} holds objects that are not strings")
-        unsafe = [label for label in labels if _holds_any(label, _UNSAFE_CELL)]
-        padded = [label for label in labels if label != label.strip()]
-    elif kind == "U":
-        # the cells' code points, width of them per cell; a str array keeps
-        # no trailing NUL, so a NUL is a zero followed by a non-zero in a cell
-        width = values.itemsize // 4
-        codes = np.ascontiguousarray(values).view(np.uint32)
-        unsafe_codes = [ord(c) for c in _UNSAFE_CELL]
-        space_codes = [ord(c) for c in _WHITESPACE]
-        lookup = np.zeros(max(unsafe_codes + space_codes) + 2, np.uint8)
-        lookup[unsafe_codes] = 1
-        lookup[space_codes] |= 2
-        lookup[0] = 0  # the padding; a NUL inside a cell is found below
-        classes = np.take(lookup, np.minimum(codes, lookup.size - 1))
-        zero = codes == 0
-        nul = zero[:-1] & ~zero[1:]
-        nul[width - 1 :: width] = False  # a pair across two cells
-        bad = (classes & 1).view(bool)
-        bad[:-1] |= nul
-        unsafe = values[np.flatnonzero(bad)[:1] // width].tolist()
-        # a cell's first code point, and its last: the one the padding or
-        # the next cell follows
-        outer = np.ones(codes.size, bool)
-        outer[:-1] = zero[1:]
-        outer[width - 1 :: width] = True
-        outer[::width] = True
-        outer &= (classes & 2).view(bool)
-        padded = values[np.flatnonzero(outer)[:1] // width].tolist()
-    elif kind == "b":
+    kind = values.dtype.kind
+    if kind == "b":
         raise ValueError("boolean cells are ambiguous; use 0/1")
-    elif kind not in "iuf":
+    if kind not in "iufUO":
         raise ValueError(f"column {name!r} holds {values.dtype}, not ints, floats or strings")
-    else:
-        unsafe = padded = []
+    if kind in "iuf":
+        return
+    # a str array or an object array of labels: each distinct cell is
+    # checked once, in order of first occurrence, as metadata entries and
+    # column names are. The cells are listed one write block at a time, so
+    # no list of the whole column is ever held.
+    cells = {}
+    try:
+        for start in range(0, values.size, WRITE_BLOCK_ROWS):
+            cells.update(dict.fromkeys(values[start : start + WRITE_BLOCK_ROWS].tolist()))
+    except TypeError:  # an unhashable item, so not a string
+        cells = None
+    if cells is None or not all(isinstance(cell, str) for cell in cells):
+        raise ValueError(f"column {name!r} holds objects that are not strings")
+    unsafe = [cell for cell in cells if _holds_any(cell, _UNSAFE_CELL)]
     if unsafe:
         raise ValueError(
             f"string cell {unsafe[0]!r} may not contain comma, '#', NUL or a line break"
         )
+    padded = [cell for cell in cells if cell != cell.strip()]
     if padded:
         raise ValueError(f"string cell {padded[0]!r} may not start or end with whitespace")
+    if alone and "" in cells:
+        raise ValueError(f"column {name!r} is alone, so an empty string cell is a blank line")
 
 
 # Rows formatted and written per block, so a file's text is never whole in
@@ -220,12 +191,6 @@ def _atomic_file(path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text as UTF-8 via a same-directory temp file and atomic rename."""
-    with _atomic_file(path) as handle:
-        handle.write(text.encode("utf-8"))
 
 
 # The smallest double >= 10**j for j = -4 ... 20; for j >= 0 it is 10**j

@@ -21,7 +21,6 @@ from spingate import report as report_module
 from spingate.report import (
     HISTOGRAM_KEYS,
     ColumnarReport,
-    atomic_write_text,
     format_value,
     read_histogram,
     read_report,
@@ -249,10 +248,6 @@ class TestReportRoundTrip:
                 with pytest.raises(ValueError, match=r"string cell .* whitespace"):
                     ColumnarReport(metadata={}, data={"a": column})
 
-    def test_whitespace_list_is_what_strip_removes(self):
-        chars = map(chr, range(sys.maxunicode + 1))
-        assert report_module._WHITESPACE == "".join(c for c in chars if c.isspace())
-
     def test_inner_whitespace_round_trips(self, tmp_path):
         path = str(tmp_path / "w.csv")
         cells = ["a b", "", "x\u3000y", "c\td"]
@@ -308,12 +303,35 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError, match=match):
             ColumnarReport(metadata={}, data={"a": column})
 
+    @pytest.mark.parametrize(
+        "last, match",
+        [
+            ("x#y", r"'x#y' may not contain"),
+            (" x", r"' x' may not start or end"),
+            ("", "is alone"),
+            (1, "not strings"),
+        ],
+    )
+    def test_cells_checked_past_the_first_write_block(self, monkeypatch, last, match):
+        # the distinct cells are gathered block by block; an unsafe cell
+        # is named ahead of an earlier padded one
+        monkeypatch.setattr(report_module, "WRITE_BLOCK_ROWS", 2)
+        cells = ["a", "b", "a", "b", last]
+        if last == "x#y":
+            cells.insert(1, " p")
+        column = np.empty(len(cells), dtype=object)
+        column[:] = cells
+        columns = [column] if isinstance(last, int) else [column, np.array(cells)]
+        for values in columns:
+            with pytest.raises(ValueError, match=match):
+                ColumnarReport(metadata={}, data={"a": values})
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        path = str(tmp_path / "t.txt")
-        atomic_write_text(path, "one\n")
-        atomic_write_text(path, "two\n")
-        assert open(path).read() == "two\n"
-        assert glob.glob(str(tmp_path / ".tmp-*")) == []
+        path = str(tmp_path / "t.csv")
+        write_report(path, ColumnarReport(metadata={}, data={"a": [1]}))
+        write_report(path, ColumnarReport(metadata={}, data={"a": [2]}))
+        assert open(path).read() == "a\n2\n"
+        assert glob.glob(str(tmp_path / ".tmp-*~")) == []
 
     def test_failed_write_cleans_up(self, tmp_path, monkeypatch):
         def boom(src, dst):
@@ -321,8 +339,24 @@ class TestReportRoundTrip:
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
-            atomic_write_text(str(tmp_path / "x.txt"), "data")
+            write_report(str(tmp_path / "x.csv"), ColumnarReport(metadata={}, data={"a": [1]}))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("char", LINE_BREAKS)
+    def test_reader_ends_a_line_at_each_line_break(self, tmp_path, char):
+        # the readers split files as str.splitlines does, not only at "\n"
+        path = tmp_path / "r.csv"
+        path.write_text(f"a,b\n1{char},2\n", "utf-8")
+        with pytest.raises(ParseError, match=r"^line 2: ragged row: 1 cells against 2"):
+            read_report(str(path), ("a", "b"))
+        path.write_text(f"a,b\n1,2{char}3,4\n", "utf-8")
+        assert read_report(str(path), ("a", "b")).rows == ((1.0, 2.0), (3.0, 4.0))
+        meta = "# bin_width_ns=25\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
+        path.write_text(f"{meta}0{char},5\n", "utf-8")
+        with pytest.raises(ParseError, match=r"^line 5: expected 'bin_start_ns,counts', got '0'"):
+            read_histogram(str(path))
+        path.write_text(f"{meta}0,5{char}25,6\n", "utf-8")
+        assert read_histogram(str(path)).counts.tolist() == [5, 6]
 
 
 class TestBlocks:
@@ -869,6 +903,19 @@ class TestConfig:
     def test_missing_rep_rate(self):
         with pytest.raises(ConfigError, match="rep_rate"):
             parse_config("[model]\nspin0 = 1, 12\nspin1 = 1, 8\n")
+
+    def test_background_ratio_reads_rep_rate(self):
+        # the ratio's background amplitude needs the period before [train]
+        # is built, with the same messages
+        model = (
+            "[model]\nspin0 = 1, 12\nspin1 = 1, 8\n"
+            "background_ratio = 3\nbackground_lifetime = 1.7\n"
+        )
+        with pytest.raises(ConfigError, match=r"missing required key 'rep_rate' in \[train\]"):
+            parse_config(model)
+        with pytest.raises(ConfigError, match="line 7: bad value for 'rep_rate'") as err:
+            parse_config(model + "[train]\nrep_rate = fast\n")
+        assert err.value.line == 7
 
     def test_malformed_section_header(self):
         with pytest.raises(ConfigError, match="malformed section"):
