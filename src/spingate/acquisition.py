@@ -41,7 +41,7 @@ from .decay import (
 )
 from .histogram import TcspcHistogram
 from .metrics import CountPair, snr
-from .record import Record, replace
+from .record import Record, frozen_array, replace
 
 CHANNEL_OFF = 0
 CHANNEL_ON = 1
@@ -365,10 +365,7 @@ class McSnrResult(Record):
     analytic: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", frozen_array(self.samples))
 
 
 def mc_snr_distribution(

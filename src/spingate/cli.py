@@ -402,14 +402,17 @@ def _read_scan(path: str) -> ScanMap:
     outside = np.flatnonzero(~((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)))
     if outside.size:
         raise ParseError(f"{pixel(outside[0])} outside the {nx}x{ny} grid")
+    # sorted by pixel, so nothing is allocated by the header's nx * ny: a
+    # repeat sits next to its pixel's first row, and without repeats only
+    # nx * ny rows fill the grid
     flat = iy.astype(np.int64) * nx + ix.astype(np.int64)
-    repeated = np.flatnonzero(np.bincount(flat, minlength=nx * ny)[flat] > 1)
-    if repeated.size:
-        raise ParseError(f"{pixel(repeated[0])} appears in more than one row")
-    planes = {}
-    for name in _SCAN_PLANES:
-        planes[name] = np.full((ny, nx), np.nan)
-        planes[name].flat[flat] = table.data[name]
+    order = np.argsort(flat, kind="stable")
+    repeats = flat[order[1:]] == flat[order[:-1]]
+    if repeats.any():
+        raise ParseError(f"{pixel(order[:-1][repeats].min())} appears in more than one row")
+    if flat.size < nx * ny:
+        raise ParseError(f"{path}: plane {_SCAN_PLANES[0]} has missing pixels")
+    planes = {name: table.data[name][order].reshape(ny, nx) for name in _SCAN_PLANES}
     for name, plane in planes.items():
         if np.any(np.isnan(plane)):
             raise ParseError(f"{path}: plane {name} has missing pixels")

@@ -20,12 +20,21 @@ Component keys (spin0/spin1/background) repeat, one `amplitude, lifetime
 `background_ratio`, `background_ratio_mode` (amplitude|integrated) and
 `background_lifetime` derive the amplitude from a background:signal ratio.
 `period_grid = start:stop:step` (ns) is the reciprocal alternative to
-rate_grid. Unknown sections or keys are rejected with their line number, as
-is any value that violates a model invariant: a config either parses into
-valid domain objects or fails loudly.
+rate_grid. A line starting with `#` or `;` is a comment; a value holds no
+comment.
+
+A key the file omits takes the default of the record field it sets (see
+`_KEYS`), and every number must be finite. Each value is converted on its
+line, so an unknown section or key, or a value that does not convert, is
+rejected with the number of the first such line. The records are then built
+from the keys the file gave, and a value that violates a record invariant is
+rejected there: a config either parses into valid domain objects or fails
+loudly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,33 +42,7 @@ from .decay import DecayComponent, FluorescenceModel, PulseTrain
 from .errors import ConfigError
 from .presets import background_amplitude
 from .record import Record
-from .sweep import POWER_MODES, SweepConfig
-
-_COMPONENT_KEYS = ("spin0", "spin1", "background")
-
-_SECTION_KEYS = {
-    "model": set(_COMPONENT_KEYS)
-    | {
-        "background_ratio",
-        "background_ratio_mode",
-        "background_lifetime",
-        "dark_rate",
-        "irf_sigma",
-        "pulse_time",
-        "c_sat",
-    },
-    "train": {"rep_rate", "reference_rate", "power_mode"},
-    "sweep": {
-        "integration_time",
-        "mw_duty",
-        "tau_c_step",
-        "tau_c_max",
-        "linewidth",
-        "rate_grid",
-        "period_grid",
-    },
-    "io": {"seed", "out"},
-}
+from .sweep import SweepConfig
 
 
 class RunConfig(Record):
@@ -85,42 +68,107 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def parse_config(text: str) -> RunConfig:
-    entries = _tokenize(text)
-    model = _build_model(entries)
-    train = _build_train(entries)
-    sweep = _build_sweep(entries, model, train)
-    seed = _get_scalar(entries, "io", "seed", _parse_int, default=None)
-    out = _get_scalar(entries, "io", "out", str, default=None)
-    _reject_unused(entries)
-    return RunConfig(model=model, train=train, sweep=sweep, seed=seed, out=out)
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
 
 
-class _Entry:
-    __slots__ = ("value", "line", "used")
-
-    def __init__(self, value: str, line: int):
-        self.value = value
-        self.line = line
-        self.used = False
+def _seed(text: str) -> int:
+    value = int(text, 0)
+    if value < 0:
+        raise ValueError("seed must be non-negative")
+    return value
 
 
-def _tokenize(text: str) -> dict[str, list[_Entry]]:
-    """Flatten to {"section.key": [entries]}, rejecting unknown names."""
-    entries: dict[str, list[_Entry]] = {}
+def _component(text: str) -> DecayComponent:
+    parts = text.split(",", 2)
+    if len(parts) < 2:
+        raise ValueError(f"component needs 'amplitude, lifetime[, label]', got {text!r}")
+    try:
+        amplitude, lifetime = _number(parts[0]), _number(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"bad component numbers: {exc}") from exc
+    label = parts[2].strip() if len(parts) == 3 else ""
+    return DecayComponent(amplitude, lifetime, label)
+
+
+def _rate_grid(text: str) -> tuple[float, ...]:
+    values = tuple(_number(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError("empty grid")
+    return values
+
+
+def _period_grid(text: str) -> tuple[float, ...]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("period_grid must be 'start:stop:step' in ns")
+    start, stop, step = (_number(p) for p in parts)
+    if step <= 0 or stop < start or start <= 0:
+        raise ValueError("period_grid needs 0 < start <= stop and step > 0")
+    periods = np.arange(start, stop + 0.5 * step, step)
+    return tuple(1e9 / p for p in periods)
+
+
+# "section.key" -> (target, field, parser). The targets are the records
+# FluorescenceModel ("model"), PulseTrain ("train") and SweepConfig
+# ("sweep"), background_amplitude's arguments ("ratio") and RunConfig's seed
+# and out ("io"). A component key repeats and collects a tuple.
+_KEYS = {
+    "model.spin0": ("model", "spin0", _component),
+    "model.spin1": ("model", "spin1", _component),
+    "model.background": ("model", "background", _component),
+    "model.background_ratio": ("ratio", "ratio", _number),
+    "model.background_ratio_mode": ("ratio", "mode", str),
+    "model.background_lifetime": ("ratio", "bg_lifetime", _number),
+    "model.dark_rate": ("model", "dark_rate", _number),
+    "model.irf_sigma": ("model", "irf_sigma", _number),
+    "model.pulse_time": ("model", "pulse_time", _number),
+    "model.c_sat": ("sweep", "c_sat", _number),
+    "train.rep_rate": ("train", "rep_rate", _number),
+    "train.reference_rate": ("sweep", "reference_rate", _number),
+    "train.power_mode": ("sweep", "power_mode", str),
+    "sweep.integration_time": ("sweep", "integration_time", _number),
+    "sweep.mw_duty": ("sweep", "mw_duty", _number),
+    "sweep.tau_c_step": ("sweep", "tau_c_resolution", _number),
+    "sweep.tau_c_max": ("sweep", "tau_c_max", _number),
+    "sweep.linewidth": ("sweep", "linewidth", _number),
+    "sweep.rate_grid": ("sweep", "rate_grid", _rate_grid),
+    "sweep.period_grid": ("sweep", "rate_grid", _period_grid),
+    "io.seed": ("io", "seed", _seed),
+    "io.out": ("io", "out", str),
+}
+_SECTIONS = {name.split(".")[0] for name in _KEYS}
+
+# pairs of keys that exclude each other, and how the message names them
+_EITHER = (
+    (
+        "model.background",
+        "model.background_ratio",
+        "explicit background components or background_ratio",
+    ),
+    ("sweep.rate_grid", "sweep.period_grid", "rate_grid or period_grid"),
+)
+
+
+def _tokenize(text: str) -> tuple[dict[str, dict], dict[str, int]]:
+    """The converted values by target and field, and each key's first line."""
+    given: dict[str, dict] = {target: {} for target, _, _ in _KEYS.values()}
+    lines: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ConfigError(f"malformed section header {line!r}", line=lineno)
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(
-                    f"unknown section [{section}], expected one of "
-                    f"{sorted(_SECTION_KEYS)}",
+                    f"unknown section [{section}], expected one of {sorted(_SECTIONS)}",
                     line=lineno,
                 )
             continue
@@ -129,172 +177,60 @@ def _tokenize(text: str) -> dict[str, list[_Entry]]:
         if section is None:
             raise ConfigError("key outside of any [section]", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[section]:
+        name = f"{section}.{key}"
+        if name not in _KEYS:
             raise ConfigError(f"unknown key '{key}' in [{section}]", line=lineno)
-        if key not in _COMPONENT_KEYS and f"{section}.{key}" in entries:
+        target, field, parse = _KEYS[name]
+        repeats = parse is _component
+        if name in lines and not repeats:
             raise ConfigError(f"duplicate key '{key}' in [{section}]", line=lineno)
-        entries.setdefault(f"{section}.{key}", []).append(_Entry(value, lineno))
-    return entries
+        lines.setdefault(name, lineno)
+        for first, second, either in _EITHER:
+            if name in (first, second) and first in lines and second in lines:
+                raise ConfigError(f"give either {either}, not both", line=lineno)
+        try:
+            value = parse(value)
+        except ValueError as exc:
+            message = str(exc) if repeats else f"bad value for '{key}': {exc}"
+            raise ConfigError(message, line=lineno) from exc
+        fields = given[target]
+        fields[field] = fields.get(field, ()) + (value,) if repeats else value
+    return given, lines
 
 
-def _get_scalar(entries, section, key, convert, default=None, required=False):
-    slot = entries.get(f"{section}.{key}")
-    if slot is None:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in [{section}]")
-        return default
-    entry = slot[0]
-    entry.used = True
+def _record(cls, fields: dict, section: str):
     try:
-        return convert(entry.value)
-    except ConfigError:
-        raise
+        return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"bad value for '{key}': {exc}", line=entry.line) from exc
+        raise ConfigError(f"[{section}] invalid: {exc}") from exc
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    value = int(text, 0)
-    if value < 0:
-        raise ValueError("seed must be non-negative")
-    return value
-
-
-def _parse_components(entries, section, key) -> tuple[DecayComponent, ...]:
-    comps = []
-    for entry in entries.get(f"{section}.{key}", []):
-        entry.used = True
-        parts = entry.value.split(",", 2)
-        if len(parts) < 2:
-            raise ConfigError(
-                f"component needs 'amplitude, lifetime[, label]', got {entry.value!r}",
-                line=entry.line,
-            )
-        try:
-            amplitude = float(parts[0])
-            lifetime = float(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad component numbers: {exc}", line=entry.line) from exc
-        label = parts[2].strip() if len(parts) == 3 else ""
-        try:
-            comps.append(DecayComponent(amplitude, lifetime, label))
-        except ValueError as exc:
-            raise ConfigError(str(exc), line=entry.line) from exc
-    return tuple(comps)
-
-
-def _build_model(entries) -> FluorescenceModel:
-    spin0 = _parse_components(entries, "model", "spin0")
-    spin1 = _parse_components(entries, "model", "spin1")
-    if not spin0 or not spin1:
-        raise ConfigError("[model] requires at least one spin0 and one spin1 component")
-    background = _parse_components(entries, "model", "background")
-
-    ratio = _get_scalar(entries, "model", "background_ratio", _parse_float)
-    if ratio is not None:
-        if background:
-            raise ConfigError(
-                "give either explicit background components or background_ratio, not both"
-            )
-        mode = _get_scalar(entries, "model", "background_ratio_mode", str, default="amplitude")
-        lifetime = _get_scalar(
-            entries, "model", "background_lifetime", _parse_float, required=True
+def parse_config(text: str) -> RunConfig:
+    given, lines = _tokenize(text)
+    model, ratio = given["model"], given["ratio"]
+    if ratio and "ratio" not in ratio:
+        # lines holds the keys in file order, so this names the first orphan
+        name = next(name for name in lines if _KEYS[name][0] == "ratio")
+        raise ConfigError(
+            f"key '{name.split('.')[1]}' in [model] has no effect without its companion keys",
+            line=lines[name],
         )
-        rep_rate = _get_scalar(entries, "train", "rep_rate", _parse_float, required=True)
+    if "spin0" not in model or "spin1" not in model:
+        raise ConfigError("[model] requires at least one spin0 and one spin1 component")
+    if ratio and "bg_lifetime" not in ratio:
+        raise ConfigError("missing required key 'background_lifetime' in [model]")
+    if "rep_rate" not in given["train"]:
+        raise ConfigError("missing required key 'rep_rate' in [train]")
+    train = _record(PulseTrain, given["train"], "train")
+    if ratio:
         try:
-            amp = background_amplitude(
-                ratio, lifetime, spin0, PulseTrain(rep_rate).period, mode
-            )
-            background = (DecayComponent(amp, lifetime, "background"),)
+            amplitude = background_amplitude(spin0=model["spin0"], period=train.period, **ratio)
+            model["background"] = (DecayComponent(amplitude, ratio["bg_lifetime"], "background"),)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    dark = _get_scalar(entries, "model", "dark_rate", _parse_float, default=0.0)
-    sigma = _get_scalar(entries, "model", "irf_sigma", _parse_float, default=0.0)
-    pulse_time = _get_scalar(entries, "model", "pulse_time", _parse_float, default=0.0)
-    try:
-        return FluorescenceModel(
-            spin0=spin0,
-            spin1=spin1,
-            background=background,
-            dark_rate=dark,
-            irf_sigma=sigma,
-            pulse_time=pulse_time,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[model] invalid: {exc}") from exc
-
-
-def _build_train(entries) -> PulseTrain:
-    rep_rate = _get_scalar(entries, "train", "rep_rate", _parse_float, required=True)
-    try:
-        return PulseTrain(rep_rate)
-    except ValueError as exc:
-        raise ConfigError(f"[train] invalid: {exc}") from exc
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(",") if part.strip())
-    if not values:
-        raise ValueError("empty grid")
-    return values
-
-
-def _parse_period_grid(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("period_grid must be 'start:stop:step' in ns")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start or start <= 0:
-        raise ValueError("period_grid needs 0 < start <= stop and step > 0")
-    periods = np.arange(start, stop + 0.5 * step, step)
-    return tuple(1e9 / p for p in periods)
-
-
-def _build_sweep(entries, model: FluorescenceModel, train: PulseTrain) -> SweepConfig:
-    rate_grid = _get_scalar(entries, "sweep", "rate_grid", _parse_grid)
-    period_grid = _get_scalar(entries, "sweep", "period_grid", _parse_period_grid)
-    if rate_grid is not None and period_grid is not None:
-        raise ConfigError("give either rate_grid or period_grid, not both")
-    kwargs = dict(
-        integration_time=_get_scalar(
-            entries, "sweep", "integration_time", _parse_float, default=1.0
-        ),
-        mw_duty=_get_scalar(entries, "sweep", "mw_duty", _parse_float, default=0.5),
-        tau_c_resolution=_get_scalar(
-            entries, "sweep", "tau_c_step", _parse_float, default=0.1
-        ),
-        tau_c_max=_get_scalar(entries, "sweep", "tau_c_max", _parse_float),
-        rate_grid=rate_grid if rate_grid is not None else period_grid,
-        linewidth=_get_scalar(entries, "sweep", "linewidth", _parse_float),
-        c_sat=_get_scalar(entries, "model", "c_sat", _parse_float, default=0.15),
-        power_mode=_get_scalar(
-            entries, "train", "power_mode", str, default="constant-pulse-energy"
-        ),
-        reference_rate=_get_scalar(
-            entries, "train", "reference_rate", _parse_float, default=40e6
-        ),
+    return RunConfig(
+        model=_record(FluorescenceModel, model, "model"),
+        train=train,
+        sweep=_record(SweepConfig, given["sweep"], "sweep"),
+        **given["io"],
     )
-    if kwargs["power_mode"] not in POWER_MODES:
-        raise ConfigError(
-            f"[train] power_mode must be one of {POWER_MODES}, got {kwargs['power_mode']!r}"
-        )
-    try:
-        return SweepConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[sweep] invalid: {exc}") from exc
-
-
-def _reject_unused(entries) -> None:
-    for name, slots in entries.items():
-        for entry in slots:
-            if not entry.used:
-                section, key = name.split(".", 1)
-                raise ConfigError(
-                    f"key '{key}' in [{section}] has no effect without its companion keys",
-                    line=entry.line,
-                )

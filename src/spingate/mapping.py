@@ -15,15 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .record import Record
+from .record import Record, frozen_array
 
 CHANNEL_KINDS = ("gated", "ungated")
-
-
-def _plane(arr) -> np.ndarray:
-    out = np.asarray(arr, dtype=float).copy()
-    out.setflags(write=False)
-    return out
 
 
 class ScanMap(Record):
@@ -44,7 +38,7 @@ class ScanMap(Record):
         planes = {}
         shape = None
         for name in ("mw_off_gated", "mw_on_gated", "mw_off_ungated", "mw_on_ungated"):
-            p = _plane(getattr(self, name))
+            p = frozen_array(getattr(self, name))
             if p.ndim != 2 or p.size == 0:
                 raise ValueError(f"{name} must be a non-empty 2-D array")
             if np.any(p < 0):
@@ -83,8 +77,8 @@ class SnrMap(Record):
     method: str = "catmull-rom"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        flags = np.asarray(self.zero_flags, dtype=bool).copy()
+        values = frozen_array(self.values)
+        flags = frozen_array(self.zero_flags, bool)
         if values.ndim != 2 or flags.ndim != 2:
             raise ValueError("values and zero_flags must be 2-D")
         if not np.all(np.isfinite(values)):
@@ -93,8 +87,6 @@ class SnrMap(Record):
             raise ValueError("factor must be >= 1")
         if values.shape != (flags.shape[0] * self.factor, flags.shape[1] * self.factor):
             raise ValueError("values shape must be pixel shape times factor")
-        values.setflags(write=False)
-        flags.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "zero_flags", flags)
 

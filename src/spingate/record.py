@@ -9,12 +9,16 @@ positionally or by keyword and then calls __post_init__, which may
 normalise a field with object.__setattr__; assignment and deletion raise
 FrozenRecordError; two records are equal when they are of the same class
 and their field tuples are equal, and a record hashes as its field tuple;
-the repr is "Name(field=value, ...)".
+the repr is "Name(field=value, ...)". frozen_array stores an array field as
+a read-only copy, so the record neither shares memory with nor freezes the
+array its caller passed.
 """
 
 from __future__ import annotations
 
 import inspect
+
+import numpy as np
 
 
 class FrozenRecordError(AttributeError):
@@ -90,6 +94,13 @@ class Record:
         state = self.__dict__
         fields = ", ".join(f"{name}={state[name]!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values as an array of dtype."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def replace(record: Record, **changes) -> Record:

@@ -23,7 +23,7 @@ from .metrics import (
     sensitivity_cw,
     snr,
 )
-from .record import Record
+from .record import Record, frozen_array
 
 POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
 
@@ -57,7 +57,7 @@ class SweepConfig(Record):
         if not 0 <= self.c_sat < 1:
             raise ValueError("c_sat must be in [0, 1)")
         if self.power_mode not in POWER_MODES:
-            raise ValueError(f"unknown power mode {self.power_mode!r}, expected one of {POWER_MODES}")
+            raise ValueError(f"power_mode must be one of {POWER_MODES}, got {self.power_mode!r}")
         if self.linewidth is not None and not self.linewidth > 0:
             raise ValueError("linewidth must be > 0 when given")
         if not self.reference_rate > 0:
@@ -79,12 +79,6 @@ class SweepConfig(Record):
         return self.integration_time * self.mw_duty
 
 
-def _as_readonly(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 class GateSweepReport(Record):
     """Figure-of-merit columns over a gate-onset grid."""
 
@@ -98,9 +92,9 @@ class GateSweepReport(Record):
 
     def __post_init__(self):
         for name in ("tau_c_grid", "contrast", "shot_noise", "snr", "ef"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
         if self.eta is not None:
-            object.__setattr__(self, "eta", _as_readonly(self.eta))
+            object.__setattr__(self, "eta", frozen_array(self.eta))
         n = self.tau_c_grid.size
         lengths = [self.contrast.size, self.shot_noise.size, self.snr.size, self.ef.size]
         if self.eta is not None:
@@ -126,10 +120,10 @@ class RepRateSweepReport(Record):
 
     def __post_init__(self):
         for name in ("rate_grid", "snr_ungated", "snr_gated", "tau_c_opt"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
         for name in ("eta_ungated", "eta_gated"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+                object.__setattr__(self, name, frozen_array(getattr(self, name)))
         if self.mode not in POWER_MODES:
             raise ValueError(f"unknown power mode {self.mode!r}")
         n = self.rate_grid.size

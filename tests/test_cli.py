@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spingate
-from spingate import odmr
+from spingate import cli, odmr
 from spingate.cli import main
 from spingate.decay import GateWindow, PulseTrain, gated_counts
+from spingate.errors import ParseError
 from spingate.presets import bulk_model
 from spingate.report import read_histogram, read_report
 
@@ -508,6 +510,23 @@ class TestSnrMapCommand:
         assert run_cli("snr-map", "--input", str(scan), "--channel", "gated", "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {scan}: {problem}\n"
         assert not out.exists()
+
+    def test_scan_header_allocates_nothing_per_declared_pixel(self, tmp_path):
+        # one row under a 2000x2000 header: the pixels are counted before any
+        # grid-sized array exists
+        scan = tmp_path / "scan.csv"
+        scan.write_text(
+            "# nx=2000\n# ny=2000\nix,iy,mw_off_gated,mw_on_gated,mw_off_ungated,mw_on_ungated\n"
+            "0,0,1,1,1,1\n"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="plane mw_off_gated has missing pixels"):
+                cli._read_scan(str(scan))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_duplicate_pixel_rejected(self, tmp_path, capsys):
         # a second row for pixel (0, 0) once overwrote the first

@@ -15,9 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spingate.config import load_config, parse_config
+from spingate.decay import FluorescenceModel
 from spingate.errors import ConfigError, ParseError
 from spingate.histogram import TcspcHistogram
 from spingate import report as report_module
+from spingate.sweep import SweepConfig
 from spingate.report import (
     HISTOGRAM_KEYS,
     ColumnarReport,
@@ -936,3 +938,44 @@ class TestConfig:
     def test_component_invariants_enforced(self):
         with pytest.raises(ConfigError, match="lifetime"):
             parse_config("[model]\nspin0 = 1, -5\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n")
+
+    def test_absent_keys_take_the_record_defaults(self):
+        cfg = parse_config("[model]\nspin0 = 1, 12\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n")
+        assert cfg.sweep == SweepConfig()
+        assert cfg.model == FluorescenceModel(spin0=cfg.model.spin0, spin1=cfg.model.spin1)
+        assert (cfg.seed, cfg.out) == (None, None)
+
+    @pytest.mark.parametrize(
+        "line, where, cell",
+        [
+            ("[sweep]\nintegration_time = inf", "bad value for 'integration_time'", "inf"),
+            ("[sweep]\ntau_c_step = inf", "bad value for 'tau_c_step'", "inf"),
+            ("[sweep]\nlinewidth = -inf", "bad value for 'linewidth'", "-inf"),
+            ("[sweep]\nrate_grid = nan, 2e7", "bad value for 'rate_grid'", "nan"),
+            ("[sweep]\nperiod_grid = 20:inf:4", "bad value for 'period_grid'", "inf"),
+            ("[model]\nbackground = inf, 1.7", "bad component numbers", "inf"),
+            ("[model]\nbackground = 1, nan", "bad component numbers", "nan"),
+        ],
+    )
+    def test_non_finite_number_rejected_with_its_line(self, line, where, cell):
+        text = "[model]\nspin0 = 1, 12\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n" + line + "\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"line 7: {where}: not a finite number: '{cell}'"
+
+    def test_first_fault_in_the_file_is_named(self):
+        # [model] values were once read before [train]'s
+        text = "[train]\nrep_rate = fast\n[model]\nspin0 = 1, 12\nspin1 = 1, 8\ndark_rate = x\n"
+        with pytest.raises(ConfigError, match="^line 2: bad value for 'rep_rate'"):
+            parse_config(text)
+
+    def test_readme_config_parses(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+            text = handle.read()
+        block = re.search(r"^```ini\n(.*?)^```$", text, re.S | re.M).group(1)
+        cfg = parse_config(block)
+        assert [c.label for c in cfg.model.spin0 + cfg.model.spin1] == ["ms0", "ms1"]
+        assert cfg.model.background[0].amplitude == 20.8
+        assert cfg.sweep.tau_c_resolution == 0.1
+        assert (cfg.seed, cfg.out) == (7, "sweep.csv")

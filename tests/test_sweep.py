@@ -399,3 +399,19 @@ class TestReportValidation:
             SweepConfig(tau_c_resolution=0.0)
         with pytest.raises(ValueError):
             SweepConfig(power_mode="free-running")
+
+    def test_reports_copy_the_callers_arrays(self):
+        # a report once froze the array it was given and shared its memory
+        names = ("tau_c_grid", "contrast", "shot_noise", "ef", "eta")
+        cols = {name: np.array([0.0, 1.0]) for name in names}
+        cols["snr"] = np.array([1.0, 2.0])
+        gate = GateSweepReport(**cols, optimum=1)
+        names = ("rate_grid", "snr_ungated", "snr_gated", "eta_ungated", "eta_gated")
+        per_rate = {name: np.array([1e7, 2e7]) for name in names}
+        per_rate["tau_c_opt"] = np.array([3.0, 4.0])
+        rep = RepRateSweepReport(mode="constant-pulse-energy", **per_rate)
+        for report, given in ((gate, cols), (rep, per_rate)):
+            for name, array in given.items():
+                assert array.flags.writeable, name
+                assert not np.shares_memory(getattr(report, name), array), name
+                assert not getattr(report, name).flags.writeable, name
