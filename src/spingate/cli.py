@@ -24,23 +24,12 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .acquisition import (
-    block_count,
-    block_seed,
-    hw_gate,
-    hw_gate_window,
-    mc_snr_distribution,
-    offline_gate,
-    sample_histogram,
-    simulate_events,
-)
-from .config import RunConfig, load_config
-from .decay import GateWindow, histogram_expectation
+# errors, histogram and report serve every command. The handlers' modules
+# are registered lazily by the package, so each loads on a handler's first
+# call into it: a command loads only the modules it runs.
+from . import __version__, acquisition, config, decay, mapping, odmr, sweep
 from .errors import ConfigError, FitError, NonConvergenceError, ParseError
 from .histogram import CHANNELS, TcspcHistogram
-from .mapping import ScanMap, snr_map
-from .odmr import DoubletTruth, OdmrSpectrum, fit_double_lorentzian, synth_odmr
 from .report import (
     ColumnarReport,
     format_value,
@@ -49,7 +38,6 @@ from .report import (
     write_histogram,
     write_report,
 )
-from .sweep import optimal_gate, optimal_point, sweep_gate, sweep_rep_rate
 
 
 def main(argv=None) -> int:
@@ -149,7 +137,7 @@ def _run(args) -> None:
     """Resolve the config, seed and output path, run the handler, write its result."""
     if args.needs_config and not args.config:
         raise ConfigError("--config is required for this command")
-    run = load_config(args.config) if args.config else None
+    run = config.load_config(args.config) if args.config else None
     io_seed, io_out = (run.seed, run.out) if run is not None else (None, None)
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be non-negative")
@@ -169,26 +157,26 @@ def _run(args) -> None:
     write_report(out, ColumnarReport(metadata={**header, **metadata}, data=data))
 
 
-def _gate(args) -> GateWindow:
+def _gate(args) -> decay.GateWindow:
     """Gate from --tau-c and --t-end; without --t-end it runs to the period."""
-    return GateWindow(args.tau_c, math.inf if args.t_end is None else args.t_end)
+    return decay.GateWindow(args.tau_c, math.inf if args.t_end is None else args.t_end)
 
 
-def _cmd_simulate(args, run: RunConfig, seed) -> TcspcHistogram:
+def _cmd_simulate(args, run: config.RunConfig, seed) -> TcspcHistogram:
     integration = run.sweep.channel_time if args.integration is None else args.integration
     spin = "ms0" if args.channel == "mw_off" else run.c_sat
-    expected = histogram_expectation(
+    expected = decay.histogram_expectation(
         run.model, spin, run.train, args.bin_width, integration, channel=args.channel
     )
     if not args.sample:
         return expected
     if seed is None:
         raise ConfigError("--sample requires a seed (--seed or [io] seed)")
-    return sample_histogram(expected, seed)
+    return acquisition.sample_histogram(expected, seed)
 
 
-def _cmd_gate_sweep(args, run: RunConfig, seed):
-    report = sweep_gate(run.model, run.train, run.sweep)
+def _cmd_gate_sweep(args, run: config.RunConfig, seed):
+    report = sweep.sweep_gate(run.model, run.train, run.sweep)
     data = {
         "tau_c_ns": report.tau_c_grid,
         "contrast": report.contrast,
@@ -201,17 +189,17 @@ def _cmd_gate_sweep(args, run: RunConfig, seed):
     meta = dict(
         rep_rate_hz=run.train.rep_rate,
         c_sat=run.sweep.c_sat,
-        optimal_tau_c_ns=optimal_gate(report),
+        optimal_tau_c_ns=sweep.optimal_gate(report),
         optimal_snr=report.snr[report.optimum],
     )
     return meta, data
 
 
-def _cmd_rep_sweep(args, run: RunConfig, seed):
+def _cmd_rep_sweep(args, run: config.RunConfig, seed):
     """rep-sweep, and joint-opt: the same report plus the joint optimum."""
     if not run.sweep.rate_grid:
         raise ConfigError(f"{args.command} needs [sweep] rate_grid or period_grid")
-    report = sweep_rep_rate(run.model, run.sweep)
+    report = sweep.sweep_rep_rate(run.model, run.sweep)
     data = {
         "rate_hz": report.rate_grid,
         "period_ns": 1e9 / report.rate_grid,
@@ -224,15 +212,15 @@ def _cmd_rep_sweep(args, run: RunConfig, seed):
         data["eta_gated"] = report.eta_gated
     meta = {"mode": report.mode}
     if args.command == "joint-opt":
-        tau_c, rate = optimal_point(report)
+        tau_c, rate = sweep.optimal_point(report)
         meta.update(optimal_tau_c_ns=tau_c, optimal_rate_hz=rate, optimal_period_ns=1e9 / rate)
     return meta, data
 
 
-def _cmd_mc(args, run: RunConfig, seed):
+def _cmd_mc(args, run: config.RunConfig, seed):
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
-    result = mc_snr_distribution(
+    result = acquisition.mc_snr_distribution(
         run.model, _gate(args), run.train, run.sweep.channel_time, args.trials, seed,
         c_sat=run.c_sat,
     )
@@ -246,15 +234,15 @@ def _cmd_mc(args, run: RunConfig, seed):
     return meta, {"trial": np.arange(args.trials), "snr": result.samples}
 
 
-def _cmd_odmr_synth(args, run: RunConfig, seed):
+def _cmd_odmr_synth(args, run: config.RunConfig, seed):
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
     freqs = np.linspace(args.f_start, args.f_stop, args.points)
-    truth = DoubletTruth(
+    truth = odmr.DoubletTruth(
         args.center1, args.fwhm1, args.depth1, args.center2, args.fwhm2, args.depth2
     )
     gate = _gate(args) if (args.tau_c > 0 or args.t_end is not None) else None
-    spectrum = synth_odmr(
+    spectrum = odmr.synth_odmr(
         run.model, run.train, gate, freqs, truth, args.integration_per_point, seed=seed
     )
     meta = dict(
@@ -282,14 +270,14 @@ def _cmd_odmr_fit(args, run, seed):
     integration = number("integration_per_point_s", 1.0)
     gate = None
     if meta.get("gate_start_ns", "none") != "none":
-        gate = GateWindow(number("gate_start_ns"), number("gate_end_ns"))
-    spectrum = OdmrSpectrum(
+        gate = decay.GateWindow(number("gate_start_ns"), number("gate_end_ns"))
+    spectrum = odmr.OdmrSpectrum(
         freqs=table.data["freq_hz"],
         counts=table.data["counts"],
         integration_per_point=integration,
         gate=gate,
     )
-    doublet, residual_norm = fit_double_lorentzian(spectrum)
+    doublet, residual_norm = odmr.fit_double_lorentzian(spectrum)
     data = {
         "baseline": [doublet.baseline],
         "center1_hz": [doublet.center1],
@@ -319,13 +307,13 @@ def _cmd_gate_apply(args, run, seed):
     return meta, {"bin_start_ns": hist.bin_starts[window], "counts": counts}
 
 
-def _cmd_hw_sim(args, run: RunConfig, seed):
+def _cmd_hw_sim(args, run: config.RunConfig, seed):
     period = run.train.period
     length = args.length if args.length is not None else period - args.delay
-    gate = GateWindow(args.delay, args.delay + length)
+    gate = decay.GateWindow(args.delay, args.delay + length)
     if not args.jitter >= 0:
         raise ConfigError("--jitter must be >= 0")
-    window = hw_gate_window(gate, run.train, args.jitter)
+    window = acquisition.hw_gate_window(gate, run.train, args.jitter)
     stream_seed, gate_seed = np.random.SeedSequence(seed).spawn(2)
     n_events = n_offline = 0
     identical = True
@@ -333,13 +321,15 @@ def _cmd_hw_sim(args, run: RunConfig, seed):
     # they collect in two growing buffers, since small per-block arrays
     # left between the blocks' large ones would fragment the heap
     stamps, codes = array.array("d"), array.array("B")
-    for k in range(block_count(run.train, args.integration)):
-        events = simulate_events(
+    for k in range(acquisition.block_count(run.train, args.integration)):
+        events = acquisition.simulate_events(
             run.model, run.train, args.integration, args.toggle_rate, stream_seed,
             c_sat=run.c_sat, block=k, window=window,
         )
-        kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k))
-        offline = offline_gate(events, run.train, gate)
+        kept = acquisition.hw_gate(
+            events, run.train, gate, args.jitter, acquisition.block_seed(gate_seed, k)
+        )
+        offline = acquisition.offline_gate(events, run.train, gate)
         identical &= bool(
             np.array_equal(kept.timestamps, offline.timestamps)
             and np.array_equal(kept.channels, offline.channels)
@@ -366,7 +356,7 @@ def _cmd_hw_sim(args, run: RunConfig, seed):
 
 def _cmd_snr_map(args, run, seed):
     scan = _read_scan(args.input)
-    result = snr_map(scan, args.channel, args.factor)
+    result = mapping.snr_map(scan, args.channel, args.factor)
     meta = dict(
         channel=args.channel,
         factor=result.factor,
@@ -381,7 +371,7 @@ def _cmd_snr_map(args, run, seed):
 _SCAN_PLANES = ("mw_off_gated", "mw_on_gated", "mw_off_ungated", "mw_on_ungated")
 
 
-def _read_scan(path: str) -> ScanMap:
+def _read_scan(path: str) -> mapping.ScanMap:
     table = read_report(path, ("ix", "iy") + _SCAN_PLANES)
     try:
         nx = int(table.metadata["nx"])
@@ -416,7 +406,7 @@ def _read_scan(path: str) -> ScanMap:
     for name, plane in planes.items():
         if np.any(np.isnan(plane)):
             raise ParseError(f"{path}: plane {name} has missing pixels")
-    return ScanMap(pitch=pitch, dwell=dwell, **planes)
+    return mapping.ScanMap(pitch=pitch, dwell=dwell, **planes)
 
 
 if __name__ == "__main__":

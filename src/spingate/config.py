@@ -95,10 +95,10 @@ def _component(text: str) -> DecayComponent:
 
 
 def _rate_grid(text: str) -> tuple[float, ...]:
-    values = tuple(_number(part) for part in text.split(",") if part.strip())
-    if not values:
-        raise ValueError("empty grid")
-    return values
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty entry in {text!r}" if text else "empty grid")
+    return tuple(_number(part) for part in parts)
 
 
 def _period_grid(text: str) -> tuple[float, ...]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GateError
 from .histogram import TcspcHistogram
-from .record import Record
+from .record import Record, require_finite
 
 SpinSelector = Union[str, float]
 
@@ -52,6 +52,7 @@ class DecayComponent(Record):
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if not self.lifetime > 0:
             raise ValueError(f"lifetime must be > 0, got {self.lifetime}")
+        require_finite(self, "amplitude", "lifetime")
 
     def scaled(self, factor: float) -> "DecayComponent":
         return DecayComponent(self.amplitude * factor, self.lifetime, self.label)
@@ -78,6 +79,7 @@ class PulseTrain(Record):
     def __post_init__(self):
         if not self.rep_rate > 0:
             raise ValueError(f"rep_rate must be > 0, got {self.rep_rate}")
+        require_finite(self, "rep_rate")
 
     @property
     def period(self) -> float:
@@ -114,6 +116,7 @@ class FluorescenceModel(Record):
             raise ValueError("irf_sigma must be >= 0")
         if not self.pulse_time >= 0:
             raise ValueError("pulse_time must be >= 0")
+        require_finite(self, "dark_rate", "irf_sigma", "pulse_time")
 
     def spin_components(self, spin: SpinSelector) -> tuple[DecayComponent, ...]:
         """Signal components for the selected spin state or mixture weight."""

@@ -11,12 +11,14 @@ FrozenRecordError; two records are equal when they are of the same class
 and their field tuples are equal, and a record hashes as its field tuple;
 the repr is "Name(field=value, ...)". frozen_array stores an array field as
 a read-only copy, so the record neither shares memory with nor freezes the
-array its caller passed.
+array its caller passed. require_finite rejects an infinite or nan number in
+the fields a record names.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 
@@ -101,6 +103,15 @@ def frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def require_finite(record: Record, *names: str) -> None:
+    """Raise ValueError for the first named field that is not a finite
+    number; a field left None is not checked."""
+    for name in names:
+        value = record.__dict__[name]
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def replace(record: Record, **changes) -> Record:

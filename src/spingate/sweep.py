@@ -23,7 +23,7 @@ from .metrics import (
     sensitivity_cw,
     snr,
 )
-from .record import Record, frozen_array
+from .record import Record, frozen_array, require_finite
 
 POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
 
@@ -62,10 +62,16 @@ class SweepConfig(Record):
             raise ValueError("linewidth must be > 0 when given")
         if not self.reference_rate > 0:
             raise ValueError("reference_rate must be > 0")
+        require_finite(
+            self, "integration_time", "tau_c_resolution", "tau_c_max", "linewidth",
+            "reference_rate",
+        )
         if self.rate_grid is not None:
             grid = tuple(float(r) for r in self.rate_grid)
             if any(r <= 0 for r in grid):
                 raise ValueError("rate_grid entries must be > 0")
+            if not np.isfinite(grid).all():
+                raise ValueError("rate_grid entries must be finite")
             object.__setattr__(self, "rate_grid", grid)
 
     @property

@@ -728,6 +728,22 @@ class TestQuietCells:
         ]
 
 
+def run_script(script: str, *args: str) -> list[str]:
+    """The output lines of script run in a fresh interpreter on this tree."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    return done.stdout.splitlines()
+
+
 class TestImportCost:
     """No command loads scipy: IRF-free runs never import it, and the IRF
     kernel's special functions are numpy arithmetic. The records generate no
@@ -763,31 +779,117 @@ class TestImportCost:
         """
     )
 
-    def run_script(self, script: str, *args: str) -> list[str]:
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-            check=True,
-        )
-        return done.stdout.splitlines()
-
     def test_sigma_zero_gate_sweep_leaves_scipy_unloaded(self, config_path, tmp_path):
-        lines = self.run_script(self.SCRIPT, config_path, str(tmp_path / "sweep.csv"))
+        lines = run_script(self.SCRIPT, config_path, str(tmp_path / "sweep.csv"))
         assert lines == ["False", "0 False"]
 
     def test_irf_commands_run_without_scipy(self, tmp_path):
         path = tmp_path / "irf.ini"
         path.write_text(CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\nirf_sigma = 0.3"))
-        lines = self.run_script(self.NO_SCIPY, str(path), str(tmp_path))
+        lines = run_script(self.NO_SCIPY, str(path), str(tmp_path))
         assert lines == ["0 0 0 0"]
         assert read_histogram(str(tmp_path / "hist.csv")).counts.sum() > 0
 
     def test_cli_import_leaves_dataclasses_unloaded(self):
         script = "import sys, spingate.cli; print('dataclasses' in sys.modules)"
-        assert self.run_script(script) == ["False"]
+        assert run_script(script) == ["False"]
+
+
+# The submodules each command loads; "loaded" means that a lazily
+# registered module has run, which type() tells without triggering it.
+LOADED = textwrap.dedent(
+    """\
+    import sys, types
+    import spingate.cli
+    {before}
+    code = spingate.cli.main(sys.argv[1:])
+    loaded = {{n for n, m in sys.modules.items() if type(m) is types.ModuleType}}
+    names = [n for n in sys.modules if n.startswith("spingate.")]
+    print(code, *sorted(n[9:] for n in names if n in loaded))
+    print(*sorted(n[9:] for n in names if n not in loaded))
+    """
+)
+SWEEP_MODULES = "cli config decay errors histogram metrics presets record report sweep"
+
+
+class TestLazyModules:
+    """A command loads only the submodules it runs, while every submodule
+    stays in sys.modules from the package's import on: the benchmark's
+    tracer looks them up there to wrap their functions."""
+
+    ALL = sorted(
+        name[:-3]
+        for name in os.listdir(os.path.dirname(os.path.abspath(spingate.__file__)))
+        if name.endswith(".py") and name != "__init__.py"
+    )
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A config with a rate grid, and the files the read commands take."""
+        path = tmp_path_factory.mktemp("lazy")
+        config = str(path / "run.ini")
+        with open(config, "w") as handle:
+            handle.write(CONFIG + "rate_grid = 1e7, 2e7\n")
+        assert run_cli("simulate", "--config", config, "--out", str(path / "hist.csv")) == 0
+        assert run_cli("odmr-synth", "--config", config, "--seed", "1",
+                       "--out", str(path / "spectrum.csv")) == 0
+        write_scan(path / "scan.csv")
+        return path
+
+    def run(self, tmp_path, argv, before="pass") -> tuple[list[str], list[str]]:
+        """The exit code and the submodules loaded, and those left unloaded."""
+        lines = run_script(LOADED.format(before=before), *argv, "--out", str(tmp_path / "o.csv"))
+        # the last two lines: --version prints the version first
+        loaded, unloaded = (line.split() for line in lines[-2:])
+        return loaded, unloaded
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            ("gate-sweep --config {p}/run.ini", SWEEP_MODULES),
+            ("rep-sweep --config {p}/run.ini", SWEEP_MODULES),
+            ("joint-opt --config {p}/run.ini", SWEEP_MODULES),
+            ("simulate --config {p}/run.ini", SWEEP_MODULES),
+            ("simulate --config {p}/run.ini --sample --seed 1", "acquisition " + SWEEP_MODULES),
+            ("mc --config {p}/run.ini --tau-c 9.2 --trials 10 --seed 1",
+             "acquisition " + SWEEP_MODULES),
+            ("hw-sim --config {p}/run.ini --delay 9.2 --integration 1e-4 --seed 1",
+             "acquisition " + SWEEP_MODULES),
+            ("odmr-synth --config {p}/run.ini", "odmr " + SWEEP_MODULES),
+            ("odmr-fit --input {p}/spectrum.csv",
+             "cli decay errors histogram metrics odmr record report"),
+            ("gate-apply --input {p}/hist.csv --tau-c 9.2",
+             "cli decay errors histogram record report"),
+            ("snr-map --input {p}/scan.csv --channel gated",
+             "cli errors histogram mapping record report"),
+        ],
+        ids=["gate-sweep", "rep-sweep", "joint-opt", "simulate", "simulate-sample", "mc",
+             "hw-sim", "odmr-synth", "odmr-fit", "gate-apply", "snr-map"],
+    )
+    def test_command_loads_only_what_it_runs(self, inputs, tmp_path, argv, modules):
+        loaded, unloaded = self.run(tmp_path, argv.format(p=inputs).split())
+        assert loaded[0] == "0"
+        assert loaded[1:] == sorted(modules.split())
+        assert sorted(loaded[1:] + unloaded) == self.ALL
+
+    def test_cli_import_registers_every_submodule(self, tmp_path):
+        # --version exits in the parser, before any handler runs
+        loaded, unloaded = self.run(tmp_path, ["--version"])
+        assert loaded == ["0", "cli", "errors", "histogram", "record", "report"]
+        assert sorted(loaded[1:] + unloaded) == self.ALL
+
+    def test_attribute_set_before_the_load_reaches_the_command(self, inputs, tmp_path):
+        before = "from spingate import odmr; assert type(odmr) is not types.ModuleType\n"
+        before += "odmr.MAX_ITERATIONS = 1"
+        loaded, _ = self.run(tmp_path, ["odmr-fit", "--input", str(inputs / "spectrum.csv")],
+                             before=before)
+        assert loaded[0] == "3"
+        assert "odmr" in loaded
+
+    def test_every_exported_name_resolves(self):
+        for name in spingate.__all__:
+            module = sys.modules[spingate.__name__ + "." + spingate._HOME[name]]
+            assert getattr(spingate, name) is getattr(module, name)
+        assert set(spingate.__all__) <= set(dir(spingate))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            spingate.no_such_name

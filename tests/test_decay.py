@@ -522,3 +522,22 @@ class TestValidation:
     def test_pulse_train_positive_rate(self):
         with pytest.raises(ValueError):
             PulseTrain(0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_numbers_must_be_finite(self, value):
+        # -inf and nan already fail the sign checks; inf constructed
+        spin = (DecayComponent(1.0, 8.0),)
+        builds = {
+            "amplitude": lambda: DecayComponent(value, 5.0),
+            "lifetime": lambda: DecayComponent(1.0, value),
+            "rep_rate": lambda: PulseTrain(value),
+            "dark_rate": lambda: FluorescenceModel(spin, spin, dark_rate=value),
+            "irf_sigma": lambda: FluorescenceModel(spin, spin, irf_sigma=value),
+            "pulse_time": lambda: FluorescenceModel(spin, spin, pulse_time=value),
+        }
+        for name, build in builds.items():
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                build()
+
+    def test_gate_may_run_to_the_period(self):
+        assert GateWindow(2.0).t_end == math.inf

@@ -963,6 +963,14 @@ class TestConfig:
             parse_config(text)
         assert str(err.value) == f"line 7: {where}: not a finite number: '{cell}'"
 
+    @pytest.mark.parametrize("grid", ["1e7,,2e7", "1e7, 2e7,", ", 1e7", ","])
+    def test_empty_rate_grid_entry_rejected_with_its_line(self, grid):
+        # empty entries were once skipped, so a typo dropped a rate silently
+        text = "[model]\nspin0 = 1, 12\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + f"[sweep]\nrate_grid = {grid}\n")
+        assert str(err.value) == f"line 7: bad value for 'rate_grid': empty entry in '{grid}'"
+
     def test_first_fault_in_the_file_is_named(self):
         # [model] values were once read before [train]'s
         text = "[train]\nrep_rate = fast\n[model]\nspin0 = 1, 12\nspin1 = 1, 8\ndark_rate = x\n"

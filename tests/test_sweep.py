@@ -400,6 +400,21 @@ class TestReportValidation:
         with pytest.raises(ValueError):
             SweepConfig(power_mode="free-running")
 
+    @pytest.mark.parametrize(
+        "field",
+        ["integration_time", "tau_c_resolution", "tau_c_max", "linewidth", "reference_rate"],
+    )
+    def test_config_numbers_must_be_finite(self, field):
+        # integration_time = inf once failed late, in the sweep, with a
+        # RuntimeWarning; the others constructed
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            SweepConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rate_grid_entries_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="rate_grid entries must be finite"):
+            SweepConfig(rate_grid=(2e7, value))
+
     def test_reports_copy_the_callers_arrays(self):
         # a report once froze the array it was given and shared its memory
         names = ("tau_c_grid", "contrast", "shot_noise", "ef", "eta")
