@@ -38,6 +38,7 @@ _EXPORTS = {
     "gate_measured_odmr sensitivity_from_fit synth_odmr",
     "presets": "bulk_model fnd_model",
     "quadrature": "adaptive_simpson",
+    "reader": "",
     "record": "",
     "report": "ColumnarReport read_histogram read_report write_histogram write_report",
     "sweep": "GateSweepReport RepRateSweepReport SweepConfig joint_optimum optimal_gate "

@@ -25,21 +25,24 @@ on which other blocks are drawn. The same seed gives the same result.
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 import operator
 
 import numpy as np
 
+from . import histogram
 from .decay import (
     FluorescenceModel,
     GateWindow,
     PulseTrain,
     _window_counts,
+    gate_from_args,
     spin_weight,
     steady_rate,
 )
-from .histogram import TcspcHistogram
+from .errors import ConfigError
 from .metrics import CountPair, snr
 from .record import Record, frozen_array, replace
 
@@ -111,12 +114,12 @@ def _require_seed(seed, what: str):
     return seed
 
 
-def sample_histogram(expectation: TcspcHistogram, seed) -> TcspcHistogram:
+def sample_histogram(expectation: histogram.TcspcHistogram, seed) -> histogram.TcspcHistogram:
     """Poisson-sample an expected histogram into integer counts."""
     if np.any(expectation.counts < 0):
         raise ValueError("negative expectation")
     rng = np.random.default_rng(_require_seed(seed, "sample_histogram"))
-    return TcspcHistogram(
+    return histogram.TcspcHistogram(
         bin_width=expectation.bin_width,
         counts=rng.poisson(expectation.counts),
         channel=expectation.channel,
@@ -137,6 +140,8 @@ def block_count(train: PulseTrain, integration_time: float) -> int:
     without pulses has one empty block."""
     if not integration_time >= 0:
         raise ValueError("integration_time must be >= 0")
+    if not math.isfinite(integration_time):
+        raise ValueError(f"integration_time must be finite, got {integration_time}")
     n_pulses = int(integration_time * train.rep_rate)
     return max(1, -(-n_pulses // BLOCK_PULSES))
 
@@ -398,3 +403,68 @@ def mc_snr_distribution(
     std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
     analytic = float(snr(CountPair(*means)))
     return McSnrResult(mean=float(np.mean(samples)), std=std, samples=samples, analytic=analytic)
+
+
+# Command-line handlers: handler(args, run, seed) -> (metadata, columns).
+
+
+def cmd_mc(args, run, seed):
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
+    result = mc_snr_distribution(
+        run.model, gate_from_args(args), run.train, run.sweep.channel_time, args.trials, seed,
+        c_sat=run.c_sat,
+    )
+    meta = dict(
+        trials=args.trials,
+        tau_c_ns=args.tau_c,
+        mean_snr=result.mean,
+        std_snr=result.std,
+        analytic_snr=result.analytic,
+    )
+    return meta, {"trial": np.arange(args.trials), "snr": result.samples}
+
+
+def cmd_hw_sim(args, run, seed):
+    period = run.train.period
+    length = args.length if args.length is not None else period - args.delay
+    gate = GateWindow(args.delay, args.delay + length)
+    if not args.jitter >= 0:
+        raise ConfigError("--jitter must be >= 0")
+    window = hw_gate_window(gate, run.train, args.jitter)
+    stream_seed, gate_seed = np.random.SeedSequence(seed).spawn(2)
+    n_events = n_offline = 0
+    identical = True
+    # block by block, so only the kept events of the stream are ever whole;
+    # they collect in two growing buffers, since small per-block arrays
+    # left between the blocks' large ones would fragment the heap
+    stamps, codes = array.array("d"), array.array("B")
+    for k in range(block_count(run.train, args.integration)):
+        events = simulate_events(
+            run.model, run.train, args.integration, args.toggle_rate, stream_seed,
+            c_sat=run.c_sat, block=k, window=window,
+        )
+        kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k))
+        offline = offline_gate(events, run.train, gate)
+        identical &= bool(
+            np.array_equal(kept.timestamps, offline.timestamps)
+            and np.array_equal(kept.channels, offline.channels)
+        )
+        n_events += len(events) + events.n_outside
+        n_offline += len(offline)
+        stamps.frombytes(kept.timestamps.tobytes())
+        codes.frombytes(kept.channels.tobytes())
+        del events, kept, offline
+    timestamps = np.frombuffer(stamps)
+    meta = dict(
+        n_events=n_events,
+        n_kept_hw=timestamps.size,
+        n_kept_offline=n_offline,
+        identical_to_offline=int(identical),
+        trigger_delay_ns=args.delay,
+        gate_length_ns=length,
+        jitter_sigma_ns=args.jitter,
+    )
+    # one pointer per row to the two shared label strings
+    channels = np.array(histogram.CHANNELS, dtype=object)[np.frombuffer(codes, np.uint8)]
+    return meta, {"timestamp_ns": timestamps, "channel": channels}

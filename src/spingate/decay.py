@@ -29,8 +29,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GateError
-from .histogram import TcspcHistogram
+from . import acquisition, histogram
+from .errors import ConfigError, GateError
 from .record import Record, require_finite
 
 SpinSelector = Union[str, float]
@@ -400,7 +400,7 @@ def histogram_expectation(
     bin_width: float,
     integration_time: float,
     channel: str = "mw_off",
-) -> TcspcHistogram:
+) -> histogram.TcspcHistogram:
     """Expected (real-valued) TCSPC histogram over one period.
 
     Bin b holds integration_time * f_L * integral of the intensity over
@@ -425,10 +425,32 @@ def histogram_expectation(
         for c in comps
     ) + model.dark_rate * bin_width
     counts = per_bin * (integration_time * train.rep_rate)
-    return TcspcHistogram(
+    return histogram.TcspcHistogram(
         bin_width=bin_width,
         counts=counts,
         channel=channel,
         integration_time=integration_time,
         rep_rate=train.rep_rate,
     )
+
+
+# Command-line handlers: handler(args, run, seed) -> the command's result;
+# gate_from_args serves the handlers that take --tau-c and --t-end.
+
+
+def gate_from_args(args) -> GateWindow:
+    """The gate of --tau-c and --t-end; without --t-end it runs to the period."""
+    return GateWindow(args.tau_c, math.inf if args.t_end is None else args.t_end)
+
+
+def cmd_simulate(args, run, seed) -> histogram.TcspcHistogram:
+    integration = run.sweep.channel_time if args.integration is None else args.integration
+    spin = "ms0" if args.channel == "mw_off" else run.c_sat
+    expected = histogram_expectation(
+        run.model, spin, run.train, args.bin_width, integration, channel=args.channel
+    )
+    if not args.sample:
+        return expected
+    if seed is None:
+        raise ConfigError("--sample requires a seed (--seed or [io] seed)")
+    return acquisition.sample_histogram(expected, seed)

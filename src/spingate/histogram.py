@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import decay, reader
 from .errors import GateError
-from .record import Record
+from .record import Record, require_finite
 
 CHANNELS = ("mw_off", "mw_on")
 
@@ -39,11 +40,14 @@ class TcspcHistogram(Record):
             raise ValueError("rep_rate must be positive")
         if not self.integration_time >= 0:
             raise ValueError("integration_time must be non-negative")
+        require_finite(self, "integration_time")
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
         if not np.all(counts >= 0):  # nan fails too
             raise ValueError("counts must be non-negative")
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
         counts = counts.copy()
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
@@ -101,3 +105,23 @@ def _edge_index(t: float, bin_width: float) -> int | None:
     if abs(t - idx * bin_width) > PERIOD_REL_TOL * max(abs(t), bin_width):
         return None
     return int(idx)
+
+
+# Command-line handler: handler(args, run, seed) -> (metadata, columns).
+
+
+def cmd_gate_apply(args, run, seed):
+    hist = reader.read_histogram(args.input)
+    gate = decay.gate_from_args(args)
+    window = hist.aligned_slice(gate.t_start, gate.t_end)
+    counts = hist.counts[window]
+    meta = dict(
+        tau_c_ns=args.tau_c,
+        t_end_ns="period" if args.t_end is None else args.t_end,
+        bin_width_ns=hist.bin_width,
+        rep_rate_hz=hist.rep_rate,
+        integration_s=hist.integration_time,
+        channel=hist.channel,
+        gated_counts=float(counts.sum()),
+    )
+    return meta, {"bin_start_ns": hist.bin_starts[window], "counts": counts}

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import reader
+from .errors import ParseError
 from .record import Record, frozen_array
+from .report import format_value
 
 CHANNEL_KINDS = ("gated", "ungated")
+_SCAN_PLANES = ("mw_off_gated", "mw_on_gated", "mw_off_ungated", "mw_on_ungated")
 
 
 class ScanMap(Record):
@@ -37,7 +41,7 @@ class ScanMap(Record):
             raise ValueError("dwell must be > 0")
         planes = {}
         shape = None
-        for name in ("mw_off_gated", "mw_on_gated", "mw_off_ungated", "mw_on_ungated"):
+        for name in _SCAN_PLANES:
             p = frozen_array(getattr(self, name))
             if p.ndim != 2 or p.size == 0:
                 raise ValueError(f"{name} must be a non-empty 2-D array")
@@ -154,3 +158,58 @@ def snr_map(scan: ScanMap, channel: str, interp_factor: int = 4) -> SnrMap:
         factor=int(interp_factor),
         zero_flags=zero,
     )
+
+
+def _read_scan(path: str) -> ScanMap:
+    table = reader.read_report(path, ("ix", "iy") + _SCAN_PLANES)
+    try:
+        nx = int(table.metadata["nx"])
+        ny = int(table.metadata["ny"])
+        pitch = float(table.metadata.get("pitch_um", 1.0))
+        dwell = float(table.metadata.get("dwell_s", 1.0))
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{path}: bad or missing scan metadata ({exc})") from exc
+    ix, iy = table.data["ix"], table.data["iy"]
+
+    def pixel(i: int) -> str:
+        return f"{path}: pixel ({format_value(ix[i])}, {format_value(iy[i])})"
+
+    # checked as floats, before the cast to ints, so nan and +-inf fail too
+    fractional = np.flatnonzero((ix != np.floor(ix)) | (iy != np.floor(iy)))
+    if fractional.size:
+        raise ParseError(f"{pixel(fractional[0])} is not an integer index")
+    outside = np.flatnonzero(~((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)))
+    if outside.size:
+        raise ParseError(f"{pixel(outside[0])} outside the {nx}x{ny} grid")
+    # sorted by pixel, so nothing is allocated by the header's nx * ny: a
+    # repeat sits next to its pixel's first row, and without repeats only
+    # nx * ny rows fill the grid
+    flat = iy.astype(np.int64) * nx + ix.astype(np.int64)
+    order = np.argsort(flat, kind="stable")
+    repeats = flat[order[1:]] == flat[order[:-1]]
+    if repeats.any():
+        raise ParseError(f"{pixel(order[:-1][repeats].min())} appears in more than one row")
+    if flat.size < nx * ny:
+        raise ParseError(f"{path}: plane {_SCAN_PLANES[0]} has missing pixels")
+    planes = {name: table.data[name][order].reshape(ny, nx) for name in _SCAN_PLANES}
+    for name, plane in planes.items():
+        if np.any(np.isnan(plane)):
+            raise ParseError(f"{path}: plane {name} has missing pixels")
+    return ScanMap(pitch=pitch, dwell=dwell, **planes)
+
+
+# Command-line handler: handler(args, run, seed) -> (metadata, columns).
+
+
+def cmd_snr_map(args, run, seed):
+    scan = _read_scan(args.input)
+    result = snr_map(scan, args.channel, args.factor)
+    meta = dict(
+        channel=args.channel,
+        factor=result.factor,
+        method=result.method,
+        zero_pixels=int(result.zero_flags.sum()),
+        pitch_um=scan.pitch / result.factor,
+    )
+    iy, ix = np.indices(result.values.shape)
+    return meta, {"ix": ix.ravel(), "iy": iy.ravel(), "snr": result.values.ravel()}

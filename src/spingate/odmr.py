@@ -30,9 +30,9 @@ import math
 
 import numpy as np
 
-from .decay import FluorescenceModel, GateWindow, PulseTrain, steady_rate
-from .errors import FitError, NonConvergenceError
-from .histogram import TcspcHistogram
+from . import histogram, reader
+from .decay import FluorescenceModel, GateWindow, PulseTrain, gate_from_args, steady_rate
+from .errors import ConfigError, FitError, NonConvergenceError, ParseError
 from .metrics import PhysicalConstants, RatePair, sensitivity_cw
 from .record import Record
 
@@ -68,8 +68,7 @@ class OdmrSpectrum(Record):
             raise ValueError("freqs must be strictly increasing")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if not self.integration_per_point > 0:
-            raise ValueError("integration_per_point must be > 0")
+        _check_integration(self.integration_per_point)
         freqs = freqs.copy()
         counts = counts.copy()
         freqs.setflags(write=False)
@@ -79,6 +78,13 @@ class OdmrSpectrum(Record):
 
     def __len__(self) -> int:
         return int(self.freqs.size)
+
+
+def _check_integration(integration_per_point: float) -> None:
+    if not integration_per_point > 0:
+        raise ValueError("integration_per_point must be > 0")
+    if not math.isfinite(integration_per_point):
+        raise ValueError(f"integration_per_point must be finite, got {integration_per_point}")
 
 
 class DoubletTruth(Record):
@@ -171,6 +177,7 @@ def synth_odmr(
     None means ungated (full period). With a seed the counts are
     Poisson-sampled, otherwise the noiseless expectation is returned.
     """
+    _check_integration(integration_per_point)  # before the draw, which would fail on it
     freqs = np.asarray(freqs, dtype=float)
     window = GateWindow(0.0) if gate is None else gate
     n0, n1 = (
@@ -187,7 +194,7 @@ def synth_odmr(
 
 
 def gate_measured_odmr(
-    histograms: "list[tuple[float, TcspcHistogram]]", gate: GateWindow
+    histograms: list[tuple[float, histogram.TcspcHistogram]], gate: GateWindow
 ) -> OdmrSpectrum:
     """Offline-gate a per-frequency stack of TCSPC histograms.
 
@@ -389,3 +396,62 @@ def _refine(x: np.ndarray, y: np.ndarray, theta: np.ndarray):
             lam *= nu
             nu *= 2.0
     return theta, linear, cost, f"no convergence within {MAX_ITERATIONS} iterations"
+
+
+# Command-line handlers: handler(args, run, seed) -> (metadata, columns).
+
+
+def cmd_odmr_synth(args, run, seed):
+    if args.points < 2:
+        raise ConfigError("--points must be >= 2")
+    freqs = np.linspace(args.f_start, args.f_stop, args.points)
+    truth = DoubletTruth(
+        args.center1, args.fwhm1, args.depth1, args.center2, args.fwhm2, args.depth2
+    )
+    gate = gate_from_args(args) if (args.tau_c > 0 or args.t_end is not None) else None
+    spectrum = synth_odmr(
+        run.model, run.train, gate, freqs, truth, args.integration_per_point, seed=seed
+    )
+    meta = dict(
+        integration_per_point_s=args.integration_per_point,
+        gate_start_ns="none" if gate is None else gate.t_start,
+        gate_end_ns="none" if gate is None else gate.t_end,
+        rep_rate_hz=run.train.rep_rate,
+    )
+    return meta, {"freq_hz": spectrum.freqs, "counts": spectrum.counts}
+
+
+def cmd_odmr_fit(args, run, seed):
+    table = reader.read_report(args.input, ("freq_hz", "counts"))
+    meta = table.metadata
+
+    def number(key: str, default=None) -> float:
+        value = meta.get(key, default)
+        if value is None:
+            raise ParseError(f"{args.input}: missing metadata key {key}")
+        try:
+            return float(value)
+        except ValueError:
+            raise ParseError(f"{args.input}: metadata {key}={value!r} is not a number") from None
+
+    integration = number("integration_per_point_s", 1.0)
+    gate = None
+    if meta.get("gate_start_ns", "none") != "none":
+        gate = GateWindow(number("gate_start_ns"), number("gate_end_ns"))
+    spectrum = OdmrSpectrum(
+        freqs=table.data["freq_hz"],
+        counts=table.data["counts"],
+        integration_per_point=integration,
+        gate=gate,
+    )
+    doublet, residual_norm = fit_double_lorentzian(spectrum)
+    data = {
+        "baseline": [doublet.baseline],
+        "center1_hz": [doublet.center1],
+        "fwhm1_hz": [doublet.fwhm1],
+        "depth1": [doublet.depth1],
+        "center2_hz": [doublet.center2],
+        "fwhm2_hz": [doublet.fwhm2],
+        "depth2": [doublet.depth2],
+    }
+    return {"input": args.input, "residual_norm": residual_norm}, data

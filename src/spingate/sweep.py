@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decay import FluorescenceModel, PulseTrain, steady_rate
+from .errors import ConfigError
 from .metrics import (
     CountPair,
     PhysicalConstants,
@@ -238,3 +239,48 @@ def optimal_point(report: RepRateSweepReport) -> tuple[float, float]:
 def joint_optimum(model: FluorescenceModel, cfg: SweepConfig) -> tuple[float, float]:
     """Best (tau_c, rep_rate) over the product grid; see optimal_point."""
     return optimal_point(sweep_rep_rate(model, cfg))
+
+
+# Command-line handlers: handler(args, run, seed) -> (metadata, columns).
+
+
+def cmd_gate_sweep(args, run, seed):
+    report = sweep_gate(run.model, run.train, run.sweep)
+    data = {
+        "tau_c_ns": report.tau_c_grid,
+        "contrast": report.contrast,
+        "shot_noise": report.shot_noise,
+        "snr": report.snr,
+        "ef": report.ef,
+    }
+    if report.eta is not None:
+        data["eta"] = report.eta
+    meta = dict(
+        rep_rate_hz=run.train.rep_rate,
+        c_sat=run.sweep.c_sat,
+        optimal_tau_c_ns=optimal_gate(report),
+        optimal_snr=report.snr[report.optimum],
+    )
+    return meta, data
+
+
+def cmd_rep_sweep(args, run, seed):
+    """rep-sweep, and joint-opt: the same report plus the joint optimum."""
+    if not run.sweep.rate_grid:
+        raise ConfigError(f"{args.command} needs [sweep] rate_grid or period_grid")
+    report = sweep_rep_rate(run.model, run.sweep)
+    data = {
+        "rate_hz": report.rate_grid,
+        "period_ns": 1e9 / report.rate_grid,
+        "tau_c_opt_ns": report.tau_c_opt,
+        "snr_ungated": report.snr_ungated,
+        "snr_gated": report.snr_gated,
+    }
+    if report.eta_ungated is not None:
+        data["eta_ungated"] = report.eta_ungated
+        data["eta_gated"] = report.eta_gated
+    meta = {"mode": report.mode}
+    if args.command == "joint-opt":
+        tau_c, rate = optimal_point(report)
+        meta.update(optimal_tau_c_ns=tau_c, optimal_rate_hz=rate, optimal_period_ns=1e9 / rate)
+    return meta, data

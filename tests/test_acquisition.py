@@ -262,6 +262,14 @@ class TestEventBlocks:
         assert block_count(TRAIN, 0.0) == 1
         assert len(simulate_events(small_model(), TRAIN, 0.0, 50.0, 1, block=0)) == 0
 
+    @pytest.mark.parametrize(
+        "integration, message",
+        [(math.inf, "must be finite, got inf"), (math.nan, "must be >= 0"), (-1.0, "must be >= 0")],
+    )
+    def test_block_count_needs_a_finite_acquisition(self, integration, message):
+        with pytest.raises(ValueError, match=f"integration_time {message}"):
+            block_count(TRAIN, integration)
+
 
 def irf_model(sigma: float) -> FluorescenceModel:
     """small_model with a dark rate and the pulse 2.5 ns into the period."""

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import spingate
-from spingate import cli, odmr
+from spingate import cli, mapping, odmr
 from spingate.cli import main
 from spingate.decay import GateWindow, PulseTrain, gated_counts
 from spingate.errors import ParseError
+from spingate.histogram import CHANNELS
 from spingate.presets import bulk_model
 from spingate.report import read_histogram, read_report
 
@@ -99,6 +100,16 @@ class TestSimulate:
         total_off = read_histogram(off).counts.sum()
         total_on = read_histogram(on).counts.sum()
         assert total_on < total_off
+
+
+    def test_infinite_integration_writes_nothing(self, config_path, tmp_path, capsys):
+        # a histogram of infinite counts, which gate-apply would refuse to read
+        out = tmp_path / "h.csv"
+        code = run_cli("simulate", "--config", config_path, "--integration", "inf",
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: integration_time must be finite, got inf\n"
+        assert not out.exists()
 
 
 class TestSweeps:
@@ -243,6 +254,20 @@ class TestOdmrChain:
         assert row["center1_hz"] == pytest.approx(2.865e9, rel=1e-9)
         assert row["fwhm2_hz"] == pytest.approx(8e6, rel=1e-6)
         assert float(fit.metadata["residual_norm"]) < 1e-3 * row["baseline"]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("-1", "must be > 0"), ("nan", "must be > 0"), ("inf", "must be finite, got inf")],
+    )
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["expected", "sampled"])
+    def test_synth_checks_integration_first(self, config_path, tmp_path, capsys, value,
+                                            message, seed):
+        out = tmp_path / "s.csv"
+        code = run_cli("odmr-synth", "--config", config_path, *seed,
+                       "--integration-per-point", value, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: integration_per_point {message}\n"
+        assert not out.exists()
 
     def test_ungated_synth_has_no_gate_metadata(self, config_path, tmp_path):
         spect = str(tmp_path / "u.csv")
@@ -414,6 +439,14 @@ class TestHwSim:
         assert meta["identical_to_offline"] == "0"
         assert 0 < int(meta["n_kept_hw"]) < int(meta["n_events"])
 
+    def test_infinite_integration_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "hw.csv"
+        code = run_cli("hw-sim", "--config", config_path, "--delay", "9.2", "--seed", "5",
+                       "--integration", "inf", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: integration_time must be finite, got inf\n"
+        assert not out.exists()
+
     def test_negative_jitter_rejected(self, config_path, tmp_path, capsys):
         out = tmp_path / "hw.csv"
         assert run_cli(
@@ -522,7 +555,7 @@ class TestSnrMapCommand:
         tracemalloc.start()
         try:
             with pytest.raises(ParseError, match="plane mw_off_gated has missing pixels"):
-                cli._read_scan(str(scan))
+                mapping._read_scan(str(scan))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -664,6 +697,63 @@ class TestArgumentHandling:
         code = run_cli("gate-sweep", "--config", config_path)
         assert code == 2
         assert "output path" in capsys.readouterr().err
+
+
+def parse(parser, argv, capsys) -> tuple:
+    """The exit code, stdout and stderr of parsing argv; code None if it parsed."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    """A run naming a command builds only that command's subparser, and
+    prints what the full tree would."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_command_help_as_from_the_full_tree(self, command, capsys):
+        one = parse(cli._build_parser(command), [command, "--help"], capsys)
+        assert one[0] == 0 and one[1].startswith(f"usage: spingate {command} [-h]")
+        assert one == parse(cli._build_parser(), [command, "--help"], capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gate-sweep", "--bogus"], ["mc", "--config", "x.ini"], ["simulate", "--channel", "x"]],
+        ids=["unknown-flag", "missing-required", "bad-choice"],
+    )
+    def test_usage_error_as_from_the_full_tree(self, argv, capsys):
+        one = parse(cli._build_parser(argv[0]), argv, capsys)
+        assert one[0] == 2 and one[1] == ""
+        # the usage line lists every command, as the full tree's does
+        assert one[2].startswith("usage: spingate ")
+        assert one == parse(cli._build_parser(), argv, capsys)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == one[2]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([], "the following arguments are required: command"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+             + ", ".join(f"'{name}'" for name in cli.COMMANDS) + ")"),
+        ],
+        ids=["no-command", "unknown-command"],
+    )
+    def test_no_or_unknown_command_gets_the_full_tree(self, argv, error, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == parse(cli._build_parser(), argv, capsys)[2]
+        assert err.startswith("usage: spingate [-h] [--version]")
+        assert "{" + ",".join(cli.COMMANDS) + "}" in err
+        assert err.endswith(f"spingate: error: {error}\n")
+
+    def test_simulate_channels_are_the_histograms(self):
+        options = dict(cli.COMMANDS["simulate"]["arguments"])
+        assert options["--channel"]["choices"] == CHANNELS
 
 
 class TestQuietCells:
@@ -809,7 +899,27 @@ LOADED = textwrap.dedent(
     print(*sorted(n[9:] for n in names if n not in loaded))
     """
 )
-SWEEP_MODULES = "cli config decay errors histogram metrics presets record report sweep"
+SWEEP_MODULES = "cli config decay errors metrics presets record report sweep"
+# (id, command line, the submodules it loads)
+COMMAND_MODULES = [
+    ("gate-sweep", "gate-sweep --config {p}/run.ini", SWEEP_MODULES),
+    ("rep-sweep", "rep-sweep --config {p}/run.ini", SWEEP_MODULES),
+    ("joint-opt", "joint-opt --config {p}/run.ini", SWEEP_MODULES),
+    ("simulate", "simulate --config {p}/run.ini", "histogram " + SWEEP_MODULES),
+    ("simulate-sample", "simulate --config {p}/run.ini --sample --seed 1",
+     "acquisition histogram " + SWEEP_MODULES),
+    ("mc", "mc --config {p}/run.ini --tau-c 9.2 --trials 10 --seed 1",
+     "acquisition " + SWEEP_MODULES),
+    ("hw-sim", "hw-sim --config {p}/run.ini --delay 9.2 --integration 1e-4 --seed 1",
+     "acquisition histogram " + SWEEP_MODULES),
+    ("odmr-synth", "odmr-synth --config {p}/run.ini", "odmr " + SWEEP_MODULES),
+    ("odmr-fit", "odmr-fit --input {p}/spectrum.csv",
+     "cli decay errors metrics odmr reader record report"),
+    ("gate-apply", "gate-apply --input {p}/hist.csv --tau-c 9.2",
+     "cli decay errors histogram reader record report"),
+    ("snr-map", "snr-map --input {p}/scan.csv --channel gated",
+     "cli errors mapping reader record report"),
+]
 
 
 class TestLazyModules:
@@ -845,26 +955,8 @@ class TestLazyModules:
 
     @pytest.mark.parametrize(
         "argv, modules",
-        [
-            ("gate-sweep --config {p}/run.ini", SWEEP_MODULES),
-            ("rep-sweep --config {p}/run.ini", SWEEP_MODULES),
-            ("joint-opt --config {p}/run.ini", SWEEP_MODULES),
-            ("simulate --config {p}/run.ini", SWEEP_MODULES),
-            ("simulate --config {p}/run.ini --sample --seed 1", "acquisition " + SWEEP_MODULES),
-            ("mc --config {p}/run.ini --tau-c 9.2 --trials 10 --seed 1",
-             "acquisition " + SWEEP_MODULES),
-            ("hw-sim --config {p}/run.ini --delay 9.2 --integration 1e-4 --seed 1",
-             "acquisition " + SWEEP_MODULES),
-            ("odmr-synth --config {p}/run.ini", "odmr " + SWEEP_MODULES),
-            ("odmr-fit --input {p}/spectrum.csv",
-             "cli decay errors histogram metrics odmr record report"),
-            ("gate-apply --input {p}/hist.csv --tau-c 9.2",
-             "cli decay errors histogram record report"),
-            ("snr-map --input {p}/scan.csv --channel gated",
-             "cli errors histogram mapping record report"),
-        ],
-        ids=["gate-sweep", "rep-sweep", "joint-opt", "simulate", "simulate-sample", "mc",
-             "hw-sim", "odmr-synth", "odmr-fit", "gate-apply", "snr-map"],
+        [(argv, modules) for _, argv, modules in COMMAND_MODULES],
+        ids=[name for name, _, _ in COMMAND_MODULES],
     )
     def test_command_loads_only_what_it_runs(self, inputs, tmp_path, argv, modules):
         loaded, unloaded = self.run(tmp_path, argv.format(p=inputs).split())
@@ -872,10 +964,23 @@ class TestLazyModules:
         assert loaded[1:] == sorted(modules.split())
         assert sorted(loaded[1:] + unloaded) == self.ALL
 
+    @pytest.mark.parametrize(
+        "module, commands",
+        [
+            ("histogram", {"simulate", "simulate-sample", "gate-apply", "hw-sim"}),
+            ("reader", {"odmr-fit", "gate-apply", "snr-map"}),
+        ],
+    )
+    def test_only_its_commands_load_a_module(self, module, commands):
+        # the sweeps, mc and odmr-synth never build a histogram, and only
+        # the commands with an --input read a file
+        loading = {name for name, _, modules in COMMAND_MODULES if module in modules.split()}
+        assert loading == commands
+
     def test_cli_import_registers_every_submodule(self, tmp_path):
         # --version exits in the parser, before any handler runs
         loaded, unloaded = self.run(tmp_path, ["--version"])
-        assert loaded == ["0", "cli", "errors", "histogram", "record", "report"]
+        assert loaded == ["0", "cli"]
         assert sorted(loaded[1:] + unloaded) == self.ALL
 
     def test_attribute_set_before_the_load_reaches_the_command(self, inputs, tmp_path):

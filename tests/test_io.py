@@ -496,8 +496,9 @@ class TestCellFormatter:
     def test_histogram_bytes_as_percent_formatter(self, tmp_path_factory, data, n):
         counts = data.draw(
             st.one_of(
-                st.lists(st.one_of(st.floats(min_value=0.0), st.just(-0.0)), min_size=n,
-                         max_size=n).map(np.array),
+                # finite: a histogram holds no infinite count
+                st.lists(st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.just(-0.0)),
+                         min_size=n, max_size=n).map(np.array),
                 st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n).map(np.array),
             )
         )
@@ -722,6 +723,28 @@ class TestHistogramFiles:
                 integration_time=1.0,
                 rep_rate=20e6,
             )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("integration_time", math.inf, "integration_time must be finite, got inf"),
+            ("counts", np.r_[np.zeros(49), np.inf], "counts must be finite"),
+        ],
+    )
+    def test_infinite_values_rejected_by_histogram(self, field, value, message):
+        fields = dict(
+            bin_width=1.0, counts=np.zeros(50), channel="mw_off", integration_time=1.0,
+            rep_rate=20e6,
+        )
+        with pytest.raises(ValueError, match=message):
+            TcspcHistogram(**{**fields, field: value})
+
+    def test_infinite_integration_rejected_on_read(self, tmp_path):
+        # the writer cannot write it, so the reader does not take it either
+        text = "# bin_width_ns=25\n# rep_rate_hz=2e7\n# integration_s=inf\n# channel=mw_off\n"
+        (tmp_path / "inf.csv").write_text(text + "0,5\n25,6\n")
+        with pytest.raises(ParseError, match="integration_time must be finite, got inf"):
+            read_histogram(str(tmp_path / "inf.csv"))
 
     def test_first_of_two_bad_lines_named(self, tmp_path):
         text = (

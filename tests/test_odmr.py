@@ -108,6 +108,23 @@ class TestSynth:
         with pytest.raises(GateError, match="gate exceeds pulse period"):
             synth_odmr(bulk_model(), TRAIN, GateWindow(55.0, 60.0), FREQS, TRUTH, 0.1)
 
+    @pytest.mark.parametrize(
+        "integration, message",
+        [
+            (-1.0, "must be > 0"),
+            (0.0, "must be > 0"),
+            (math.nan, "must be > 0"),
+            (math.inf, "must be finite, got inf"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_integration_checked_before_the_draw(self, integration, message, seed):
+        # the spectrum's own message, with or without Poisson noise
+        with pytest.raises(ValueError, match=f"^integration_per_point {message}$"):
+            synth_odmr(bulk_model(), TRAIN, None, FREQS, TRUTH, integration, seed=seed)
+        with pytest.raises(ValueError, match=f"^integration_per_point {message}$"):
+            OdmrSpectrum(FREQS, np.ones(FREQS.size), integration)
+
 
 class TestFitRoundTrip:
     def test_exact_doublet_recovery(self):
