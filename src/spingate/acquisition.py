@@ -199,7 +199,7 @@ def simulate_events(
     integration_time: float,
     mw_toggle_rate: float,
     seed,
-    c_sat: float = 0.15,
+    c_sat: float,
     block: int | None = None,
     window: GateWindow | None = None,
 ) -> EventStream:
@@ -242,6 +242,8 @@ def simulate_events(
     n_blocks = block_count(train, integration_time)
     if not mw_toggle_rate > 0:
         raise ValueError("mw_toggle_rate must be > 0")
+    if not math.isfinite(mw_toggle_rate):
+        raise ValueError(f"mw_toggle_rate must be finite, got {mw_toggle_rate}")
     if block is not None and not 0 <= block < n_blocks:
         raise ValueError(f"block must be in [0, {n_blocks})")
     period = train.period
@@ -316,6 +318,8 @@ def hw_gate(
         raise ValueError("hardware gate exceeds the pulse period")
     if not jitter_sigma >= 0:
         raise ValueError("jitter_sigma must be >= 0")
+    if not math.isfinite(jitter_sigma):
+        raise ValueError(f"jitter_sigma must be finite, got {jitter_sigma}")
     phase = events.timestamps % period
     shift = 0.0
     if jitter_sigma > 0.0:
@@ -340,8 +344,8 @@ def hw_gate_expectation(
     model: FluorescenceModel,
     train: PulseTrain,
     gate: GateWindow,
-    jitter_sigma: float = 0.0,
-    c_sat: float = 0.15,
+    jitter_sigma: float,
+    c_sat: float,
 ) -> np.ndarray:
     """Expected counts per pulse that hw_gate keeps from a simulate_events
     stream, indexed by CHANNEL_OFF and CHANNEL_ON.
@@ -380,7 +384,7 @@ def mc_snr_distribution(
     channel_time: float,
     trials: int,
     seed,
-    c_sat: float = 0.15,
+    c_sat: float,
 ) -> McSnrResult:
     """Sample the shot-noise SNR distribution of a gated measurement.
 
@@ -413,7 +417,7 @@ def cmd_mc(args, run, seed):
         raise ConfigError("--trials must be >= 1")
     result = mc_snr_distribution(
         run.model, gate_from_args(args), run.train, run.sweep.channel_time, args.trials, seed,
-        c_sat=run.c_sat,
+        c_sat=run.sweep.c_sat,
     )
     meta = dict(
         trials=args.trials,
@@ -442,7 +446,7 @@ def cmd_hw_sim(args, run, seed):
     for k in range(block_count(run.train, args.integration)):
         events = simulate_events(
             run.model, run.train, args.integration, args.toggle_rate, stream_seed,
-            c_sat=run.c_sat, block=k, window=window,
+            c_sat=run.sweep.c_sat, block=k, window=window,
         )
         kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k))
         offline = offline_gate(events, run.train, gate)

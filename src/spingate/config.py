@@ -54,10 +54,6 @@ class RunConfig(Record):
     seed: int | None = None
     out: str | None = None
 
-    @property
-    def c_sat(self) -> float:
-        return self.sweep.c_sat
-
 
 def load_config(path: str) -> RunConfig:
     try:

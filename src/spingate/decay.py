@@ -445,7 +445,7 @@ def gate_from_args(args) -> GateWindow:
 
 def cmd_simulate(args, run, seed) -> histogram.TcspcHistogram:
     integration = run.sweep.channel_time if args.integration is None else args.integration
-    spin = "ms0" if args.channel == "mw_off" else run.c_sat
+    spin = "ms0" if args.channel == "mw_off" else run.sweep.c_sat
     expected = histogram_expectation(
         run.model, spin, run.train, args.bin_width, integration, channel=args.channel
     )

@@ -78,7 +78,6 @@ class SnrMap(Record):
     values: np.ndarray  # (ny * factor, nx * factor)
     factor: int
     zero_flags: np.ndarray  # (ny, nx) bool: True where total counts were zero
-    method: str = "catmull-rom"
 
     def __post_init__(self):
         values = frozen_array(self.values)
@@ -207,7 +206,7 @@ def cmd_snr_map(args, run, seed):
     meta = dict(
         channel=args.channel,
         factor=result.factor,
-        method=result.method,
+        method="catmull-rom",
         zero_pixels=int(result.zero_flags.sum()),
         pitch_um=scan.pitch / result.factor,
     )

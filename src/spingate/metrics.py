@@ -40,16 +40,10 @@ class RatePair(Record):
             raise ValueError(f"rates must be non-negative, got ({self.r0}, {self.r1})")
 
 
-class PhysicalConstants(Record):
-    """CODATA 2018 defaults; injectable so results can be pinned bit-exactly."""
-
-    planck_h: float = 6.62607015e-34  # J s
-    electron_g: float = 2.00231930436256
-    bohr_magneton: float = 9.2740100783e-24  # J/T
-
-    def __post_init__(self):
-        if not (self.planck_h > 0 and self.electron_g > 0 and self.bohr_magneton > 0):
-            raise ValueError("physical constants must be strictly positive")
+# CODATA 2018
+PLANCK_H = 6.62607015e-34  # J s
+ELECTRON_G = 2.00231930436256
+BOHR_MAGNETON = 9.2740100783e-24  # J/T
 
 
 def contrast(p: CountPair) -> float | np.ndarray:
@@ -93,20 +87,16 @@ def ef_empirical(gated: CountPair, ungated: CountPair) -> float:
     return snr(gated) / snr(ungated)
 
 
-def sensitivity_cw(
-    linewidth: float, rates: RatePair, constants: PhysicalConstants | None = None
-) -> float | np.ndarray:
+def sensitivity_cw(linewidth: float, rates: RatePair) -> float | np.ndarray:
     """Shot-noise-limited CW magnetic-field sensitivity in T / sqrt(Hz).
 
     eta = 4/(3 sqrt(3)) * h/(g_e mu_B) * dnu * sqrt(R0) / (R0 - R1)
     with dnu the resonance FWHM and R0 > R1 the off/on-resonance rates.
     """
-    if constants is None:
-        constants = PhysicalConstants()
     if not linewidth > 0:
         raise MetricError(f"linewidth must be > 0, got {linewidth}")
     if np.any(rates.r0 <= rates.r1):
         raise MetricError("non-positive ODMR dip")
     prefactor = 4.0 / (3.0 * math.sqrt(3.0))
-    quantum = constants.planck_h / (constants.electron_g * constants.bohr_magneton)
+    quantum = PLANCK_H / (ELECTRON_G * BOHR_MAGNETON)
     return prefactor * quantum * linewidth * np.sqrt(rates.r0) / (rates.r0 - rates.r1)

@@ -33,8 +33,8 @@ import numpy as np
 from . import histogram, reader
 from .decay import FluorescenceModel, GateWindow, PulseTrain, gate_from_args, steady_rate
 from .errors import ConfigError, FitError, NonConvergenceError, ParseError
-from .metrics import PhysicalConstants, RatePair, sensitivity_cw
-from .record import Record
+from .metrics import RatePair, sensitivity_cw
+from .record import Record, require_finite
 
 MAX_ITERATIONS = 500
 SE_TOL = 1e-5
@@ -107,6 +107,7 @@ class DoubletTruth(Record):
         for d in (self.depth1, self.depth2):
             if not 0 <= d <= 1:
                 raise ValueError("population depth must be in [0, 1]")
+        require_finite(self, *self._fields)
 
     def population(self, freqs: np.ndarray) -> np.ndarray:
         """Driven population fraction p(f) = sum of the two Lorentzian dips."""
@@ -223,14 +224,10 @@ def gate_measured_odmr(
     )
 
 
-def sensitivity_from_fit(
-    doublet: LorentzianDoublet,
-    rates: RatePair,
-    constants: PhysicalConstants | None = None,
-) -> float:
+def sensitivity_from_fit(doublet: LorentzianDoublet, rates: RatePair) -> float:
     """CW sensitivity using the deeper dip's linewidth."""
     _, fwhm, _ = doublet.deeper_dip()
-    return sensitivity_cw(fwhm, rates, constants)
+    return sensitivity_cw(fwhm, rates)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +401,15 @@ def _refine(x: np.ndarray, y: np.ndarray, theta: np.ndarray):
 def cmd_odmr_synth(args, run, seed):
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
+    if not math.isfinite(args.f_stop - args.f_start):
+        raise ConfigError(
+            f"frequency span must be finite, got --f-start {args.f_start} --f-stop {args.f_stop}"
+        )
     freqs = np.linspace(args.f_start, args.f_stop, args.points)
     truth = DoubletTruth(
         args.center1, args.fwhm1, args.depth1, args.center2, args.fwhm2, args.depth2
     )
-    gate = gate_from_args(args) if (args.tau_c > 0 or args.t_end is not None) else None
+    gate = None if args.tau_c == 0 and args.t_end is None else gate_from_args(args)
     spectrum = synth_odmr(
         run.model, run.train, gate, freqs, truth, args.integration_per_point, seed=seed
     )

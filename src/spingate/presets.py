@@ -10,9 +10,10 @@ Two scenarios recur in tests and examples:
   ratio seen in nanodiamond ensembles) and the background dominates, with
   10 MHz excitation.
 
-Background strength is specified indirectly: either as a background:signal
-ratio (peak-amplitude or integrated-count flavor) or by the ungated ODMR
-contrast it dilutes the signal down to.
+Both are fixed models. Background strength is specified indirectly: bulk
+by a 3:1 integrated background:signal ratio, fnd by the 1.2 % ungated ODMR
+contrast it dilutes the signal down to. A config's background_ratio and
+background_ratio_mode keys (background_amplitude) give any other ratio.
 """
 
 from __future__ import annotations
@@ -50,15 +51,11 @@ def background_amplitude(
     raise ValueError(f"unknown ratio mode {mode!r}, expected 'amplitude' or 'integrated'")
 
 
-def bulk_model(
-    noise_ratio: float = 3.0,
-    ratio_mode: str = "integrated",
-    rep_rate: float = BULK_REP_RATE,
-) -> FluorescenceModel:
-    """Bulk-diamond NV over SiV background (3:1 integrated by default)."""
+def bulk_model() -> FluorescenceModel:
+    """Bulk-diamond NV over SiV background, 3:1 integrated at 20 MHz."""
     spin0 = (DecayComponent(1.0, 12.0, "NV ms0"),)
     spin1 = (DecayComponent(1.0, 8.0, "NV ms1"),)
-    a_bg = background_amplitude(noise_ratio, 1.7, spin0, PulseTrain(rep_rate).period, ratio_mode)
+    a_bg = background_amplitude(3.0, 1.7, spin0, PulseTrain(BULK_REP_RATE).period, "integrated")
     return FluorescenceModel(
         spin0=spin0,
         spin1=spin1,
@@ -66,7 +63,7 @@ def bulk_model(
     )
 
 
-def fnd_background_amplitude(
+def _fnd_background_amplitude(
     target_ungated_contrast: float,
     c_sat: float,
     spin0: tuple[DecayComponent, ...],
@@ -80,35 +77,24 @@ def fnd_background_amplitude(
         C_u = c_sat * (n0 - n1) / (n0 + n_bg)
     over a full period; solve for the background amplitude.
     """
-    if not 0 < target_ungated_contrast < 1:
-        raise ValueError("target ungated contrast must be in (0, 1)")
     window = GateWindow(0.0, period)
     n0 = sum(gated_counts_exponential(c, window) for c in spin0)
     n1 = sum(gated_counts_exponential(c, window) for c in spin1)
     unit_bg = gated_counts_exponential(DecayComponent(1.0, bg_lifetime), window)
-    needed = c_sat * (n0 - n1) / target_ungated_contrast - n0
-    if needed < 0:
-        raise ValueError(
-            "target contrast exceeds the background-free contrast; no background can realize it"
-        )
-    return needed / unit_bg
+    return (c_sat * (n0 - n1) / target_ungated_contrast - n0) / unit_bg
 
 
-def fnd_model(
-    ungated_contrast: float = 0.012,
-    c_sat: float = FND_C_SAT,
-    rep_rate: float = FND_REP_RATE,
-) -> FluorescenceModel:
-    """Nanodiamond NV over strong nitrocellulose background.
+def fnd_model() -> FluorescenceModel:
+    """Nanodiamond NV over strong nitrocellulose background at 10 MHz.
 
-    The background amplitude is solved so the full-period contrast equals
-    ungated_contrast (default 1.2%) at the given saturation weight, which
-    puts the integrated background near 13:1.
+    The background amplitude is solved so the full-period contrast is 1.2 %
+    at the saturation weight FND_C_SAT, which puts the integrated background
+    near 13:1.
     """
     spin0 = (DecayComponent(1.0, 25.0, "FND ms0"),)
     spin1 = (DecayComponent(1.0, 14.0, "FND ms1"),)
-    a_bg = fnd_background_amplitude(
-        ungated_contrast, c_sat, spin0, spin1, 4.0, PulseTrain(rep_rate).period
+    a_bg = _fnd_background_amplitude(
+        0.012, FND_C_SAT, spin0, spin1, 4.0, PulseTrain(FND_REP_RATE).period
     )
     return FluorescenceModel(
         spin0=spin0,

@@ -18,7 +18,6 @@ from .decay import FluorescenceModel, PulseTrain, steady_rate
 from .errors import ConfigError
 from .metrics import (
     CountPair,
-    PhysicalConstants,
     RatePair,
     contrast,
     sensitivity_cw,
@@ -44,7 +43,6 @@ class SweepConfig(Record):
     c_sat: float = 0.15  # MW-on mixture weight
     power_mode: str = "constant-pulse-energy"
     reference_rate: float = 40e6  # Hz; amplitude anchor for constant-mean-power
-    constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
         if not self.integration_time > 0:
@@ -168,7 +166,7 @@ def sweep_gate(model: FluorescenceModel, train: PulseTrain, cfg: SweepConfig) ->
     snrs = snr(pair)
     etas = None
     if cfg.linewidth is not None:
-        etas = sensitivity_cw(cfg.linewidth, RatePair(r0, r1), cfg.constants)
+        etas = sensitivity_cw(cfg.linewidth, RatePair(r0, r1))
     # The grid starts at the ungated onset 0, the EF baseline, so ef[0] == 1
     # exactly; enhancement over a zero-SNR baseline is undefined, not infinite.
     ef = snrs / snrs[0] if snrs[0] != 0.0 else np.full(grid.size, np.nan)

@@ -240,7 +240,7 @@ def test_criterion_07_monte_carlo_shot_noise():
 def test_criterion_08_hardware_gate_equivalence():
     with criterion(8, "hardware gate == offline filter", 5.0):
         train = PulseTrain(BULK_REP_RATE)
-        events = simulate_events(bulk_model(), train, 0.00125, 50.0, seed=99)
+        events = simulate_events(bulk_model(), train, 0.00125, 50.0, seed=99, c_sat=BULK_C_SAT)
         assert len(events) >= 1_000_000
         delay = 9.2
         gate = GateWindow(delay, train.period)

@@ -51,6 +51,7 @@ def small_model() -> FluorescenceModel:
 
 
 TRAIN = PulseTrain(20e6)
+C_SAT = 0.15  # MW-on mixture weight
 
 
 class TestSampleHistogram:
@@ -121,34 +122,42 @@ class TestSimulateEvents:
             spin0=(DecayComponent(0.0, 12.0),),
             spin1=(DecayComponent(0.0, 8.0),),
         )
-        ev = simulate_events(m, TRAIN, 1e-3, 50.0, 5)
+        ev = simulate_events(m, TRAIN, 1e-3, 50.0, 5, C_SAT)
         assert len(ev) == 0
 
     def test_deterministic_for_fixed_seed(self):
-        a = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9)
-        b = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9)
+        a = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9, C_SAT)
+        b = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9, C_SAT)
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.channels, b.channels)
 
     @pytest.mark.parametrize("block", [None, 0])
     def test_requires_seed(self, block):
         with pytest.raises(ValueError, match="simulate_events requires a seed"):
-            simulate_events(small_model(), TRAIN, 2e-4, 50.0, None, block=block)
+            simulate_events(small_model(), TRAIN, 2e-4, 50.0, None, C_SAT, block=block)
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [(math.inf, "must be finite, got inf"), (math.nan, "must be > 0"), (0.0, "must be > 0")],
+    )
+    def test_toggle_rate_must_be_finite_and_positive(self, rate, message):
+        with pytest.raises(ValueError, match=f"mw_toggle_rate {message}"):
+            simulate_events(small_model(), TRAIN, 2e-4, rate, 9, C_SAT)
 
     def test_timestamps_sorted_and_in_range(self):
-        ev = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9)
+        ev = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9, C_SAT)
         assert np.all(np.diff(ev.timestamps) >= 0)
         assert ev.timestamps[0] >= 0
         assert ev.timestamps[-1] < 2e-4 * 1e9
 
     def test_first_half_toggle_is_mw_off(self):
         # square wave starts MW-off; 0.2 ms < 10 ms half-toggle at 50 Hz
-        ev = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9)
+        ev = simulate_events(small_model(), TRAIN, 2e-4, 50.0, 9, C_SAT)
         assert np.all(ev.channels == CHANNEL_OFF)
 
     def test_channel_durations_balance(self):
         # 200 Hz toggle -> 2.5 ms half period; 10 ms covers 4 half cycles
-        ev = simulate_events(small_model(), TRAIN, 10e-3, 200.0, 21)
+        ev = simulate_events(small_model(), TRAIN, 10e-3, 200.0, 21, C_SAT)
         on = int(np.count_nonzero(ev.channels == CHANNEL_ON))
         off = len(ev) - on
         # equal expected counts per channel (same model both channels would
@@ -159,7 +168,7 @@ class TestSimulateEvents:
     def test_histogram_matches_expectation_chi_square(self):
         m = small_model()
         integration = 2e-3  # 40k pulses, all MW-off at 50 Hz toggle
-        ev = simulate_events(m, TRAIN, integration, 50.0, 31)
+        ev = simulate_events(m, TRAIN, integration, 50.0, 31, C_SAT)
         assert np.all(ev.channels == CHANNEL_OFF)
         phase = ev.timestamps % TRAIN.period
         obs, _ = np.histogram(phase, bins=50, range=(0.0, TRAIN.period))
@@ -171,7 +180,7 @@ class TestSimulateEvents:
     def test_grand_total_within_four_sigma(self):
         m = small_model()
         integration = 2e-3
-        ev = simulate_events(m, TRAIN, integration, 50.0, 17)
+        ev = simulate_events(m, TRAIN, integration, 50.0, 17, C_SAT)
         want = integration * steady_rate(m, "ms0", 0.0, TRAIN)
         assert abs(len(ev) - want) < 4.0 * math.sqrt(want)
 
@@ -188,9 +197,9 @@ class TestSimulateEvents:
         )
         integration = 2e-3  # 40k pulses
         # a 1 kHz toggle gives 10k-pulse half cycles: 20k pulses per channel
-        ev = simulate_events(m, TRAIN, integration, 1000.0, 31)
+        ev = simulate_events(m, TRAIN, integration, 1000.0, 31, C_SAT)
         phase = ev.timestamps % TRAIN.period
-        for code, spin in ((CHANNEL_OFF, "ms0"), (CHANNEL_ON, 0.15)):
+        for code, spin in ((CHANNEL_OFF, "ms0"), (CHANNEL_ON, C_SAT)):
             obs, _ = np.histogram(phase[ev.channels == code], bins=50, range=(0.0, TRAIN.period))
             want = histogram_expectation(m, spin, TRAIN, 1.0, integration / 2).counts
             assert np.all(want > 10)
@@ -203,7 +212,7 @@ class TestSimulateEvents:
             spin1=(DecayComponent(0.2, 8.0),),
             irf_sigma=0.4,
         )
-        ev = simulate_events(m, TRAIN, 1e-4, 50.0, 3)
+        ev = simulate_events(m, TRAIN, 1e-4, 50.0, 3, C_SAT)
         assert len(ev) > 0
         assert np.all(np.diff(ev.timestamps) >= 0)
 
@@ -213,11 +222,11 @@ class TestEventBlocks:
     INTEGRATION = 2.5 * BLOCK_PULSES / TRAIN.rep_rate
 
     def test_blocks_concatenate_to_the_stream(self):
-        whole = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12)
+        whole = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT)
         n_blocks = block_count(TRAIN, self.INTEGRATION)
         assert n_blocks == 3
         blocks = [
-            simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=k)
+            simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT, block=k)
             for k in range(n_blocks)
         ]
         assert all(len(b) > 0 for b in blocks)
@@ -226,14 +235,18 @@ class TestEventBlocks:
         assert set(whole.channels.tolist()) == {CHANNEL_OFF, CHANNEL_ON}
 
     def test_first_block_is_the_one_block_acquisition(self):
-        first = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=0)
-        one = simulate_events(small_model(), TRAIN, BLOCK_PULSES / TRAIN.rep_rate, 1000.0, 12)
+        first = simulate_events(
+            small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT, block=0
+        )
+        one = simulate_events(
+            small_model(), TRAIN, BLOCK_PULSES / TRAIN.rep_rate, 1000.0, 12, C_SAT
+        )
         assert block_count(TRAIN, BLOCK_PULSES / TRAIN.rep_rate) == 1
         assert np.array_equal(first.timestamps, one.timestamps)
         assert np.array_equal(first.channels, one.channels)
 
     def test_block_lies_in_its_own_pulses(self):
-        ev = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=2)
+        ev = simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT, block=2)
         pulse = np.floor_divide(ev.timestamps, TRAIN.period)
         assert pulse.min() >= 2 * BLOCK_PULSES
         assert pulse.max() < self.INTEGRATION * TRAIN.rep_rate
@@ -241,7 +254,9 @@ class TestEventBlocks:
     def test_block_out_of_range(self):
         for block in (-1, 3):
             with pytest.raises(ValueError, match="block"):
-                simulate_events(small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, block=block)
+                simulate_events(
+                    small_model(), TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT, block=block
+                )
 
     def test_source_means_computed_once_per_stream(self, monkeypatch):
         # drawing a stream block by block evaluates the per-source window
@@ -255,12 +270,14 @@ class TestEventBlocks:
         window = GateWindow(2.0, 22.0)
         model = irf_model(0.3)
         for k in range(block_count(TRAIN, self.INTEGRATION)):
-            simulate_events(model, TRAIN, self.INTEGRATION, 1000.0, 12, block=k, window=window)
+            simulate_events(
+                model, TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT, block=k, window=window
+            )
             assert len(calls) == 2 * 3  # two mass evaluations per decay component
 
     def test_no_pulses_is_one_empty_block(self):
         assert block_count(TRAIN, 0.0) == 1
-        assert len(simulate_events(small_model(), TRAIN, 0.0, 50.0, 1, block=0)) == 0
+        assert len(simulate_events(small_model(), TRAIN, 0.0, 50.0, 1, C_SAT, block=0)) == 0
 
     @pytest.mark.parametrize(
         "integration, message",
@@ -294,7 +311,7 @@ class TestWindowedDraw:
 
     def draw(self, sigma, window, seed):
         return simulate_events(
-            irf_model(sigma), TRAIN, self.INTEGRATION, self.TOGGLE, seed, window=window
+            irf_model(sigma), TRAIN, self.INTEGRATION, self.TOGGLE, seed, C_SAT, window=window
         )
 
     @pytest.mark.parametrize("window", WINDOWS)
@@ -304,7 +321,7 @@ class TestWindowedDraw:
         ev = self.draw(sigma, window, 31)
         phase = ev.timestamps % TRAIN.period
         assert np.all((phase >= start) & (phase < end))
-        for code, spin in ((CHANNEL_OFF, "ms0"), (CHANNEL_ON, 0.15)):
+        for code, spin in ((CHANNEL_OFF, "ms0"), (CHANNEL_ON, C_SAT)):
             obs, _ = np.histogram(phase[ev.channels == code], bins=end - start, range=(start, end))
             full = histogram_expectation(irf_model(sigma), spin, TRAIN, 1.0, self.INTEGRATION / 2)
             want = full.counts[start:end]
@@ -318,7 +335,7 @@ class TestWindowedDraw:
         ev = self.draw(sigma, window, 17)
         want = sum(
             steady_rate(irf_model(sigma), spin, 0.0, TRAIN) * self.INTEGRATION / 2
-            for spin in ("ms0", 0.15)
+            for spin in ("ms0", C_SAT)
         )
         assert abs(len(ev) + ev.n_outside - want) < 4.0 * math.sqrt(want)
         assert (ev.n_outside == 0) == (window is None)
@@ -338,9 +355,13 @@ class TestWindowedDraw:
     def test_blocks_with_a_window_concatenate_to_the_stream(self):
         integration = 2.5 * BLOCK_PULSES / TRAIN.rep_rate
         window = GateWindow(2.0, 22.0)
-        whole = simulate_events(irf_model(0.3), TRAIN, integration, 1000.0, 12, window=window)
+        whole = simulate_events(
+            irf_model(0.3), TRAIN, integration, 1000.0, 12, C_SAT, window=window
+        )
         blocks = [
-            simulate_events(irf_model(0.3), TRAIN, integration, 1000.0, 12, block=k, window=window)
+            simulate_events(
+                irf_model(0.3), TRAIN, integration, 1000.0, 12, C_SAT, block=k, window=window
+            )
             for k in range(block_count(TRAIN, integration))
         ]
         assert np.array_equal(np.concatenate([b.timestamps for b in blocks]), whole.timestamps)
@@ -361,7 +382,7 @@ class TestWindowedDraw:
 
 @pytest.fixture(scope="module")
 def stream():
-    return simulate_events(small_model(), TRAIN, 1e-3, 200.0, 77)
+    return simulate_events(small_model(), TRAIN, 1e-3, 200.0, 77, C_SAT)
 
 
 class TestGating:
@@ -420,11 +441,12 @@ class TestGating:
         kept = []
         for k in range(n_blocks):
             events = simulate_events(
-                small_model(), TRAIN, integration, toggle, stream_seed, block=k, window=window
+                small_model(), TRAIN, integration, toggle, stream_seed, C_SAT,
+                block=k, window=window,
             )
             assert np.all(events.channels == k % 2)
             kept.append(len(hw_gate(events, TRAIN, gate, jitter, block_seed(gate_seed, k))))
-        per_pulse = hw_gate_expectation(small_model(), TRAIN, gate, jitter)
+        per_pulse = hw_gate_expectation(small_model(), TRAIN, gate, jitter, C_SAT)
         for code in (CHANNEL_OFF, CHANNEL_ON):
             blocks = np.array(kept[code::2])
             error = blocks.std(ddof=1) * math.sqrt(blocks.size)
@@ -476,22 +498,22 @@ class TestMcSnr:
     def test_reproducible_pair(self):
         m = small_model()
         gate = GateWindow(5.0, 50.0)
-        a = mc_snr_distribution(m, gate, TRAIN, 1e-2, 2, 99)
-        b = mc_snr_distribution(m, gate, TRAIN, 1e-2, 2, 99)
+        a = mc_snr_distribution(m, gate, TRAIN, 1e-2, 2, 99, C_SAT)
+        b = mc_snr_distribution(m, gate, TRAIN, 1e-2, 2, 99, C_SAT)
         assert np.array_equal(a.samples, b.samples)
         assert a.mean == b.mean and a.std == b.std
 
     def test_requires_seed(self):
         with pytest.raises(ValueError, match="mc_snr_distribution requires a seed"):
-            mc_snr_distribution(small_model(), GateWindow(5.0, 50.0), TRAIN, 1e-2, 2, None)
+            mc_snr_distribution(small_model(), GateWindow(5.0, 50.0), TRAIN, 1e-2, 2, None, C_SAT)
 
     def test_infinite_count_limit_matches_analytic(self):
         m = small_model().scaled(500.0)
         gate = GateWindow(9.2, 50.0)
         per_channel = 0.5
-        res = mc_snr_distribution(m, gate, TRAIN, per_channel, 5, 12345)
+        res = mc_snr_distribution(m, gate, TRAIN, per_channel, 5, 12345, C_SAT)
         n0 = steady_rate(m, "ms0", 9.2, TRAIN) * per_channel
-        n1 = steady_rate(m, 0.15, 9.2, TRAIN) * per_channel
+        n1 = steady_rate(m, C_SAT, 9.2, TRAIN) * per_channel
         analytic = snr(CountPair(n0, n1))
         assert res.mean == pytest.approx(analytic, rel=1e-3)
 
@@ -500,9 +522,9 @@ class TestMcSnr:
         gate = GateWindow(9.2, 50.0)
         trials = 100
         per_channel = 0.05
-        res = mc_snr_distribution(m, gate, TRAIN, per_channel, trials, 2026)
+        res = mc_snr_distribution(m, gate, TRAIN, per_channel, trials, 2026, C_SAT)
         n0 = steady_rate(m, "ms0", 9.2, TRAIN) * per_channel
-        n1 = steady_rate(m, 0.15, 9.2, TRAIN) * per_channel
+        n1 = steady_rate(m, C_SAT, 9.2, TRAIN) * per_channel
         analytic = snr(CountPair(n0, n1))
         assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
 
@@ -513,7 +535,8 @@ class TestMcSnr:
         cfg = SweepConfig(integration_time=0.1, mw_duty=0.3)
         assert cfg.channel_time == pytest.approx(0.03)
         trials = 100
-        res = mc_snr_distribution(m, GateWindow(9.2, 50.0), TRAIN, cfg.channel_time, trials, 2026)
+        res = mc_snr_distribution(m, GateWindow(9.2, 50.0), TRAIN, cfg.channel_time, trials, 2026,
+                                  cfg.c_sat)
         report = sweep_gate(m, TRAIN, cfg)
         analytic = report.snr[np.isclose(report.tau_c_grid, 9.2)][0]
         assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
@@ -526,7 +549,8 @@ class TestMcSnr:
         report = sweep_gate(m, TRAIN, cfg)
         onset = float(report.tau_c_grid[index])
         trials = 200
-        res = mc_snr_distribution(m, GateWindow(onset), TRAIN, cfg.channel_time, trials, seed)
+        res = mc_snr_distribution(m, GateWindow(onset), TRAIN, cfg.channel_time, trials, seed,
+                                  cfg.c_sat)
         assert res.analytic == pytest.approx(report.snr[index], rel=1e-12)
         assert abs(res.mean - res.analytic) < 5.0 * res.std / math.sqrt(trials)
 
@@ -534,17 +558,17 @@ class TestMcSnr:
         # Var(N0 - N1) = N0 + N1, so at high counts the SNR scatters with
         # unit standard deviation; 1000 trials pin it to about 2 %.
         m = small_model().scaled(500.0)
-        res = mc_snr_distribution(m, GateWindow(9.2, 50.0), TRAIN, 0.5, 1000, 77)
+        res = mc_snr_distribution(m, GateWindow(9.2, 50.0), TRAIN, 0.5, 1000, 77, C_SAT)
         assert abs(res.std - 1.0) < 0.1
 
     def test_trials_are_stable_by_prefix(self):
         gate = GateWindow(5.0, 50.0)
-        short = mc_snr_distribution(small_model(), gate, TRAIN, 1e-2, 50, 8)
-        long = mc_snr_distribution(small_model(), gate, TRAIN, 1e-2, 100, 8)
+        short = mc_snr_distribution(small_model(), gate, TRAIN, 1e-2, 50, 8, C_SAT)
+        long = mc_snr_distribution(small_model(), gate, TRAIN, 1e-2, 100, 8, C_SAT)
         assert np.array_equal(long.samples[:50], short.samples)
 
     def test_single_trial_has_zero_std(self):
-        res = mc_snr_distribution(small_model(), GateWindow(5.0, 50.0), TRAIN, 1e-2, 1, 5)
+        res = mc_snr_distribution(small_model(), GateWindow(5.0, 50.0), TRAIN, 1e-2, 1, 5, C_SAT)
         assert res.std == 0.0
         assert res.samples.size == 1
 
@@ -584,3 +608,12 @@ class TestEventTypes:
         stream = EventStream(np.array([1.0]), np.array([0], dtype=np.uint8))
         with pytest.raises(ValueError, match="jitter_sigma"):
             hw_gate(stream, TRAIN, GateWindow(0.0, 10.0), jitter_sigma=-0.5, seed=1)
+
+    @pytest.mark.parametrize(
+        "jitter, message",
+        [(math.inf, "must be finite, got inf"), (math.nan, "must be >= 0"), (-math.inf, "must be >= 0")],
+    )
+    def test_hw_gate_jitter_must_be_finite(self, jitter, message):
+        stream = EventStream(np.array([1.0]), np.array([0], dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"jitter_sigma {message}"):
+            hw_gate(stream, TRAIN, GateWindow(0.0, 10.0), jitter_sigma=jitter, seed=1)

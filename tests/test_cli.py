@@ -1,7 +1,9 @@
 """End-to-end command-line runs through main(argv)."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -777,27 +779,17 @@ class TestQuietCells:
         """\
         import sys
         import numpy as np
-        from spingate import ColumnarReport, write_report
+        from spingate.report import ColumnarReport, write_report
         cells = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.5]
         data = {np.dtype(t).name: np.array(cells, t) for t in (np.float64, np.float32, np.float16)}
         write_report(sys.argv[1], ColumnarReport(metadata={}, data=data))
         """
     )
 
-    def run(self, *argv: str) -> subprocess.CompletedProcess:
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        # -W default shows every warning once, whatever the interpreter's filters
-        return subprocess.run(
-            [sys.executable, "-W", "default", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-
     def test_gate_apply_writes_zero_and_subnormal_counts_silently(self, tmp_path):
         hist, out = tmp_path / "hist.csv", tmp_path / "gated.csv"
         hist.write_text(self.HISTOGRAM)
-        done = self.run(
+        done = run_python(
             "-m", "spingate.cli", "gate-apply", "--input", str(hist), "--tau-c", "0",
             "--out", str(out),
         )
@@ -808,7 +800,7 @@ class TestQuietCells:
 
     def test_non_finite_zero_and_subnormal_cells_write_silently(self, tmp_path):
         out = tmp_path / "cells.csv"
-        done = self.run("-c", self.SCRIPT, str(out))
+        done = run_python("-c", self.SCRIPT, str(out))
         assert (done.returncode, done.stderr) == (0, "")
         lines = out.read_text().splitlines()
         assert lines[0] == "float64,float32,float16"
@@ -816,6 +808,47 @@ class TestQuietCells:
             "nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324",
             "-2.5000000000000171e-310", "1.5",
         ]
+
+
+class TestNonFiniteArguments:
+    """An infinite or nan argument is a validation error: exit 2, one error
+    line, no numpy warning before it, and no output file."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hw-sim", "--delay", "9.2", "--jitter", "inf", "--integration", "1e-4",
+              "--seed", "1"], "jitter_sigma must be finite, got inf"),
+            (["hw-sim", "--delay", "9.2", "--toggle-rate", "inf", "--integration", "1e-4",
+              "--seed", "1"], "mw_toggle_rate must be finite, got inf"),
+            (["odmr-synth", "--fwhm1", "inf"], "fwhm1 must be finite, got inf"),
+            (["odmr-synth", "--center1", "inf"], "center1 must be finite, got inf"),
+            (["odmr-synth", "--tau-c", "nan"],
+             "gate window requires 0 <= t_start < t_end, got [nan, inf)"),
+            (["odmr-synth", "--f-start", "inf"],
+             "frequency span must be finite, got --f-start inf --f-stop 2900000000.0"),
+        ],
+        ids=["hw-sim-jitter", "hw-sim-toggle-rate", "synth-fwhm1", "synth-center1",
+             "synth-tau-c", "synth-f-start"],
+    )
+    def test_exits_2_and_writes_nothing(self, config_path, tmp_path, argv, message):
+        out = tmp_path / "o.csv"
+        done = run_python("-m", "spingate.cli", *argv, "--config", config_path,
+                          "--out", str(out))
+        assert (done.returncode, done.stderr.splitlines()) == (2, [f"error: {message}"])
+        assert not out.exists()
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """python -W default argv in a fresh interpreter on this tree; -W default
+    shows every warning once, whatever the interpreter's filters."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "default", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def run_script(script: str, *args: str) -> list[str]:
@@ -990,6 +1023,27 @@ class TestLazyModules:
                              before=before)
         assert loaded[0] == "3"
         assert "odmr" in loaded
+
+    def test_readme_library_example_runs(self, capsys):
+        # the example imports package-level names only, and prints the bulk
+        # model's optimal onset and enhancement factor
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+            text = handle.read()
+        block = re.search(r"^```python\n(.*?)^```$", text, re.S | re.M).group(1)
+        imports = [
+            node for node in ast.walk(ast.parse(block))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert imports and all(
+            isinstance(node, ast.ImportFrom) and node.module == "spingate"
+            and {alias.name for alias in node.names} <= set(spingate.__all__)
+            for node in imports
+        )
+        exec(block, {})
+        onset, ef = map(float, capsys.readouterr().out.split())
+        assert onset == pytest.approx(9.2)
+        assert ef == pytest.approx(2.225, abs=5e-4)
 
     def test_every_exported_name_resolves(self):
         for name in spingate.__all__:

@@ -841,7 +841,7 @@ class TestConfig:
         assert cfg.train.rep_rate == 20e6
         assert cfg.sweep.integration_time == 10.0
         assert cfg.sweep.linewidth == 1e7
-        assert cfg.c_sat == 0.15
+        assert cfg.sweep.c_sat == 0.15
         assert cfg.seed == 7
         assert cfg.out == "sweep.csv"
 

@@ -113,7 +113,6 @@ class TestSnrMap:
         assert m.values.shape == (15, 20)
         assert m.zero_flags.shape == (3, 4)
         assert m.factor == 5
-        assert m.method == "catmull-rom"
 
     def test_zero_total_pixel_flagged_not_nan(self):
         off = np.array([[100.0, 0.0], [64.0, 25.0]])

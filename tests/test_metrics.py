@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from spingate.decay import DecayComponent, GateWindow, gated_counts_exponential
 from spingate.errors import MetricError
 from spingate.metrics import (
+    BOHR_MAGNETON,
+    ELECTRON_G,
+    PLANCK_H,
     CountPair,
-    PhysicalConstants,
     RatePair,
     contrast,
     ef_empirical,
@@ -142,18 +144,14 @@ class TestEfEmpirical:
 
 class TestSensitivity:
     def test_prefactors(self):
-        k = PhysicalConstants(electron_g=2.00232)
         assert 4.0 / (3.0 * math.sqrt(3.0)) == pytest.approx(0.7698, rel=1e-4)
-        assert k.planck_h / (k.electron_g * k.bohr_magneton) == pytest.approx(
-            3.568e-11, rel=1e-3
-        )
+        assert PLANCK_H / (ELECTRON_G * BOHR_MAGNETON) == pytest.approx(3.568e-11, rel=1e-3)
 
     def test_paper_style_evaluation(self):
-        k = PhysicalConstants(electron_g=2.00232)
-        got = sensitivity_cw(10e6, RatePair(1e6, 0.98e6), k)
+        got = sensitivity_cw(10e6, RatePair(1e6, 0.98e6))
         want = (
             (4.0 / (3.0 * math.sqrt(3.0)))
-            * (k.planck_h / (k.electron_g * k.bohr_magneton))
+            * (PLANCK_H / (ELECTRON_G * BOHR_MAGNETON))
             * 10e6
             * math.sqrt(1e6)
             / (1e6 - 0.98e6)
@@ -190,7 +188,3 @@ class TestValidation:
     def test_rate_pair_non_negative(self):
         with pytest.raises(ValueError):
             RatePair(5.0, -1.0)
-
-    def test_constants_positive(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(planck_h=0.0)

@@ -15,7 +15,7 @@ import spingate.odmr as odmr_mod
 from spingate.decay import GateWindow, PulseTrain, gated_counts
 from spingate.errors import FitError, GateError, NonConvergenceError
 from spingate.histogram import TcspcHistogram
-from spingate.metrics import PhysicalConstants, RatePair, sensitivity_cw
+from spingate.metrics import RatePair, sensitivity_cw
 from spingate.odmr import (
     DoubletTruth,
     LorentzianDoublet,
@@ -26,6 +26,7 @@ from spingate.odmr import (
     synth_odmr,
 )
 from spingate.presets import BULK_C_SAT, BULK_REP_RATE, bulk_model
+from spingate.record import replace
 
 TRAIN = PulseTrain(BULK_REP_RATE)
 FREQS = np.linspace(2.84e9, 2.90e9, 121)
@@ -403,6 +404,25 @@ class TestDoubletTypes:
             DoubletTruth(
                 center1=2.86e9, fwhm1=0.0, depth1=0.1, center2=2.88e9, fwhm2=5e6, depth2=0.1
             )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("center1", math.inf, "center1 must be finite, got inf"),
+            ("center2", -math.inf, "center2 must be finite, got -inf"),
+            ("center1", math.nan, "center1 must be finite, got nan"),
+            ("fwhm1", math.inf, "fwhm1 must be finite, got inf"),
+            ("fwhm2", math.inf, "fwhm2 must be finite, got inf"),
+            ("fwhm2", math.nan, "fwhm must be > 0"),
+            ("depth1", math.inf, r"population depth must be in \[0, 1\]"),
+            ("depth2", math.nan, r"population depth must be in \[0, 1\]"),
+        ],
+        ids=["center1-inf", "center2--inf", "center1-nan", "fwhm1-inf", "fwhm2-inf", "fwhm2-nan",
+             "depth1-inf", "depth2-nan"],
+    )
+    def test_truth_fields_must_be_finite(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(TRUTH, **{field: value})
 
     def test_spectrum_requires_increasing_freqs(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from spingate.config import RunConfig
 from spingate.decay import DecayComponent, FluorescenceModel, GatedCounts, GateWindow, PulseTrain
 from spingate.histogram import TcspcHistogram
 from spingate.mapping import ScanMap, SnrMap
-from spingate.metrics import CountPair, PhysicalConstants, RatePair
+from spingate.metrics import CountPair, RatePair
 from spingate.odmr import DoubletTruth, LorentzianDoublet, OdmrSpectrum
 from spingate.record import FrozenRecordError, Record, replace
 from spingate.report import ColumnarReport
@@ -22,14 +22,10 @@ MODEL_REPR = (
     "spin1=(DecayComponent(amplitude=1.0, lifetime=8.0, label=''),), background=(), "
     "dark_rate=0.0, irf_sigma=0.0, pulse_time=0.0)"
 )
-CONSTANTS_REPR = (
-    "PhysicalConstants(planck_h=6.62607015e-34, electron_g=2.00231930436256, "
-    "bohr_magneton=9.2740100783e-24)"
-)
 SWEEP_DEFAULTS = (
     "integration_time=1.0, mw_duty=0.5, tau_c_resolution=0.1, tau_c_max=None, "
     "rate_grid=None, linewidth=None, c_sat=0.15, power_mode='constant-pulse-energy', "
-    f"reference_rate=40000000.0, constants={CONSTANTS_REPR}"
+    "reference_rate=40000000.0"
 )
 
 # (class, required arguments, a valid change, a change __post_init__ rejects
@@ -79,11 +75,6 @@ CASES = [
         "(r0, r1)",
     ),
     (
-        PhysicalConstants, (), {"electron_g": 2.0}, {"planck_h": 0.0},
-        CONSTANTS_REPR,
-        "(planck_h=6.62607015e-34, electron_g=2.00231930436256, bohr_magneton=9.2740100783e-24)",
-    ),
-    (
         ScanMap, (0.5, 1e-3, [[4.0]], [[3.0]], [[2.0]], [[1.0]]), {"pitch": 1.0}, {"dwell": 0.0},
         "ScanMap(pitch=0.5, dwell=0.001, mw_off_gated=array([[4.]]), mw_on_gated=array([[3.]]), "
         "mw_off_ungated=array([[2.]]), mw_on_ungated=array([[1.]]))",
@@ -91,9 +82,8 @@ CASES = [
     ),
     (
         SnrMap, ([[1.5]], 1, [[False]]), {"values": [[2.5]]}, {"factor": 0},
-        "SnrMap(values=array([[1.5]]), factor=1, zero_flags=array([[False]]), "
-        "method='catmull-rom')",
-        "(values, factor, zero_flags, method='catmull-rom')",
+        "SnrMap(values=array([[1.5]]), factor=1, zero_flags=array([[False]]))",
+        "(values, factor, zero_flags)",
     ),
     (
         SweepConfig, (), {"c_sat": 0.2}, {"mw_duty": 1.0},
@@ -227,9 +217,3 @@ class TestRecord:
         if invalid is not None:
             with pytest.raises(ValueError):
                 replace(record, **invalid)
-
-
-def test_sweep_config_shares_its_default_constants():
-    # an immutable, hashable default instance in place of a default factory
-    assert SweepConfig().constants is SweepConfig().constants == PhysicalConstants()
-    assert hash(SweepConfig()) == hash(SweepConfig())

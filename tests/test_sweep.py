@@ -212,7 +212,7 @@ def per_onset_sweep(model, train, cfg, grid):
         columns["contrast"].append(contrast(pair))
         columns["snr"].append(snr(pair))
         if cfg.linewidth is not None:
-            columns["eta"].append(sensitivity_cw(cfg.linewidth, RatePair(r0, r1), cfg.constants))
+            columns["eta"].append(sensitivity_cw(cfg.linewidth, RatePair(r0, r1)))
     return {k: np.array(v) for k, v in columns.items()}
 
 
