@@ -44,7 +44,7 @@ from .decay import (
 )
 from .errors import ConfigError
 from .metrics import CountPair, snr
-from .record import Record, frozen_array, replace
+from .record import Record, frozen_array, replace, require_poisson_means
 
 CHANNEL_OFF = 0
 CHANNEL_ON = 1
@@ -118,6 +118,10 @@ def sample_histogram(expectation: histogram.TcspcHistogram, seed) -> histogram.T
     """Poisson-sample an expected histogram into integer counts."""
     if np.any(expectation.counts < 0):
         raise ValueError("negative expectation")
+    require_poisson_means(
+        expectation.counts,
+        f"expected counts per bin (integration_time {expectation.integration_time:g} s)",
+    )
     rng = np.random.default_rng(_require_seed(seed, "sample_histogram"))
     return histogram.TcspcHistogram(
         bin_width=expectation.bin_width,
@@ -401,6 +405,9 @@ def mc_snr_distribution(
         steady_rate(model, spin, gate.t_start, train, gate.t_end) * channel_time
         for spin in ("ms0", c_sat)
     ]
+    require_poisson_means(
+        means, f"expected gated counts per channel (channel_time {channel_time:g} s)"
+    )
     rng = np.random.default_rng(_require_seed(seed, "mc_snr_distribution"))
     counts = rng.poisson(means, size=(trials, 2))
     samples = snr(CountPair(counts[:, 0], counts[:, 1]))
@@ -409,7 +416,8 @@ def mc_snr_distribution(
     return McSnrResult(mean=float(np.mean(samples)), std=std, samples=samples, analytic=analytic)
 
 
-# Command-line handlers: handler(args, run, seed) -> (metadata, columns).
+# Command-line handlers: handler(args, run, seed) -> (metadata, columns), and
+# hw-sim's labels of its channel codes after them.
 
 
 def cmd_mc(args, run, seed):
@@ -469,6 +477,6 @@ def cmd_hw_sim(args, run, seed):
         gate_length_ns=length,
         jitter_sigma_ns=args.jitter,
     )
-    # one pointer per row to the two shared label strings
-    channels = np.array(histogram.CHANNELS, dtype=object)[np.frombuffer(codes, np.uint8)]
-    return meta, {"timestamp_ns": timestamps, "channel": channels}
+    # the channel column stays the draw's uint8 codes, written as their names
+    columns = {"timestamp_ns": timestamps, "channel": np.frombuffer(codes, np.uint8)}
+    return meta, columns, {"channel": histogram.CHANNELS}

@@ -14,8 +14,9 @@ unknown command, none) builds the full tree. Both print the same usage.
 
 One runner takes every command through the same steps: load the config,
 resolve the seed and the output path, call the command's handler and write
-what it returns, a TcspcHistogram (simulate) or (metadata, columns) with
-tool, version, command and seed put ahead of the metadata.
+what it returns: a TcspcHistogram (simulate), or (metadata, columns) or
+(metadata, columns, labels) as a ColumnarReport's fields, with tool,
+version, command and seed put ahead of the metadata.
 
 Exit codes: 0 success, 2 validation/config/parse error, 3 numeric failure
 (fit non-convergence and similar). Identical config and seed give
@@ -178,10 +179,10 @@ def _run(args) -> None:
     if not isinstance(result, tuple):  # simulate's TcspcHistogram
         report.write_histogram(out, result)
         return
-    metadata, data = result
+    metadata, *columns = result  # the data, then the labels where a handler gives them
     header = dict(tool="spingate", version=__version__, command=args.command,
                   seed="none" if seed is None else seed)
-    report.write_report(out, report.ColumnarReport(metadata={**header, **metadata}, data=data))
+    report.write_report(out, report.ColumnarReport({**header, **metadata}, *columns))
 
 
 if __name__ == "__main__":

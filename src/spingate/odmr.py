@@ -34,7 +34,7 @@ from . import histogram, reader
 from .decay import FluorescenceModel, GateWindow, PulseTrain, gate_from_args, steady_rate
 from .errors import ConfigError, FitError, NonConvergenceError, ParseError
 from .metrics import RatePair, sensitivity_cw
-from .record import Record, require_finite
+from .record import Record, require_finite, require_poisson_means
 
 MAX_ITERATIONS = 500
 SE_TOL = 1e-5
@@ -188,6 +188,9 @@ def synth_odmr(
     p = truth.population(freqs)
     expected = (1.0 - p) * n0 + p * n1
     if seed is not None:
+        require_poisson_means(
+            expected, f"expected counts per point (integration_per_point {integration_per_point:g} s)"
+        )
         expected = np.random.default_rng(seed).poisson(expected).astype(float)
     return OdmrSpectrum(
         freqs=freqs, counts=expected, integration_per_point=integration_per_point, gate=gate

@@ -12,7 +12,8 @@ and their field tuples are equal, and a record hashes as its field tuple;
 the repr is "Name(field=value, ...)". frozen_array stores an array field as
 a read-only copy, so the record neither shares memory with nor freezes the
 array its caller passed. require_finite rejects an infinite or nan number in
-the fields a record names.
+the fields a record names, and require_poisson_means a Poisson mean numpy
+cannot draw from, before the draw.
 """
 
 from __future__ import annotations
@@ -112,6 +113,21 @@ def require_finite(record: Record, *names: str) -> None:
         value = record.__dict__[name]
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+# The largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX); above
+# it numpy raises "lam value too large", naming neither input nor limit.
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
+def require_poisson_means(means, quantity: str) -> None:
+    """Raise ValueError naming quantity when a Poisson mean in means is
+    above POISSON_MEAN_MAX."""
+    peak = float(np.max(means, initial=0.0))
+    if peak > POISSON_MEAN_MAX:
+        raise ValueError(
+            f"{quantity} reach {peak:.6g}, above numpy's Poisson limit of {POISSON_MEAN_MAX:.6g}"
+        )
 
 
 def replace(record: Record, **changes) -> Record:

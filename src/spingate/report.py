@@ -28,7 +28,8 @@ exact 10**(16-k) gives |x| * 10**(16-k) as hi + lo, and rounding that half
 to even gives the 17 correctly rounded digits; the point goes after the
 k + 1 integer digits, and trailing zeros and a bare point are cut. Ints
 with |v| < 10**17 share its digit routine. Strings are the code points of a
-str array (object labels are cast to one). The cells the kernels refuse
+str array. A labelled column's names are formatted once into a small cell
+matrix, and each block takes its rows by code. The cells the kernels refuse
 are formatted one by one, with format(x, ".17g") or str(), into the same
 matrix: nan, +-inf, +-0, |x| < 1e-4 (subnormals too) and |x| >= 1e17,
 which "%.17g" writes in e-notation or as words, ints with |v| >= 10**17,
@@ -76,10 +77,12 @@ class ColumnarReport(Record):
     """Named columns of equal length plus ordered key=value metadata.
 
     metadata values are stored as text, through format_value. data maps each
-    column name to a 1-D array of ints, floats or strings, in the order
-    given. A string column is a str array or an object array of str, so a
-    column of a few shared labels costs one pointer per row. No metadata
-    entry, column name or string cell holds a line break (any str.splitlines
+    column name to a 1-D array of ints, floats or strings (a str array), in
+    the order given. labels maps a column of a few shared strings to its
+    names: that column holds integer codes in [0, len(names)), and its cell
+    in a row is names[code], so the column costs a byte or so per row and
+    its names are checked and formatted once. No metadata entry, column name
+    or string cell (a label name too) holds a line break (any str.splitlines
     ends a line at) or starts or ends with whitespace (any str.strip
     removes), and no string cell holds a comma, '#' or NUL, so splitting
     lines and stripping entries, names and cells with those gives them back.
@@ -90,6 +93,7 @@ class ColumnarReport(Record):
 
     metadata: dict[str, str]
     data: dict[str, np.ndarray]
+    labels: dict[str, tuple[str, ...]] = {}
 
     def __post_init__(self):
         meta = {}
@@ -110,13 +114,23 @@ class ColumnarReport(Record):
         for name in data:
             if name != name.strip():
                 raise ValueError(f"column name {name!r} may not start or end with whitespace")
+        labels = {str(name): tuple(names) for name, names in dict(self.labels).items()}
+        strays = [name for name in labels if name not in data]
+        if strays:
+            raise ValueError(f"labels name {strays[0]!r}, which is not a column")
         for name, values in data.items():
-            _check_column(name, values, alone=len(data) == 1)
+            if values.ndim != 1:
+                raise ValueError(f"column {name!r} must be 1-D")
+            if name in labels:
+                _check_codes(name, values, labels[name], alone=len(data) == 1)
+            else:
+                _check_column(name, values, alone=len(data) == 1)
             values.setflags(write=False)
         lengths = sorted({values.size for values in data.values()})
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {lengths}")
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -124,32 +138,48 @@ class ColumnarReport(Record):
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        """Read-only row view: one tuple of Python scalars per row."""
-        return tuple(zip(*(values.tolist() for values in self.data.values())))
+        """Read-only row view: one tuple of Python scalars per row, a
+        labelled column's cells as their names."""
+        labels = self.labels
+        columns = (
+            np.array(labels[name], str)[values] if name in labels else values
+            for name, values in self.data.items()
+        )
+        return tuple(zip(*(values.tolist() for values in columns)))
 
 
 def _check_column(name: str, values: np.ndarray, alone: bool) -> None:
-    if values.ndim != 1:
-        raise ValueError(f"column {name!r} must be 1-D")
     kind = values.dtype.kind
     if kind == "b":
         raise ValueError("boolean cells are ambiguous; use 0/1")
-    if kind not in "iufUO":
+    if kind not in "iufU":
         raise ValueError(f"column {name!r} holds {values.dtype}, not ints, floats or strings")
-    if kind in "iuf":
-        return
-    # a str array or an object array of labels: each distinct cell is
-    # checked once, in order of first occurrence, as metadata entries and
-    # column names are. The cells are listed one write block at a time, so
-    # no list of the whole column is ever held.
-    cells = {}
-    try:
+    if kind == "U":
+        # each distinct cell is checked once, in order of first occurrence,
+        # as metadata entries and column names are. The cells are listed one
+        # write block at a time, so no list of the whole column is ever held.
+        cells = {}
         for start in range(0, values.size, WRITE_BLOCK_ROWS):
             cells.update(dict.fromkeys(values[start : start + WRITE_BLOCK_ROWS].tolist()))
-    except TypeError:  # an unhashable item, so not a string
-        cells = None
-    if cells is None or not all(isinstance(cell, str) for cell in cells):
-        raise ValueError(f"column {name!r} holds objects that are not strings")
+        _check_cells(name, cells, alone)
+
+
+def _check_codes(name: str, values: np.ndarray, names: tuple, alone: bool) -> None:
+    """A labelled column: integer codes in [0, len(names)), its names
+    checked once as string cells."""
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"labelled column {name!r} holds {values.dtype}, not integer codes")
+    if not all(isinstance(cell, str) for cell in names):
+        raise ValueError(f"labels of column {name!r} are not all strings")
+    _check_cells(name, names, alone)
+    if values.size and not (values.min() >= 0 and values.max() < len(names)):
+        bad = values[(values < 0) | (values >= len(names))][0]
+        raise ValueError(f"labelled column {name!r} holds code {bad}, outside [0, {len(names)})")
+
+
+def _check_cells(name: str, cells, alone: bool) -> None:
+    """Check the distinct string cells of column name, in order: the first
+    unsafe cell is named ahead of the first padded one."""
     unsafe = [cell for cell in cells if _holds_any(cell, _UNSAFE_CELL)]
     if unsafe:
         raise ValueError(
@@ -348,14 +378,9 @@ def _string_cells(values: np.ndarray, separator: int) -> np.ndarray:
     """Strings as UTF-8 cells, each followed by separator, in a NUL-padded
     uint8 (n, w + 1) matrix, w the longest encoded cell. ASCII cells are the
     str array's code points; the rest take the per-cell path."""
-    if values.dtype.kind == "O":
-        # labels as a str array as wide as the longest distinct label, which
-        # spares numpy a pass to find that width
-        text = values.astype(f"U{max(map(len, set(values)))}")
-    else:
-        text = np.ascontiguousarray(values)
+    text = np.ascontiguousarray(values)
     codes = text.view(np.uint32).reshape(text.size, text.itemsize // 4)
-    refused = np.flatnonzero((codes >= 128).any(axis=1) if codes.max() >= 128 else [])
+    refused = np.flatnonzero((codes >= 128).any(axis=1) if codes.max(initial=0) >= 128 else [])
     encoded = [cell.encode("utf-8") for cell in text[refused].tolist()]
     cells = np.zeros((text.size, 1 + max([codes.shape[1], *map(len, encoded)])), np.uint8)
     cells[:, : codes.shape[1]] = codes
@@ -372,41 +397,53 @@ def _put_cells(cells: np.ndarray, rows: np.ndarray, encoded: list[bytes]) -> Non
         cells[rows, :width] = np.array(encoded, f"S{width}").view(np.uint8).reshape(-1, width)
 
 
-_CELLS = {
-    "f": _float_cells, "i": _int_cells, "u": _int_cells, "U": _string_cells, "O": _string_cells
-}
+_CELLS = {"f": _float_cells, "i": _int_cells, "u": _int_cells, "U": _string_cells}
 
 
-def _block_bytes(columns: list[np.ndarray]) -> bytes:
-    """One block of rows as UTF-8 bytes: the columns' NUL-padded cell
-    matrices side by side, each row ending in a comma or, in the last column,
-    a newline, with every NUL deleted in one pass. No cell holds a NUL: a
-    string cell may not (ColumnarReport), and no number's text does."""
+def _cell_formatters(columns: list[np.ndarray], labels: list) -> list:
+    """Per column, the function that turns a block of it into its cell
+    matrix, each cell ending in a comma or, in the last column, a newline.
+    labels[j] is the names column j's integer codes stand for, or None: a
+    labelled column's names are formatted once, and a block's cells are
+    their rows taken by code."""
     separators = [_COMMA] * (len(columns) - 1) + [_NEWLINE]
-    cells = [_CELLS[c.dtype.kind](c, sep) for c, sep in zip(columns, separators)]
-    return np.concatenate(cells, axis=1).tobytes().translate(None, b"\0")
+    return [
+        functools.partial(_CELLS[c.dtype.kind], separator=sep)
+        if names is None
+        else functools.partial(np.take, _string_cells(np.array(names, str), sep), axis=0)
+        for c, names, sep in zip(columns, labels, separators)
+    ]
 
 
-def _write_rows(path: str, header: list[str], columns) -> None:
+def _write_rows(path: str, header: list[str], columns, labels) -> None:
     """Write the header lines, then the columns' rows in blocks of
-    WRITE_BLOCK_ROWS, each formatted by _block_bytes: decimal ints, strings
-    as they are, else "%.17g"."""
+    WRITE_BLOCK_ROWS: decimal ints, strings as they are (a labelled column's
+    as its names), else "%.17g". A block is the columns' NUL-padded cell
+    matrices side by side, as UTF-8 bytes with every NUL deleted in one
+    pass. No cell holds a NUL: a string cell may not (ColumnarReport), and
+    no number's text does."""
+    formatters = _cell_formatters(columns, labels)
     with _atomic_file(path) as handle:
         handle.write("".join(line + "\n" for line in header).encode("utf-8"))
         for start in range(0, columns[0].size, WRITE_BLOCK_ROWS):
-            handle.write(_block_bytes([c[start : start + WRITE_BLOCK_ROWS] for c in columns]))
+            cells = [
+                format_cells(c[start : start + WRITE_BLOCK_ROWS])
+                for c, format_cells in zip(columns, formatters)
+            ]
+            handle.write(np.concatenate(cells, axis=1).tobytes().translate(None, b"\0"))
 
 
 def write_report(path: str, report: ColumnarReport) -> None:
     header = [f"# {k}={v}" for k, v in report.metadata.items()]
     header.append(",".join(report.columns))
-    _write_rows(path, header, list(report.data.values()))
+    labels = [report.labels.get(name) for name in report.columns]
+    _write_rows(path, header, list(report.data.values()), labels)
 
 
 def write_histogram(path: str, hist: histogram.TcspcHistogram) -> None:
     values = (hist.bin_width, hist.rep_rate, hist.integration_time, hist.channel)
     header = [f"# {k}={format_value(v)}" for k, v in zip(HISTOGRAM_KEYS, values)]
-    _write_rows(path, header, [hist.bin_starts, hist.counts])
+    _write_rows(path, header, [hist.bin_starts, hist.counts], [None, None])
 
 
 def __getattr__(name):

@@ -4,8 +4,11 @@ spingate's reader takes only the float64 columns a command expects. Tests
 that check command outputs with int or string columns (hw-sim's channel,
 snr-map's ix,iy, gate-apply's counts) or the writer's int and string round
 trips read the files here instead, typing each column by oracle_column.
+percent_text is the writer's oracle: the bytes of a file formatted cell by
+cell with Python's "%" operator.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -42,3 +45,13 @@ def read_table(path) -> ColumnarReport:
     return ColumnarReport(
         metadata=meta, data={name: oracle_column(list(c)) for name, c in zip(names, columns)}
     )
+
+
+# The rows as one "%" operation per block formatted them before the numpy
+# block formatter, kept here as its oracle: decimal ints, strings as they
+# are, else "%.17g".
+def percent_text(header: list[str], columns: list[np.ndarray]) -> bytes:
+    row = ",".join("%s" if c.dtype.kind in "iuU" else "%.17g" for c in columns) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    text = "".join(line + "\n" for line in header) + (row * columns[0].size) % cells
+    return text.encode("utf-8")

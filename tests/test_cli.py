@@ -19,7 +19,7 @@ from spingate.decay import GateWindow, PulseTrain, gated_counts
 from spingate.errors import ParseError
 from spingate.histogram import CHANNELS
 from spingate.presets import bulk_model
-from spingate.report import read_histogram, read_report
+from spingate.report import ColumnarReport, read_histogram, read_report, write_report
 
 from report_oracle import read_table
 
@@ -449,6 +449,24 @@ class TestHwSim:
         assert capsys.readouterr().err == "error: integration_time must be finite, got inf\n"
         assert not out.exists()
 
+    def test_channel_codes_written_as_a_str_column(self, config_path, tmp_path):
+        # the channel column is written from its uint8 codes; the same
+        # events with channel as a U6 str array give the same bytes. At 2 kHz
+        # the MW drive toggles every 0.25 ms, so both channels occur.
+        out = tmp_path / "hw.csv"
+        assert run_cli(
+            "hw-sim", "--config", config_path, "--out", str(out), "--seed", "21",
+            "--integration", "0.001", "--delay", "9.2", "--jitter", "0.3", "--toggle-rate", "2000",
+        ) == 0
+        table = read_table(out)
+        channel = table.data["channel"]
+        assert channel.dtype == np.dtype("<U6")
+        assert set(channel.tolist()) == set(CHANNELS)
+        assert channel.size == int(table.metadata["n_kept_hw"])
+        again = tmp_path / "again.csv"
+        write_report(str(again), ColumnarReport(metadata=table.metadata, data=table.data))
+        assert again.read_bytes() == out.read_bytes()
+
     def test_negative_jitter_rejected(self, config_path, tmp_path, capsys):
         out = tmp_path / "hw.csv"
         assert run_cli(
@@ -836,6 +854,39 @@ class TestNonFiniteArguments:
         done = run_python("-m", "spingate.cli", *argv, "--config", config_path,
                           "--out", str(out))
         assert (done.returncode, done.stderr.splitlines()) == (2, [f"error: {message}"])
+        assert not out.exists()
+
+
+class TestHugePoissonMeans:
+    """A Poisson mean above numpy's limit is named before the draw: exit 2,
+    one error line naming the quantity and the limit, no output file."""
+
+    LIMIT = "above numpy's Poisson limit of 9.22337e+18"
+
+    @pytest.mark.parametrize(
+        "argv, integration_time, message",
+        [
+            (["odmr-synth", "--integration-per-point", "1e300", "--seed", "1"], None,
+             "expected counts per point (integration_per_point 1e+300 s) reach inf"),
+            (["odmr-synth", "--integration-per-point", "1e14", "--seed", "1"], None,
+             "expected counts per point (integration_per_point 1e+14 s) reach 9.44247e+22"),
+            (["simulate", "--sample", "--integration", "1e300", "--seed", "1"], None,
+             "expected counts per bin (integration_time 1e+300 s) reach 4.24853e+307"),
+            (["mc", "--tau-c", "9.2", "--seed", "1"], "1e300",
+             "expected gated counts per channel (channel_time 5e+299 s) reach 5.54687e+307"),
+        ],
+        ids=["odmr-synth", "odmr-synth-1e14", "simulate-sample", "mc"],
+    )
+    def test_exits_2_and_writes_nothing(self, config_path, tmp_path, argv, integration_time,
+                                        message):
+        if integration_time is not None:
+            text = CONFIG.replace("integration_time = 0.2", f"integration_time = {integration_time}")
+            config_path = tmp_path / "huge.ini"
+            config_path.write_text(text)
+        out = tmp_path / "o.csv"
+        done = run_python("-m", "spingate.cli", *argv, "--config", str(config_path),
+                          "--out", str(out))
+        assert (done.returncode, done.stderr.splitlines()) == (2, [f"error: {message}, {self.LIMIT}"])
         assert not out.exists()
 
 

@@ -1,7 +1,6 @@
 """File formats: columnar reports, histogram files, INI run configs."""
 
 import glob
-import itertools
 import math
 import os
 import re
@@ -30,10 +29,23 @@ from spingate.report import (
     write_report,
 )
 
-from report_oracle import oracle_column, read_table
+from report_oracle import oracle_column, percent_text, read_table
 
 # The characters str.splitlines ends a line at; the reader splits files with it.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def labelled(cells) -> tuple[np.ndarray, tuple[str, ...]]:
+    """cells as a labelled column: uint8 codes into its distinct cells, in
+    order of first occurrence."""
+    names = tuple(dict.fromkeys(cells))
+    return np.array([names.index(cell) for cell in cells], np.uint8), names
+
+
+def labelled_report(cells, **others) -> ColumnarReport:
+    """A report whose column "a" is cells as a labelled column, beside others."""
+    codes, names = labelled(cells)
+    return ColumnarReport(metadata={}, data={"a": codes, **others}, labels={"a": names})
 
 BULK_INI = textwrap.dedent(
     """\
@@ -227,9 +239,10 @@ class TestReportRoundTrip:
             ColumnarReport(metadata={"k": f"v{char}w"}, data={"a": [1]})
         with pytest.raises(ValueError, match="line breaks"):
             ColumnarReport(metadata={}, data={f"a{char}b": [1]})
-        for column in (np.array(["ok", f"a{char}b"]), np.array(["ok", f"a{char}b"], object)):
-            with pytest.raises(ValueError, match="may not contain"):
-                ColumnarReport(metadata={}, data={"a": column})
+        with pytest.raises(ValueError, match="may not contain"):
+            ColumnarReport(metadata={}, data={"a": np.array(["ok", f"a{char}b"])})
+        with pytest.raises(ValueError, match="may not contain"):
+            labelled_report(["ok", f"a{char}b"])
 
     @pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u2009", "\u3000"])
     def test_outer_whitespace_rejected(self, space):
@@ -246,16 +259,20 @@ class TestReportRoundTrip:
             # beside "okay" a str array pads the cell; before a cell as wide,
             # it does not
             full = np.array([cell, "y" * len(cell)])
-            for column in (np.array(["okay", cell]), full, np.array([cell], object)):
+            for column in (np.array(["okay", cell]), full):
                 with pytest.raises(ValueError, match=r"string cell .* whitespace"):
                     ColumnarReport(metadata={}, data={"a": column})
+            with pytest.raises(ValueError, match=r"string cell .* whitespace"):
+                labelled_report([cell])
 
     def test_inner_whitespace_round_trips(self, tmp_path):
         path = str(tmp_path / "w.csv")
         cells = ["a b", "", "x\u3000y", "c\td"]
+        codes, names = labelled(cells)
         report = ColumnarReport(
             metadata={"k k": "v v", "e": ""},
-            data={"a b": np.array(cells), "labels": np.array(cells, object)},
+            data={"a b": np.array(cells), "labels": codes},
+            labels={"labels": names},
         )
         write_report(path, report)
         back = read_table(path)
@@ -268,65 +285,93 @@ class TestReportRoundTrip:
         # a str array drops a trailing NUL, so such a cell would not be
         # written as given
         with pytest.raises(ValueError, match="may not contain"):
-            ColumnarReport(metadata={}, data={"a": np.array(["ok", cell], object)})
+            labelled_report(["ok", cell])
         if not cell.endswith("\x00"):
             with pytest.raises(ValueError, match="may not contain"):
                 ColumnarReport(metadata={}, data={"a": np.array(["ok", cell])})
 
     def test_label_objects_written_as_strings(self, tmp_path):
-        labels = np.array(["mw_off", "mw_on"], dtype=object)[[0, 1, 1, 0]]
-        for name, column in (("o.csv", labels), ("u.csv", labels.astype(str))):
-            report = ColumnarReport(metadata={}, data={"t": np.arange(4.0), "channel": column})
+        # a labelled column is written as the str array of its names
+        names = ("mw_off", "mw_on")
+        codes = np.array([0, 1, 1, 0], np.uint8)
+        for name, column, labels in (
+            ("l.csv", codes, {"channel": names}), ("u.csv", np.array(names)[codes], {})
+        ):
+            report = ColumnarReport(
+                metadata={}, data={"t": np.arange(4.0), "channel": column}, labels=labels
+            )
             write_report(str(tmp_path / name), report)
-        assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
-        assert read_table(tmp_path / "o.csv").data["channel"].tolist() == labels.tolist()
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+        cells = ["mw_off", "mw_on", "mw_on", "mw_off"]
+        assert read_table(tmp_path / "l.csv").data["channel"].tolist() == cells
+        assert [row[1] for row in report.rows] == cells
 
     @pytest.mark.parametrize("cells", [["x", "", "y"], [""], ["", "a"]])
     def test_empty_cell_of_a_one_column_report_rejected(self, cells):
         # the cell would be written as a blank line, which a reader skips
-        for column in (np.array(cells), np.array(cells, object)):
-            with pytest.raises(ValueError, match="'a' is alone, so an empty string cell"):
-                ColumnarReport(metadata={}, data={"a": column})
+        with pytest.raises(ValueError, match="'a' is alone, so an empty string cell"):
+            ColumnarReport(metadata={}, data={"a": np.array(cells)})
+        with pytest.raises(ValueError, match="'a' is alone, so an empty string cell"):
+            labelled_report(cells)
         # beside another column the row is not blank
         ColumnarReport(metadata={}, data={"a": np.array(cells), "b": np.zeros(len(cells))})
+        labelled_report(cells, b=np.zeros(len(cells)))
 
     @pytest.mark.parametrize(
-        "cells, match",
+        "codes, labels, message",
         [
-            (["a", 1], "not strings"),
-            (["a", None], "not strings"),
-            ([["a"], "b"], "not strings"),
-            (["ok", "x#y", "ok"], r"'x#y' may not contain"),
+            pytest.param(
+                [0.0, 1.0], {"a": ("x", "y")},
+                "labelled column 'a' holds float64, not integer codes", id="non-integer codes",
+            ),
+            pytest.param(
+                [0, -1, 2], {"a": ("x", "y")},
+                "labelled column 'a' holds code -1, outside [0, 2)", id="negative code",
+            ),
+            pytest.param(
+                [0, 1], {"a": ("x", 1)}, "labels of column 'a' are not all strings",
+                id="name not a string",
+            ),
+            pytest.param(
+                [0, 1], {"a": ("ok", "x#y")},
+                "string cell 'x#y' may not contain comma, '#', NUL or a line break",
+                id="unsafe name",
+            ),
+            pytest.param(
+                [0, 1], {"a": ("x", "y"), "b": ("z",)}, "labels name 'b', which is not a column",
+                id="label without column",
+            ),
         ],
     )
-    def test_label_objects_checked(self, cells, match):
-        column = np.empty(len(cells), dtype=object)
-        column[:] = cells
-        with pytest.raises(ValueError, match=match):
-            ColumnarReport(metadata={}, data={"a": column})
+    def test_labels_checked(self, codes, labels, message):
+        data = {"a": np.array(codes), "t": np.zeros(len(codes))}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ColumnarReport(metadata={}, data=data, labels=labels)
 
     @pytest.mark.parametrize(
         "last, match",
         [
-            ("x#y", r"'x#y' may not contain"),
-            (" x", r"' x' may not start or end"),
+            ("x#y", "'x#y' may not contain"),
+            (" x", "' x' may not start or end"),
             ("", "is alone"),
-            (1, "not strings"),
+            (2, "labelled column 'a' holds code 2, outside [0, 2)"),
         ],
     )
     def test_cells_checked_past_the_first_write_block(self, monkeypatch, last, match):
         # the distinct cells are gathered block by block; an unsafe cell
-        # is named ahead of an earlier padded one
+        # is named ahead of an earlier padded one. A labelled column's codes
+        # are checked over the whole column, not block by block.
         monkeypatch.setattr(report_module, "WRITE_BLOCK_ROWS", 2)
+        if isinstance(last, int):
+            codes = np.array([0, 1, 0, 1, last], np.uint8)
+            with pytest.raises(ValueError, match=re.escape(match)):
+                ColumnarReport(metadata={}, data={"a": codes}, labels={"a": ("a", "b")})
+            return
         cells = ["a", "b", "a", "b", last]
         if last == "x#y":
             cells.insert(1, " p")
-        column = np.empty(len(cells), dtype=object)
-        column[:] = cells
-        columns = [column] if isinstance(last, int) else [column, np.array(cells)]
-        for values in columns:
-            with pytest.raises(ValueError, match=match):
-                ColumnarReport(metadata={}, data={"a": values})
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ColumnarReport(metadata={}, data={"a": np.array(cells)})
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -375,15 +420,17 @@ class TestBlocks:
     FLOATS = [-0.0, 1.5, math.nan, -0.1, math.inf, 123.25, 5e-324, 1e300, 2.5e-05, -math.inf]
 
     def report(self, n):
+        names = tuple(dict.fromkeys(self.LABELS))  # all four, whatever n
         return ColumnarReport(
             metadata={"n": str(n)},
             data={
                 "i": np.array(self.INTS[:n], np.int64),
                 "u": np.array(self.UINTS[:n], np.uint64),
                 "s": np.array(self.STRINGS[:n], str),
-                "l": np.array(self.LABELS[:n], object),
+                "l": np.array([names.index(cell) for cell in self.LABELS[:n]], np.uint8),
                 "x": np.array(self.FLOATS[:n], np.float64),
             },
+            labels={"l": names},
         )
 
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 10])
@@ -412,16 +459,6 @@ class TestBlocks:
                 "0,0,row2,mw_on,nan",
                 "-9223372036854775808,100000000000000000,\u65e5\u672c,mw_off,-0.10000000000000001",
             ]
-
-
-# The rows as one "%" operation per block formatted them before the numpy
-# block formatter, kept here as its oracle: decimal ints, strings as they
-# are, else "%.17g".
-def percent_text(header: list[str], columns: list[np.ndarray]) -> bytes:
-    row = ",".join("%s" if c.dtype.kind in "iuUO" else "%.17g" for c in columns) + "\n"
-    cells = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
-    text = "".join(line + "\n" for line in header) + (row * columns[0].size) % cells
-    return text.encode("utf-8")
 
 
 def _powers_of_ten_and_neighbours():
@@ -453,7 +490,8 @@ CELL_TEXT = st.text(
 
 @st.composite
 def writer_column(draw, n):
-    """n cells of one of the column types a report holds."""
+    """n cells of one of the column types a report holds, and the names of
+    a labelled column's codes (None for any other column)."""
     kind = draw(st.sampled_from(["f8", "f4", "f2", "i8", "u8", "labels", "U"]))
     values = {
         "f8": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
@@ -464,10 +502,11 @@ def writer_column(draw, n):
         "U": CELL_TEXT,
     }
     if kind == "labels":
-        labels = np.array(draw(st.lists(CELL_TEXT, min_size=1, max_size=3)), dtype=object)
-        return labels[draw(st.lists(st.integers(0, labels.size - 1), min_size=n, max_size=n))]
+        names = tuple(draw(st.lists(CELL_TEXT, min_size=1, max_size=3)))
+        codes = draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n))
+        return np.array(codes, draw(st.sampled_from(["u1", "i8", "u8"]))), names
     cells = draw(st.lists(values[kind], min_size=n, max_size=n))
-    return np.array(cells, dtype=str if kind == "U" else kind)
+    return np.array(cells, dtype=str if kind == "U" else kind), None
 
 
 class TestCellFormatter:
@@ -476,13 +515,16 @@ class TestCellFormatter:
     @given(data=st.data(), n=st.integers(0, 12), k=st.integers(1, 4))
     @settings(max_examples=400, deadline=None)
     def test_report_bytes_as_percent_formatter(self, tmp_path_factory, data, n, k):
-        columns = [data.draw(writer_column(n)) for _ in range(k)]
-        # a one-column report holds no empty string cell, which would be a
-        # blank line
-        assume(k > 1 or columns[0].dtype.kind not in "UO" or not (columns[0] == "").any())
+        drawn = [data.draw(writer_column(n)) for _ in range(k)]
+        # the cells a labelled column stands for
+        columns = [c if names is None else np.array(names, str)[c] for c, names in drawn]
+        # a one-column report holds no empty string cell (or name), which
+        # would be a blank line
+        assume(k > 1 or "" not in (drawn[0][1] or columns[0].tolist()))
         report = ColumnarReport(
             metadata={"k": k, "x": data.draw(st.floats())},
-            data={f"c{j}": column for j, column in enumerate(columns)},
+            data={f"c{j}": column for j, (column, _) in enumerate(drawn)},
+            labels={f"c{j}": names for j, (_, names) in enumerate(drawn) if names is not None},
         )
         path = tmp_path_factory.mktemp("fmt") / "r.csv"
         with pytest.MonkeyPatch.context() as patch:
@@ -490,6 +532,35 @@ class TestCellFormatter:
             write_report(str(path), report)
         header = [f"# {key}={value}" for key, value in report.metadata.items()]
         assert path.read_bytes() == percent_text([*header, ",".join(report.columns)], columns)
+
+    @given(
+        names=st.lists(
+            st.one_of(st.just(""), st.sampled_from(["mw_off", "\u00fc", "\u65e5\u672c"]), CELL_TEXT),
+            min_size=1, max_size=4,
+        ),
+        data=st.data(),
+        rows=st.sampled_from([1, 2, 3, 7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_labelled_column_as_percent_formatter(self, tmp_path_factory, names, data, rows):
+        # codes over several write blocks, the last one partial: each block
+        # takes its cells from the names formatted once
+        n = data.draw(st.integers(0, 4 * rows + 1))
+        codes = np.array(
+            data.draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)), np.uint8
+        )
+        stamps = np.arange(n) * 0.1
+        report = ColumnarReport(
+            metadata={"rows": rows}, data={"t": stamps, "channel": codes},
+            labels={"channel": names},
+        )
+        path = tmp_path_factory.mktemp("lab") / "r.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report_module, "WRITE_BLOCK_ROWS", rows)
+            write_report(str(path), report)
+        cells = np.array(names, str)[codes]
+        assert path.read_bytes() == percent_text([f"# rows={rows}", "t,channel"], [stamps, cells])
+        assert [row[1] for row in report.rows] == cells.tolist()
 
     @given(data=st.data(), n=st.integers(1, 12))
     @settings(max_examples=200, deadline=None)

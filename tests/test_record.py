@@ -12,7 +12,13 @@ from spingate.histogram import TcspcHistogram
 from spingate.mapping import ScanMap, SnrMap
 from spingate.metrics import CountPair, RatePair
 from spingate.odmr import DoubletTruth, LorentzianDoublet, OdmrSpectrum
-from spingate.record import FrozenRecordError, Record, replace
+from spingate.record import (
+    POISSON_MEAN_MAX,
+    FrozenRecordError,
+    Record,
+    replace,
+    require_poisson_means,
+)
 from spingate.report import ColumnarReport
 from spingate.sweep import GateSweepReport, RepRateSweepReport, SweepConfig
 
@@ -144,8 +150,8 @@ CASES = [
     (
         ColumnarReport, ({"k": "v"}, {"a": [1]}), {"metadata": {"k": "w"}},
         {"metadata": {"a=b": "c"}},
-        "ColumnarReport(metadata={'k': 'v'}, data={'a': array([1])})",
-        "(metadata, data)",
+        "ColumnarReport(metadata={'k': 'v'}, data={'a': array([1])}, labels={})",
+        "(metadata, data, labels={})",
     ),
 ]
 
@@ -217,3 +223,17 @@ class TestRecord:
         if invalid is not None:
             with pytest.raises(ValueError):
                 replace(record, **invalid)
+
+
+def test_poisson_limit_is_numpys():
+    # numpy draws from a mean of POISSON_MEAN_MAX and refuses the next double
+    # with a message that names neither; require_poisson_means names both
+    rng = np.random.default_rng(1)
+    rng.poisson(POISSON_MEAN_MAX)
+    above = np.nextafter(POISSON_MEAN_MAX, np.inf)
+    with pytest.raises(ValueError, match="^lam value too large$"):
+        rng.poisson(above)
+    require_poisson_means(np.array([0.0, POISSON_MEAN_MAX]), "counts")
+    require_poisson_means(np.array([]), "counts")
+    with pytest.raises(ValueError, match=r"^counts reach 2e\+19, above numpy's Poisson limit of"):
+        require_poisson_means([1.0, 2e19], "counts")
