@@ -53,6 +53,13 @@ CHANNEL_ON = 1
 # bulk NV model at 20 MHz, so a block's arrays stay a few MB.
 BLOCK_PULSES = 4096
 
+# The finest arrival phase, in ns, that a stream's float64 timestamps must
+# resolve: 1 ps. A timestamp t resolves np.spacing(t), which first exceeds
+# it at TIMESTAMP_LIMIT_NS = 2**43 ns (about 8,796 s of stream, where the
+# spacing is 1.95e-3 ns); block_count rejects a longer acquisition.
+PHASE_RESOLUTION_NS = 1e-3
+TIMESTAMP_LIMIT_NS = 2.0 ** (math.floor(math.log2(PHASE_RESOLUTION_NS)) + 53)
+
 # Gaussian widths by which a draw window reaches past the window it keeps:
 # a photon beyond that reach lands inside with probability below
 # Phi(-8) = 6.2e-16.
@@ -73,8 +80,8 @@ class EventStream(Record):
     n_outside: int = 0
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        ch = np.asarray(self.channels, dtype=np.uint8)
+        ts = frozen_array(self.timestamps)
+        ch = frozen_array(self.channels, np.uint8)
         if ts.ndim != 1 or ch.shape != ts.shape:
             raise ValueError("timestamps and channels must be 1-D arrays of equal length")
         # a NaN fails every comparison, so sorted steps (>= 0) between a
@@ -89,10 +96,6 @@ class EventStream(Record):
             raise ValueError(f"n_outside must be an integer, got {self.n_outside!r}") from None
         if n_outside < 0:
             raise ValueError("n_outside must be >= 0")
-        ts = ts.copy()
-        ch = ch.copy()
-        ts.setflags(write=False)
-        ch.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "n_outside", n_outside)
@@ -141,11 +144,18 @@ def block_seed(seed, k: int) -> np.random.SeedSequence:
 
 def block_count(train: PulseTrain, integration_time: float) -> int:
     """Number of BLOCK_PULSES-pulse blocks in an acquisition; an acquisition
-    without pulses has one empty block."""
+    without pulses has one empty block. Its timestamps lie below
+    integration_time in ns, which must not pass TIMESTAMP_LIMIT_NS."""
     if not integration_time >= 0:
         raise ValueError("integration_time must be >= 0")
     if not math.isfinite(integration_time):
         raise ValueError(f"integration_time must be finite, got {integration_time}")
+    if integration_time * 1e9 > TIMESTAMP_LIMIT_NS:
+        raise ValueError(
+            f"integration_time {integration_time:g} s runs timestamps past "
+            f"{TIMESTAMP_LIMIT_NS:g} ns, where float64 no longer resolves "
+            f"{PHASE_RESOLUTION_NS:g} ns of phase"
+        )
     n_pulses = int(integration_time * train.rep_rate)
     return max(1, -(-n_pulses // BLOCK_PULSES))
 

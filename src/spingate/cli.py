@@ -1,22 +1,26 @@
 """Command-line surface.
 
 Subcommands: simulate, gate-sweep, rep-sweep, joint-opt, mc, odmr-synth,
-odmr-fit, gate-apply, hw-sim, snr-map. Every command accepts --config,
---seed and --out; --seed overrides the [io] seed, --out overrides [io] out.
+odmr-fit, gate-apply, hw-sim, snr-map. Each run setting has one source:
+the seed comes only from --seed and the output path only from --out, which
+every command requires. --config is a required argument of the commands
+that compute from a model, and the others do not take it; mc and hw-sim
+require --seed as well.
 
 One table, COMMANDS, declares every command: its help text, its handler's
 module and name, whether it needs a config and a seed, and its arguments.
-Each handler lives in the module it drives and is called as
-handler(args, run, seed), run being the loaded RunConfig or None. A run
+The parser states what each command needs from that table. Each handler
+lives in the module it drives and is called as handler(args, run, seed),
+run being the loaded RunConfig or None and seed --seed or None. A run
 whose first argument names a command builds only that command's subparser
 and loads only the handler's module; any other (--help, --version, an
 unknown command, none) builds the full tree. Both print the same usage.
 
 One runner takes every command through the same steps: load the config,
-resolve the seed and the output path, call the command's handler and write
-what it returns: a TcspcHistogram (simulate), or (metadata, columns) or
-(metadata, columns, labels) as a ColumnarReport's fields, with tool,
-version, command and seed put ahead of the metadata.
+call the command's handler and write what it returns to --out: a
+TcspcHistogram (simulate), or (metadata, columns) or (metadata, columns,
+labels) as a ColumnarReport's fields, with tool, version, command and seed
+put ahead of the metadata.
 
 Exit codes: 0 success, 2 validation/config/parse error, 3 numeric failure
 (fit non-convergence and similar). Identical config and seed give
@@ -49,7 +53,6 @@ COMMANDS = {
         # histogram.CHANNELS, spelled out so that building the parser loads no module
         ("--channel", dict(choices=("mw_off", "mw_on"), default="mw_off")),
         ("--bin-width", dict(type=float, default=0.1, help="ns")),
-        ("--integration", dict(type=float, help="s, defaults to [sweep] integration_time")),
         ("--sample", dict(action="store_true", help="Poisson-sample the expectation")),
     ),
     "gate-sweep": _command("figure-of-merit sweep over gate onset", "sweep.cmd_gate_sweep"),
@@ -151,38 +154,31 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in COMMANDS if command is None else (command,):
         spec = COMMANDS[name]
         p = sub.add_parser(name, help=spec["help"])
-        p.add_argument("--config", help="INI run configuration")
-        p.add_argument("--seed", type=int, help="master seed, overrides [io] seed")
-        p.add_argument("--out", help="output path, overrides [io] out")
+        if spec["config"]:
+            p.add_argument("--config", required=True, help="INI run configuration")
+        p.add_argument("--seed", type=int, required=spec["seed"], help="master seed")
+        p.add_argument("--out", required=True, help="output path")
         for flag, options in spec["arguments"]:
             p.add_argument(flag, **options)
     return parser
 
 
 def _run(args) -> None:
-    """Resolve the config, seed and output path, run the handler, write its result."""
+    """Load the config, run the handler, write its result to --out."""
     spec = COMMANDS[args.command]
-    if spec["config"] and not args.config:
-        raise errors.ConfigError("--config is required for this command")
-    run = config.load_config(args.config) if args.config else None
-    io_seed, io_out = (run.seed, run.out) if run is not None else (None, None)
-    if args.seed is not None and args.seed < 0:
+    run = config.load_config(args.config) if spec["config"] else None
+    seed = args.seed
+    if seed is not None and seed < 0:  # a value check: argparse checks presence
         raise errors.ConfigError("--seed must be non-negative")
-    seed = io_seed if args.seed is None else args.seed
-    out = args.out or io_out
-    if not out:
-        raise errors.ConfigError("no output path: pass --out or set [io] out")
-    if spec["seed"] and seed is None:
-        raise errors.ConfigError(f"{args.command} requires a seed (--seed or [io] seed)")
     module, name = spec["handler"].split(".")
     result = getattr(importlib.import_module(f"{__package__}.{module}"), name)(args, run, seed)
     if not isinstance(result, tuple):  # simulate's TcspcHistogram
-        report.write_histogram(out, result)
+        report.write_histogram(args.out, result)
         return
     metadata, *columns = result  # the data, then the labels where a handler gives them
     header = dict(tool="spingate", version=__version__, command=args.command,
                   seed="none" if seed is None else seed)
-    report.write_report(out, report.ColumnarReport({**header, **metadata}, *columns))
+    report.write_report(args.out, report.ColumnarReport({**header, **metadata}, *columns))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """INI-style run configuration.
 
-Four sections feed the toolkit:
+Three sections describe the model a command computes from:
 
     [model]                          [train]
     spin0 = 1.0, 12.0, NV ms0        rep_rate = 20e6
@@ -11,9 +11,9 @@ Four sections feed the toolkit:
     pulse_time = 0.0                 integration_time = 10
     c_sat = 0.15                     mw_duty = 0.5
                                      tau_c_step = 0.1
-    [io]                             tau_c_max = 35
-    seed = 7                         linewidth = 1e7
-    out = sweep.csv                  rate_grid = 1e7, 2e7, 4e7
+                                     tau_c_max = 35
+                                     linewidth = 1e7
+                                     rate_grid = 1e7, 2e7, 4e7
 
 Component keys (spin0/spin1/background) repeat, one `amplitude, lifetime
 [, label]` triple per line. Instead of explicit background components,
@@ -21,7 +21,8 @@ Component keys (spin0/spin1/background) repeat, one `amplitude, lifetime
 `background_lifetime` derive the amplitude from a background:signal ratio.
 `period_grid = start:stop:step` (ns) is the reciprocal alternative to
 rate_grid. A line starting with `#` or `;` is a comment; a value holds no
-comment.
+comment. The seed and the output path are not config values: they come
+only from the command line's --seed and --out.
 
 A key the file omits takes the default of the record field it sets (see
 `_KEYS`), and every number must be finite. Each value is converted on its
@@ -51,8 +52,6 @@ class RunConfig(Record):
     model: FluorescenceModel
     train: PulseTrain
     sweep: SweepConfig
-    seed: int | None = None
-    out: str | None = None
 
 
 def load_config(path: str) -> RunConfig:
@@ -68,13 +67,6 @@ def _number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text.strip()!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text, 0)
-    if value < 0:
-        raise ValueError("seed must be non-negative")
     return value
 
 
@@ -110,8 +102,8 @@ def _period_grid(text: str) -> tuple[float, ...]:
 
 # "section.key" -> (target, field, parser). The targets are the records
 # FluorescenceModel ("model"), PulseTrain ("train") and SweepConfig
-# ("sweep"), background_amplitude's arguments ("ratio") and RunConfig's seed
-# and out ("io"). A component key repeats and collects a tuple.
+# ("sweep") and background_amplitude's arguments ("ratio"). A component key
+# repeats and collects a tuple.
 _KEYS = {
     "model.spin0": ("model", "spin0", _component),
     "model.spin1": ("model", "spin1", _component),
@@ -133,8 +125,6 @@ _KEYS = {
     "sweep.linewidth": ("sweep", "linewidth", _number),
     "sweep.rate_grid": ("sweep", "rate_grid", _rate_grid),
     "sweep.period_grid": ("sweep", "rate_grid", _period_grid),
-    "io.seed": ("io", "seed", _seed),
-    "io.out": ("io", "out", str),
 }
 _SECTIONS = {name.split(".")[0] for name in _KEYS}
 
@@ -228,5 +218,4 @@ def parse_config(text: str) -> RunConfig:
         model=_record(FluorescenceModel, model, "model"),
         train=train,
         sweep=_record(SweepConfig, given["sweep"], "sweep"),
-        **given["io"],
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import acquisition, histogram
 from .errors import ConfigError, GateError
-from .record import Record, require_finite
+from .record import Record, replace, require_finite, require_finite_means
 
 SpinSelector = Union[str, float]
 
@@ -134,14 +134,19 @@ class FluorescenceModel(Record):
         property and stays fixed."""
         if not factor >= 0:
             raise ValueError("scale factor must be >= 0")
-        return FluorescenceModel(
-            spin0=tuple(c.scaled(factor) for c in self.spin0),
-            spin1=tuple(c.scaled(factor) for c in self.spin1),
-            background=tuple(c.scaled(factor) for c in self.background),
-            dark_rate=self.dark_rate,
-            irf_sigma=self.irf_sigma,
-            pulse_time=self.pulse_time,
-        )
+        return _scale_components(self, lambda comp: factor)
+
+
+def _scale_components(model: FluorescenceModel, factor_of) -> FluorescenceModel:
+    """model with each emission component comp scaled by factor_of(comp);
+    the dark rate, IRF and pulse time stay."""
+    return replace(
+        model,
+        **{
+            group: tuple(comp.scaled(factor_of(comp)) for comp in getattr(model, group))
+            for group in ("spin0", "spin1", "background")
+        },
+    )
 
 
 def folded_model(model: FluorescenceModel, train: PulseTrain) -> FluorescenceModel:
@@ -154,18 +159,7 @@ def folded_model(model: FluorescenceModel, train: PulseTrain) -> FluorescenceMod
     (period within a few lifetimes).
     """
     period = train.period
-
-    def lift(comp: DecayComponent) -> DecayComponent:
-        return comp.scaled(1.0 / -math.expm1(-period / comp.lifetime))
-
-    return FluorescenceModel(
-        spin0=tuple(lift(c) for c in model.spin0),
-        spin1=tuple(lift(c) for c in model.spin1),
-        background=tuple(lift(c) for c in model.background),
-        dark_rate=model.dark_rate,
-        irf_sigma=model.irf_sigma,
-        pulse_time=model.pulse_time,
-    )
+    return _scale_components(model, lambda comp: 1.0 / -math.expm1(-period / comp.lifetime))
 
 
 def spin_weight(spin: SpinSelector) -> float:
@@ -425,6 +419,9 @@ def histogram_expectation(
         for c in comps
     ) + model.dark_rate * bin_width
     counts = per_bin * (integration_time * train.rep_rate)
+    require_finite_means(
+        counts, f"expected counts per bin (integration_time {integration_time:g} s)"
+    )
     return histogram.TcspcHistogram(
         bin_width=bin_width,
         counts=counts,
@@ -444,13 +441,12 @@ def gate_from_args(args) -> GateWindow:
 
 
 def cmd_simulate(args, run, seed) -> histogram.TcspcHistogram:
-    integration = run.sweep.channel_time if args.integration is None else args.integration
     spin = "ms0" if args.channel == "mw_off" else run.sweep.c_sat
     expected = histogram_expectation(
-        run.model, spin, run.train, args.bin_width, integration, channel=args.channel
+        run.model, spin, run.train, args.bin_width, run.sweep.channel_time, channel=args.channel
     )
     if not args.sample:
         return expected
     if seed is None:
-        raise ConfigError("--sample requires a seed (--seed or [io] seed)")
+        raise ConfigError("--sample requires --seed")
     return acquisition.sample_histogram(expected, seed)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import decay, reader
 from .errors import GateError
-from .record import Record, require_finite
+from .record import Record, frozen_array, require_finite
 
 CHANNELS = ("mw_off", "mw_on")
 
@@ -41,15 +41,13 @@ class TcspcHistogram(Record):
         if not self.integration_time >= 0:
             raise ValueError("integration_time must be non-negative")
         require_finite(self, "integration_time")
-        counts = np.asarray(self.counts)
+        counts = frozen_array(self.counts, None)  # int or float, as given
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
         if not np.all(counts >= 0):  # nan fails too
             raise ValueError("counts must be non-negative")
         if not np.all(np.isfinite(counts)):
             raise ValueError("counts must be finite")
-        counts = counts.copy()
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         period = self.period
         if abs(self.bin_width * counts.size - period) > PERIOD_REL_TOL * period:

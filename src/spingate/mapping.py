@@ -55,14 +55,6 @@ class ScanMap(Record):
         for name, p in planes.items():
             object.__setattr__(self, name, p)
 
-    @property
-    def ny(self) -> int:
-        return int(self.mw_off_gated.shape[0])
-
-    @property
-    def nx(self) -> int:
-        return int(self.mw_off_gated.shape[1])
-
     def channel_planes(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """(mw_off, mw_on) planes for 'gated' or 'ungated'."""
         if kind == "gated":

@@ -34,7 +34,9 @@ from . import histogram, reader
 from .decay import FluorescenceModel, GateWindow, PulseTrain, gate_from_args, steady_rate
 from .errors import ConfigError, FitError, NonConvergenceError, ParseError
 from .metrics import RatePair, sensitivity_cw
-from .record import Record, require_finite, require_poisson_means
+from .record import (
+    Record, frozen_array, require_finite, require_finite_means, require_poisson_means
+)
 
 MAX_ITERATIONS = 500
 SE_TOL = 1e-5
@@ -56,8 +58,8 @@ class OdmrSpectrum(Record):
     gate: GateWindow | None = None  # None = ungated
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
+        freqs = frozen_array(self.freqs)
+        counts = frozen_array(self.counts)
         if freqs.ndim != 1 or counts.shape != freqs.shape or freqs.size == 0:
             raise ValueError("freqs and counts must be 1-D arrays of equal, non-zero length")
         for label, values in (("frequency", freqs), ("count", counts)):
@@ -69,10 +71,6 @@ class OdmrSpectrum(Record):
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         _check_integration(self.integration_per_point)
-        freqs = freqs.copy()
-        counts = counts.copy()
-        freqs.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "counts", counts)
 
@@ -187,10 +185,11 @@ def synth_odmr(
     )
     p = truth.population(freqs)
     expected = (1.0 - p) * n0 + p * n1
-    if seed is not None:
-        require_poisson_means(
-            expected, f"expected counts per point (integration_per_point {integration_per_point:g} s)"
-        )
+    quantity = f"expected counts per point (integration_per_point {integration_per_point:g} s)"
+    if seed is None:
+        require_finite_means(expected, quantity)
+    else:
+        require_poisson_means(expected, quantity)
         expected = np.random.default_rng(seed).poisson(expected).astype(float)
     return OdmrSpectrum(
         freqs=freqs, counts=expected, integration_per_point=integration_per_point, gate=gate

@@ -12,8 +12,9 @@ and their field tuples are equal, and a record hashes as its field tuple;
 the repr is "Name(field=value, ...)". frozen_array stores an array field as
 a read-only copy, so the record neither shares memory with nor freezes the
 array its caller passed. require_finite rejects an infinite or nan number in
-the fields a record names, and require_poisson_means a Poisson mean numpy
-cannot draw from, before the draw.
+the fields a record names, require_poisson_means a Poisson mean numpy
+cannot draw from, before the draw, and require_finite_means an expectation
+that overflowed; the last two name the input that scaled it.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class Record:
 
 
 def frozen_array(values, dtype=float) -> np.ndarray:
-    """A read-only copy of values as an array of dtype."""
+    """A read-only copy of values as an array of dtype; dtype None keeps
+    the dtype numpy gives values."""
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -120,14 +122,24 @@ def require_finite(record: Record, *names: str) -> None:
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
+def _require_means_within(means, quantity: str, limit: float, source: str) -> None:
+    """Raise ValueError naming quantity, its largest mean and source's limit
+    when a mean in means is nan or above limit."""
+    peak = float(np.max(means, initial=0.0))
+    if not peak <= limit:
+        raise ValueError(f"{quantity} reach {peak:.6g}, above {source} limit of {limit:.6g}")
+
+
 def require_poisson_means(means, quantity: str) -> None:
     """Raise ValueError naming quantity when a Poisson mean in means is
     above POISSON_MEAN_MAX."""
-    peak = float(np.max(means, initial=0.0))
-    if peak > POISSON_MEAN_MAX:
-        raise ValueError(
-            f"{quantity} reach {peak:.6g}, above numpy's Poisson limit of {POISSON_MEAN_MAX:.6g}"
-        )
+    _require_means_within(means, quantity, POISSON_MEAN_MAX, "numpy's Poisson")
+
+
+def require_finite_means(means, quantity: str) -> None:
+    """Raise ValueError naming quantity when an expectation in means
+    overflowed float64."""
+    _require_means_within(means, quantity, float(np.finfo(float).max), "float64's")
 
 
 def replace(record: Record, **changes) -> Record:

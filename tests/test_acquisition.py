@@ -287,6 +287,25 @@ class TestEventBlocks:
         with pytest.raises(ValueError, match=f"integration_time {message}"):
             block_count(TRAIN, integration)
 
+    def test_block_count_on_both_sides_of_the_timestamp_limit(self):
+        # below the limit a float64 timestamp resolves 1 ps; at it, no longer
+        limit = acquisition.TIMESTAMP_LIMIT_NS
+        assert (acquisition.PHASE_RESOLUTION_NS, limit) == (1e-3, 2.0**43)
+        assert np.spacing(np.nextafter(limit, 0.0)) <= 1e-3 < np.spacing(limit)
+        # counted, never drawn: just under the limit is about 4.3e7 blocks
+        below = limit * (1 - 1e-12) / 1e9
+        assert block_count(TRAIN, below) == -(-int(below * TRAIN.rep_rate) // BLOCK_PULSES)
+        above = limit * (1 + 1e-12) / 1e9
+        for integration in (above, 1e300, 1e308):
+            with pytest.raises(ValueError) as err:
+                block_count(TRAIN, integration)
+            assert str(err.value) == (
+                f"integration_time {integration:g} s runs timestamps past 8.79609e+12 ns, "
+                "where float64 no longer resolves 0.001 ns of phase"
+            )
+        with pytest.raises(ValueError, match="runs timestamps past"):
+            simulate_events(small_model(), TRAIN, 1e300, 50.0, 1, C_SAT)
+
 
 def irf_model(sigma: float) -> FluorescenceModel:
     """small_model with a dark rate and the pulse 2.5 ns into the period."""

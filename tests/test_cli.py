@@ -104,13 +104,17 @@ class TestSimulate:
         assert total_on < total_off
 
 
-    def test_infinite_integration_writes_nothing(self, config_path, tmp_path, capsys):
-        # a histogram of infinite counts, which gate-apply would refuse to read
+    def test_infinite_integration_writes_nothing(self, tmp_path, capsys):
+        # a histogram of infinite counts, which gate-apply would refuse to read;
+        # the channel time comes only from the config, which rejects inf
+        path = tmp_path / "inf.ini"
+        path.write_text(CONFIG.replace("integration_time = 0.2", "integration_time = inf"))
         out = tmp_path / "h.csv"
-        code = run_cli("simulate", "--config", config_path, "--integration", "inf",
-                       "--out", str(out))
+        code = run_cli("simulate", "--config", str(path), "--out", str(out))
         assert code == 2
-        assert capsys.readouterr().err == "error: integration_time must be finite, got inf\n"
+        assert capsys.readouterr().err == (
+            "error: line 13: bad value for 'integration_time': not a finite number: 'inf'\n"
+        )
         assert not out.exists()
 
 
@@ -449,6 +453,19 @@ class TestHwSim:
         assert capsys.readouterr().err == "error: integration_time must be finite, got inf\n"
         assert not out.exists()
 
+    def test_stream_past_the_timestamp_limit_fails_at_once(self, config_path, tmp_path):
+        # 1e300 s of stream is about 5e303 blocks; block_count refuses it
+        # before the first block, so the run ends well inside the timeout
+        out = tmp_path / "hw.csv"
+        done = run_python("-m", "spingate.cli", "hw-sim", "--config", config_path,
+                          "--integration", "1e300", "--delay", "9.2", "--seed", "1",
+                          "--out", str(out), timeout=20)
+        assert (done.returncode, done.stderr.splitlines()) == (2, [
+            "error: integration_time 1e+300 s runs timestamps past 8.79609e+12 ns, "
+            "where float64 no longer resolves 0.001 ns of phase"
+        ])
+        assert not out.exists()
+
     def test_channel_codes_written_as_a_str_column(self, config_path, tmp_path):
         # the channel column is written from its uint8 codes; the same
         # events with channel as a U6 str array give the same bytes. At 2 kHz
@@ -713,10 +730,21 @@ class TestArgumentHandling:
         assert code == 2
         assert "--config" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, config_path, tmp_path, capsys):
+        # the seed's one source is --seed, checked where it is read
+        out = tmp_path / "o.csv"
+        code = run_cli("mc", "--config", config_path, "--tau-c", "9.2", "--seed", "-3",
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+        assert not out.exists()
+
     def test_out_required(self, config_path, capsys):
         code = run_cli("gate-sweep", "--config", config_path)
         assert code == 2
-        assert "output path" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "spingate gate-sweep: error: the following arguments are required: --out\n"
+        )
 
 
 def parse(parser, argv, capsys) -> tuple:
@@ -770,6 +798,38 @@ class TestParser:
         assert err.startswith("usage: spingate [-h] [--version]")
         assert "{" + ",".join(cli.COMMANDS) + "}" in err
         assert err.endswith(f"spingate: error: {error}\n")
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_usage_states_the_required_arguments(self, command, capsys):
+        # --out always, --config on the model commands only, --seed where
+        # the table says
+        spec = cli.COMMANDS[command]
+        code, out, _ = parse(cli._build_parser(command), [command, "--help"], capsys)
+        usage = out.split("\n\n")[0]
+        assert code == 0 and " --out OUT" in usage and "[--out" not in usage
+        assert (" --config CONFIG" in usage) == spec["config"] and "[--config" not in usage
+        assert ("[--seed SEED]" not in usage) == spec["seed"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["odmr-fit", "--input", "y.csv", "--config", "x.ini"],
+            ["gate-apply", "--input", "y.csv", "--tau-c", "9.2", "--config", "x.ini"],
+            ["snr-map", "--input", "y.csv", "--channel", "gated", "--config", "x.ini"],
+            ["simulate", "--config", "{config}", "--integration", "1"],
+        ],
+        ids=["odmr-fit-config", "gate-apply-config", "snr-map-config", "simulate-integration"],
+    )
+    def test_removed_settings_are_usage_errors(self, argv, config_path, tmp_path, capsys):
+        # the input commands read no model, and simulate's channel time
+        # comes only from the config
+        argv = [arg.format(config=config_path) for arg in argv]
+        out = tmp_path / "z.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"spingate: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+        )
+        assert not out.exists()
 
     def test_simulate_channels_are_the_histograms(self):
         options = dict(cli.COMMANDS["simulate"]["arguments"])
@@ -858,24 +918,35 @@ class TestNonFiniteArguments:
 
 
 class TestHugePoissonMeans:
-    """A Poisson mean above numpy's limit is named before the draw: exit 2,
-    one error line naming the quantity and the limit, no output file."""
+    """A Poisson mean above numpy's limit is named before the draw, and an
+    expectation that overflows float64 where it is computed: exit 2, one
+    error line naming the quantity, the input that scaled it and the limit,
+    no output file."""
 
     LIMIT = "above numpy's Poisson limit of 9.22337e+18"
+    FLOAT_LIMIT = "above float64's limit of 1.79769e+308"
 
     @pytest.mark.parametrize(
         "argv, integration_time, message",
         [
             (["odmr-synth", "--integration-per-point", "1e300", "--seed", "1"], None,
-             "expected counts per point (integration_per_point 1e+300 s) reach inf"),
+             f"expected counts per point (integration_per_point 1e+300 s) reach inf, {LIMIT}"),
             (["odmr-synth", "--integration-per-point", "1e14", "--seed", "1"], None,
-             "expected counts per point (integration_per_point 1e+14 s) reach 9.44247e+22"),
-            (["simulate", "--sample", "--integration", "1e300", "--seed", "1"], None,
-             "expected counts per bin (integration_time 1e+300 s) reach 4.24853e+307"),
+             "expected counts per point (integration_per_point 1e+14 s) reach 9.44247e+22, "
+             + LIMIT),
+            (["simulate", "--sample", "--seed", "1"], "1e300",
+             "expected counts per bin (integration_time 5e+299 s) reach 2.12427e+307, " + LIMIT),
             (["mc", "--tau-c", "9.2", "--seed", "1"], "1e300",
-             "expected gated counts per channel (channel_time 5e+299 s) reach 5.54687e+307"),
+             "expected gated counts per channel (channel_time 5e+299 s) reach 5.54687e+307, "
+             + LIMIT),
+            (["odmr-synth", "--integration-per-point", "1e300"], None,
+             "expected counts per point (integration_per_point 1e+300 s) reach inf, "
+             + FLOAT_LIMIT),
+            (["simulate"], "1e308",
+             f"expected counts per bin (integration_time 5e+307 s) reach inf, {FLOAT_LIMIT}"),
         ],
-        ids=["odmr-synth", "odmr-synth-1e14", "simulate-sample", "mc"],
+        ids=["odmr-synth", "odmr-synth-1e14", "simulate-sample", "mc", "odmr-synth-expected",
+             "simulate-expected"],
     )
     def test_exits_2_and_writes_nothing(self, config_path, tmp_path, argv, integration_time,
                                         message):
@@ -886,11 +957,11 @@ class TestHugePoissonMeans:
         out = tmp_path / "o.csv"
         done = run_python("-m", "spingate.cli", *argv, "--config", str(config_path),
                           "--out", str(out))
-        assert (done.returncode, done.stderr.splitlines()) == (2, [f"error: {message}, {self.LIMIT}"])
+        assert (done.returncode, done.stderr.splitlines()) == (2, [f"error: {message}"])
         assert not out.exists()
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """python -W default argv in a fresh interpreter on this tree; -W default
     shows every warning once, whatever the interpreter's filters."""
     env = dict(os.environ)
@@ -898,7 +969,7 @@ def run_python(*argv: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-W", "default", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 

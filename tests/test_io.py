@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spingate.cli import main
 from spingate.config import load_config, parse_config
 from spingate.decay import FluorescenceModel
 from spingate.errors import ConfigError, ParseError
@@ -63,10 +64,6 @@ BULK_INI = textwrap.dedent(
     mw_duty = 0.5
     tau_c_step = 0.1
     linewidth = 1e7
-
-    [io]
-    seed = 7
-    out = sweep.csv
     """
 )
 
@@ -913,8 +910,6 @@ class TestConfig:
         assert cfg.sweep.integration_time == 10.0
         assert cfg.sweep.linewidth == 1e7
         assert cfg.sweep.c_sat == 0.15
-        assert cfg.seed == 7
-        assert cfg.out == "sweep.csv"
 
     def test_multi_component_lines(self):
         cfg = parse_config(
@@ -979,10 +974,18 @@ class TestConfig:
         cfg = parse_config(text)
         assert cfg.sweep.rate_grid == pytest.approx((1e9 / 50, 1e9 / 60, 1e9 / 70))
 
-    def test_negative_seed_rejected(self):
-        text = "[model]\nspin0 = 1, 12\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n[io]\nseed = -3\n"
-        with pytest.raises(ConfigError, match="non-negative"):
+    def test_io_section_rejected_with_its_line(self, tmp_path, capsys):
+        # the seed and the output path come only from --seed and --out
+        text = "[model]\nspin0 = 1, 12\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n[io]\nseed = 7\n"
+        line = "line 6: unknown section [io], expected one of ['model', 'sweep', 'train']"
+        with pytest.raises(ConfigError) as err:
             parse_config(text)
+        assert (str(err.value), err.value.line) == (line, 6)
+        path, out = tmp_path / "io.ini", tmp_path / "o.csv"
+        path.write_text(text)
+        assert main(["gate-sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
 
     def test_orphan_companion_key_rejected(self):
         text = (
@@ -1037,7 +1040,6 @@ class TestConfig:
         cfg = parse_config("[model]\nspin0 = 1, 12\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n")
         assert cfg.sweep == SweepConfig()
         assert cfg.model == FluorescenceModel(spin0=cfg.model.spin0, spin1=cfg.model.spin1)
-        assert (cfg.seed, cfg.out) == (None, None)
 
     @pytest.mark.parametrize(
         "line, where, cell",
@@ -1080,4 +1082,3 @@ class TestConfig:
         assert [c.label for c in cfg.model.spin0 + cfg.model.spin1] == ["ms0", "ms1"]
         assert cfg.model.background[0].amplitude == 20.8
         assert cfg.sweep.tau_c_resolution == 0.1
-        assert (cfg.seed, cfg.out) == (7, "sweep.csv")

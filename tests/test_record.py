@@ -17,6 +17,7 @@ from spingate.record import (
     FrozenRecordError,
     Record,
     replace,
+    require_finite_means,
     require_poisson_means,
 )
 from spingate.report import ColumnarReport
@@ -142,10 +143,10 @@ CASES = [
         "(mean, std, samples, analytic)",
     ),
     (
-        RunConfig, (MODEL, PulseTrain(20e6), SweepConfig()), {"seed": 7}, None,
+        RunConfig, (MODEL, PulseTrain(20e6), SweepConfig()), {"train": PulseTrain(40e6)}, None,
         f"RunConfig(model={MODEL_REPR}, train=PulseTrain(rep_rate=20000000.0), "
-        f"sweep=SweepConfig({SWEEP_DEFAULTS}), seed=None, out=None)",
-        "(model, train, sweep, seed=None, out=None)",
+        f"sweep=SweepConfig({SWEEP_DEFAULTS}))",
+        "(model, train, sweep)",
     ),
     (
         ColumnarReport, ({"k": "v"}, {"a": [1]}), {"metadata": {"k": "w"}},
@@ -237,3 +238,12 @@ def test_poisson_limit_is_numpys():
     require_poisson_means(np.array([]), "counts")
     with pytest.raises(ValueError, match=r"^counts reach 2e\+19, above numpy's Poisson limit of"):
         require_poisson_means([1.0, 2e19], "counts")
+
+
+def test_finite_means_name_the_overflow():
+    # the same message shape as the Poisson limit's, at float64's largest value
+    require_finite_means(np.array([0.0, np.finfo(float).max]), "counts")
+    for bad, shown in ((np.inf, "inf"), (np.nan, "nan")):
+        with pytest.raises(ValueError) as err:
+            require_finite_means([1.0, bad], "counts")
+        assert str(err.value) == f"counts reach {shown}, above float64's limit of 1.79769e+308"
