@@ -8,8 +8,9 @@ Three layers, each deterministic given a master seed:
   Poisson source per laser pulse, with exact exponential (plus Gaussian
   IRF) or uniform arrival phases. Only the photons whose phase falls in a
   window inside [0, period) are drawn; those outside it are counted, not
-  drawn. The MW drive toggles between channels as an ideal square wave
-  phase-locked to t = 0 (MW off first).
+  drawn. The MW drive toggles between channels as an ideal 50 % square
+  wave phase-locked to t = 0 (MW off first), so hw-sim draws twice
+  SweepConfig.channel_time of stream to give each channel that time.
 * Event-level gating by a GateWindow: a hardware gate (optionally with
   per-pulse Gaussian edge jitter) and the equivalent offline modular-time
   filter, and the closed-form expectation of what the hardware gate keeps.
@@ -34,20 +35,18 @@ import numpy as np
 
 from . import histogram
 from .decay import (
+    CHANNELS,
     FluorescenceModel,
     GateWindow,
     PulseTrain,
     _window_counts,
+    channel_rates,
+    channel_weights,
     gate_from_args,
-    spin_weight,
-    steady_rate,
 )
 from .errors import ConfigError
 from .metrics import CountPair, snr
 from .record import Record, frozen_array, replace, require_poisson_means
-
-CHANNEL_OFF = 0
-CHANNEL_ON = 1
 
 # Laser pulses per event-stream block: about 190k events per block for a
 # bulk NV model at 20 MHz, so a block's arrays stay a few MB.
@@ -69,10 +68,10 @@ WINDOW_SIGMAS = 8.0
 class EventStream(Record):
     """Column store of photon events sorted by timestamp.
 
-    channels holds CHANNEL_OFF/CHANNEL_ON codes. n_outside counts the
-    photons of the acquisition that the stream does not list: those outside
-    the window it was drawn in, and those a selection removed. So
-    len(stream) + n_outside is the acquisition's photon count.
+    channels holds channel codes, indices into decay.CHANNELS. n_outside
+    counts the photons of the acquisition that the stream does not list:
+    those outside the window it was drawn in, and those a selection removed.
+    So len(stream) + n_outside is the acquisition's photon count.
     """
 
     timestamps: np.ndarray  # ns, float64, non-decreasing
@@ -88,7 +87,7 @@ class EventStream(Record):
         # first value >= 0 and a last value < inf admit only finite values
         if ts.size and not (ts[0] >= 0 and ts[-1] < math.inf and np.all(np.diff(ts) >= 0)):
             raise ValueError("timestamps must be finite, non-negative and sorted")
-        if np.any(ch > 1):
+        if np.any(ch >= len(CHANNELS)):
             raise ValueError("channel codes must be 0 (mw_off) or 1 (mw_on)")
         try:
             n_outside = operator.index(self.n_outside)
@@ -123,14 +122,14 @@ def sample_histogram(expectation: histogram.TcspcHistogram, seed) -> histogram.T
         raise ValueError("negative expectation")
     require_poisson_means(
         expectation.counts,
-        f"expected counts per bin (integration_time {expectation.integration_time:g} s)",
+        f"expected counts per bin (channel_time {expectation.channel_time:g} s)",
     )
     rng = np.random.default_rng(_require_seed(seed, "sample_histogram"))
     return histogram.TcspcHistogram(
         bin_width=expectation.bin_width,
         counts=rng.poisson(expectation.counts),
         channel=expectation.channel,
-        integration_time=expectation.integration_time,
+        channel_time=expectation.channel_time,
         rep_rate=expectation.rep_rate,
     )
 
@@ -142,21 +141,21 @@ def block_seed(seed, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,))
 
 
-def block_count(train: PulseTrain, integration_time: float) -> int:
-    """Number of BLOCK_PULSES-pulse blocks in an acquisition; an acquisition
-    without pulses has one empty block. Its timestamps lie below
-    integration_time in ns, which must not pass TIMESTAMP_LIMIT_NS."""
-    if not integration_time >= 0:
-        raise ValueError("integration_time must be >= 0")
-    if not math.isfinite(integration_time):
-        raise ValueError(f"integration_time must be finite, got {integration_time}")
-    if integration_time * 1e9 > TIMESTAMP_LIMIT_NS:
+def block_count(train: PulseTrain, stream_time: float) -> int:
+    """Number of BLOCK_PULSES-pulse blocks in a stream of stream_time s; a
+    stream without pulses has one empty block. Its timestamps lie below
+    stream_time in ns, which must not pass TIMESTAMP_LIMIT_NS."""
+    if not stream_time >= 0:
+        raise ValueError("stream_time must be >= 0")
+    if not math.isfinite(stream_time):
+        raise ValueError(f"stream_time must be finite, got {stream_time}")
+    if stream_time * 1e9 > TIMESTAMP_LIMIT_NS:
         raise ValueError(
-            f"integration_time {integration_time:g} s runs timestamps past "
+            f"stream_time {stream_time:g} s runs timestamps past "
             f"{TIMESTAMP_LIMIT_NS:g} ns, where float64 no longer resolves "
             f"{PHASE_RESOLUTION_NS:g} ns of phase"
         )
-    n_pulses = int(integration_time * train.rep_rate)
+    n_pulses = int(stream_time * train.rep_rate)
     return max(1, -(-n_pulses // BLOCK_PULSES))
 
 
@@ -191,11 +190,12 @@ def _source_means(
     drawn = masses(0.0, x_lo, x_hi)
     drawn[-1] = inside[-1]  # dark photons are drawn over the window itself
     n0, n1 = len(model.spin0), len(model.spin1)
-    weights = np.ones((2, drawn.size))
-    weights[CHANNEL_OFF, n0 : n0 + n1] = 0.0
-    w = spin_weight(c_sat)
-    weights[CHANNEL_ON, :n0] = 1.0 - w
-    weights[CHANNEL_ON, n0 : n0 + n1] = w
+    # (channel x source) weights: the spin branches by each channel's
+    # mixture, the background and the dark rate in full
+    spin1 = np.array(channel_weights(c_sat))[:, None]
+    weights = np.ones((len(CHANNELS), drawn.size))
+    weights[:, :n0] = 1.0 - spin1
+    weights[:, n0 : n0 + n1] = spin1
     means = weights * drawn
     outside_means = np.maximum(weights @ outside, 0.0)
     lifetimes = np.array([c.lifetime for c in comps] + [0.0])
@@ -210,14 +210,14 @@ def _source_means(
 def simulate_events(
     model: FluorescenceModel,
     train: PulseTrain,
-    integration_time: float,
+    stream_time: float,
     mw_toggle_rate: float,
     seed,
     c_sat: float,
     block: int | None = None,
     window: GateWindow | None = None,
 ) -> EventStream:
-    """Simulate the photon stream of a full acquisition, or of one block,
+    """Simulate the photon stream of stream_time s, or one block of it,
     drawing only the photons whose phase lies in window.
 
     Every source emits an independent Poisson number of photons per laser
@@ -244,16 +244,18 @@ def simulate_events(
     one Poisson count with the full-period mass less the window mass as its
     mean, and the stream carries their sum as n_outside. So
     len(stream) + n_outside has the distribution of the whole acquisition's
-    photon count. The MW-on channel weights the spin branches by c_sat; the
-    channel is set by the 50% duty MW square wave active at the pulse time.
+    photon count. Each channel weights the spin branches as channel_weights
+    gives them; the channel is set by the 50% duty MW square wave active at
+    the pulse time, so over whole toggle periods each channel gets half of
+    the stream.
 
-    The pulses are drawn in block_count(train, integration_time) blocks of
+    The pulses are drawn in block_count(train, stream_time) blocks of
     BLOCK_PULSES, block k from block_seed(seed, k). Every event lies inside
     its own pulse's period, so sorting each block sorts the stream. With
     block=k only block k is returned; with None, every block in order.
     """
     _require_seed(seed, "simulate_events")
-    n_blocks = block_count(train, integration_time)
+    n_blocks = block_count(train, stream_time)
     if not mw_toggle_rate > 0:
         raise ValueError("mw_toggle_rate must be > 0")
     if not math.isfinite(mw_toggle_rate):
@@ -265,7 +267,7 @@ def simulate_events(
     if window.t_start >= period:
         raise ValueError("window must start inside the pulse period")
     t_start, t_end = window.t_start, min(window.t_end, period)
-    n_pulses = int(integration_time * train.rep_rate)
+    n_pulses = int(stream_time * train.rep_rate)
     sigma, pulse = model.irf_sigma, model.pulse_time
     means, outside_means, lifetimes, shrink, x_lo = _source_means(
         model, period, t_start, t_end, c_sat
@@ -362,7 +364,7 @@ def hw_gate_expectation(
     c_sat: float,
 ) -> np.ndarray:
     """Expected counts per pulse that hw_gate keeps from a simulate_events
-    stream, indexed by CHANNEL_OFF and CHANNEL_ON.
+    stream, indexed by channel code.
 
     Both gate edges shift together by s ~ N(0, jitter_sigma) per pulse, so an
     event at phase t is kept with probability
@@ -374,8 +376,7 @@ def hw_gate_expectation(
     the intensity that the stream loses outside [0, period).
     """
     jittered = replace(model, irf_sigma=math.hypot(model.irf_sigma, jitter_sigma))
-    rates = [steady_rate(jittered, spin, gate.t_start, train, gate.t_end) for spin in ("ms0", c_sat)]
-    return np.array(rates) / train.rep_rate
+    return channel_rates(jittered, c_sat, gate.t_start, train, gate.t_end) / train.rep_rate
 
 
 class McSnrResult(Record):
@@ -411,10 +412,7 @@ def mc_snr_distribution(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    means = [
-        steady_rate(model, spin, gate.t_start, train, gate.t_end) * channel_time
-        for spin in ("ms0", c_sat)
-    ]
+    means = channel_rates(model, c_sat, gate.t_start, train, gate.t_end) * channel_time
     require_poisson_means(
         means, f"expected gated counts per channel (channel_time {channel_time:g} s)"
     )
@@ -454,6 +452,9 @@ def cmd_hw_sim(args, run, seed):
     if not args.jitter >= 0:
         raise ConfigError("--jitter must be >= 0")
     window = hw_gate_window(gate, run.train, args.jitter)
+    # --integration is the acquisition's integration_time; under the 50 %
+    # toggle a stream of twice its channel time gives each channel that time
+    stream_time = 2 * replace(run.sweep, integration_time=args.integration).channel_time
     stream_seed, gate_seed = np.random.SeedSequence(seed).spawn(2)
     n_events = n_offline = 0
     identical = True
@@ -461,9 +462,9 @@ def cmd_hw_sim(args, run, seed):
     # they collect in two growing buffers, since small per-block arrays
     # left between the blocks' large ones would fragment the heap
     stamps, codes = array.array("d"), array.array("B")
-    for k in range(block_count(run.train, args.integration)):
+    for k in range(block_count(run.train, stream_time)):
         events = simulate_events(
-            run.model, run.train, args.integration, args.toggle_rate, stream_seed,
+            run.model, run.train, stream_time, args.toggle_rate, stream_seed,
             c_sat=run.sweep.c_sat, block=k, window=window,
         )
         kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k))
@@ -489,4 +490,4 @@ def cmd_hw_sim(args, run, seed):
     )
     # the channel column stays the draw's uint8 codes, written as their names
     columns = {"timestamp_ns": timestamps, "channel": np.frombuffer(codes, np.uint8)}
-    return meta, columns, {"channel": histogram.CHANNELS}
+    return meta, columns, {"channel": CHANNELS}

@@ -22,9 +22,9 @@ TcspcHistogram (simulate), or (metadata, columns) or (metadata, columns,
 labels) as a ColumnarReport's fields, with tool, version, command and seed
 put ahead of the metadata.
 
-Exit codes: 0 success, 2 validation/config/parse error, 3 numeric failure
-(fit non-convergence and similar). Identical config and seed give
-byte-identical output files.
+Exit codes: 0 success, 2 validation/config/parse error or a request too
+large for the memory available, 3 numeric failure (fit non-convergence and
+similar). Identical config and seed give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _TAU_C = ("--tau-c", dict(type=float, required=True, help="gate onset, ns"))
 COMMANDS = {
     "simulate": _command(
         "expected or sampled TCSPC histogram", "decay.cmd_simulate",
-        # histogram.CHANNELS, spelled out so that building the parser loads no module
+        # decay.CHANNELS, spelled out so that building the parser loads no module
         ("--channel", dict(choices=("mw_off", "mw_on"), default="mw_off")),
         ("--bin-width", dict(type=float, default=0.1, help="ns")),
         ("--sample", dict(action="store_true", help="Poisson-sample the expectation")),
@@ -98,7 +98,7 @@ COMMANDS = {
     ),
     "hw-sim": _command(
         "event-level hardware gating vs offline filtering", "acquisition.cmd_hw_sim",
-        ("--integration", dict(type=float, default=0.01, help="s")),
+        ("--integration", dict(type=float, default=0.01, help="s, total acquisition time")),
         ("--toggle-rate", dict(type=float, default=50.0, help="Hz MW square wave")),
         ("--delay", dict(type=float, required=True, help="gate-on delay after trigger, ns")),
         ("--length", dict(type=float, help="gate-on duration, ns (default: period - delay)")),
@@ -126,6 +126,9 @@ def main(argv=None) -> int:
         _run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except errors.NonConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

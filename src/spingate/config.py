@@ -184,11 +184,18 @@ def _tokenize(text: str) -> tuple[dict[str, dict], dict[str, int]]:
     return given, lines
 
 
-def _record(cls, fields: dict, section: str):
+def _record(cls, fields: dict, target: str, lines: dict[str, int]):
+    """cls(**fields) for a _KEYS target; a rejected value names the section
+    and line of the key that set it, since a record's message starts with
+    its field."""
     try:
         return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] invalid: {exc}") from exc
+        field = str(exc).split(" ", 1)[0]
+        given = (name for name, (t, f, _) in _KEYS.items() if (t, f) == (target, field))
+        key = next((name for name in given if name in lines), None)
+        section, line = (target, None) if key is None else (key.split(".")[0], lines[key])
+        raise ConfigError(f"[{section}] invalid: {exc}", line=line) from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -207,7 +214,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing required key 'background_lifetime' in [model]")
     if "rep_rate" not in given["train"]:
         raise ConfigError("missing required key 'rep_rate' in [train]")
-    train = _record(PulseTrain, given["train"], "train")
+    train = _record(PulseTrain, given["train"], "train", lines)
     if ratio:
         try:
             amplitude = background_amplitude(spin0=model["spin0"], period=train.period, **ratio)
@@ -215,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return RunConfig(
-        model=_record(FluorescenceModel, model, "model"),
+        model=_record(FluorescenceModel, model, "model", lines),
         train=train,
-        sweep=_record(SweepConfig, given["sweep"], "sweep"),
+        sweep=_record(SweepConfig, given["sweep"], "sweep", lines),
     )

@@ -19,7 +19,8 @@ Spin selection: operations take a selector that is either the string
 mixture ``(1 - w) * spin0 + w * spin1``. Driving the spin transition never
 changes the emitted amplitude per excited population, only how the population
 is shared between the two decay branches, so a partially saturated MW-on
-channel is the mixture with ``w = C_sat``.
+channel is the mixture with ``w = C_sat``. ``CHANNELS`` names the two MW
+channels, and ``channel_weights`` is the one statement of their mixtures.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .errors import ConfigError, GateError
 from .record import Record, replace, require_finite, require_finite_means
 
 SpinSelector = Union[str, float]
+
+# The MW channels; a channel's code is its index. channel_weights gives
+# each channel's spin mixture.
+CHANNELS = ("mw_off", "mw_on")
 
 
 class DecayComponent(Record):
@@ -174,6 +179,12 @@ def spin_weight(spin: SpinSelector) -> float:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"spin mixture weight must be in [0, 1], got {w}")
     return w
+
+
+def channel_weights(c_sat: float) -> tuple[float, float]:
+    """Spin-1 mixture weight of each MW channel, by code: mw_off counts the
+    pure ms0 branch, mw_on the mixture with weight c_sat."""
+    return (0.0, spin_weight(c_sat))
 
 
 class GatedCounts(Record):
@@ -387,17 +398,28 @@ def steady_rate(
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
+def channel_rates(
+    model: FluorescenceModel, c_sat: float, gate_onset, train: PulseTrain, gate_end=math.inf
+) -> np.ndarray:
+    """steady_rate of each MW channel stacked by code (see channel_weights):
+    shape (2,) + the broadcast shape of gate_onset and gate_end."""
+    return np.array(
+        [steady_rate(model, w, gate_onset, train, gate_end) for w in channel_weights(c_sat)]
+    )
+
+
 def histogram_expectation(
     model: FluorescenceModel,
     spin: SpinSelector,
     train: PulseTrain,
     bin_width: float,
-    integration_time: float,
+    channel_time: float,
     channel: str = "mw_off",
 ) -> histogram.TcspcHistogram:
-    """Expected (real-valued) TCSPC histogram over one period.
+    """Expected (real-valued) TCSPC histogram of one MW channel over one
+    period.
 
-    Bin b holds integration_time * f_L * integral of the intensity over
+    Bin b holds channel_time * f_L * integral of the intensity over
     [b*dt, (b+1)*dt). The bin width must tile the period exactly.
     """
     if not bin_width > 0:
@@ -418,15 +440,13 @@ def histogram_expectation(
         c.amplitude * c.lifetime * (np.diff(_tail(edges, c.lifetime, model.irf_sigma)) + step)
         for c in comps
     ) + model.dark_rate * bin_width
-    counts = per_bin * (integration_time * train.rep_rate)
-    require_finite_means(
-        counts, f"expected counts per bin (integration_time {integration_time:g} s)"
-    )
+    counts = per_bin * (channel_time * train.rep_rate)
+    require_finite_means(counts, f"expected counts per bin (channel_time {channel_time:g} s)")
     return histogram.TcspcHistogram(
         bin_width=bin_width,
         counts=counts,
         channel=channel,
-        integration_time=integration_time,
+        channel_time=channel_time,
         rep_rate=train.rep_rate,
     )
 
@@ -441,7 +461,7 @@ def gate_from_args(args) -> GateWindow:
 
 
 def cmd_simulate(args, run, seed) -> histogram.TcspcHistogram:
-    spin = "ms0" if args.channel == "mw_off" else run.sweep.c_sat
+    spin = channel_weights(run.sweep.c_sat)[CHANNELS.index(args.channel)]
     expected = histogram_expectation(
         run.model, spin, run.train, args.bin_width, run.sweep.channel_time, channel=args.channel
     )

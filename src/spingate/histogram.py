@@ -13,8 +13,6 @@ from . import decay, reader
 from .errors import GateError
 from .record import Record, frozen_array, require_finite
 
-CHANNELS = ("mw_off", "mw_on")
-
 PERIOD_REL_TOL = 1e-9
 
 
@@ -27,20 +25,22 @@ class TcspcHistogram(Record):
 
     bin_width: float  # ns
     counts: np.ndarray  # per bin
-    channel: str  # "mw_off" | "mw_on"
-    integration_time: float  # s
+    channel: str  # one of decay.CHANNELS
+    channel_time: float  # s, the channel's integration time
     rep_rate: float  # Hz
 
     def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}, expected one of {CHANNELS}")
+        if self.channel not in decay.CHANNELS:
+            raise ValueError(
+                f"unknown channel {self.channel!r}, expected one of {decay.CHANNELS}"
+            )
         if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
         if not self.rep_rate > 0:
             raise ValueError("rep_rate must be positive")
-        if not self.integration_time >= 0:
-            raise ValueError("integration_time must be non-negative")
-        require_finite(self, "integration_time")
+        if not self.channel_time >= 0:
+            raise ValueError("channel_time must be non-negative")
+        require_finite(self, "channel_time")
         counts = frozen_array(self.counts, None)  # int or float, as given
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
@@ -118,7 +118,7 @@ def cmd_gate_apply(args, run, seed):
         t_end_ns="period" if args.t_end is None else args.t_end,
         bin_width_ns=hist.bin_width,
         rep_rate_hz=hist.rep_rate,
-        integration_s=hist.integration_time,
+        integration_s=hist.channel_time,
         channel=hist.channel,
         gated_counts=float(counts.sum()),
     )

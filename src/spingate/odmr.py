@@ -106,6 +106,20 @@ class DoubletTruth(Record):
             if not 0 <= d <= 1:
                 raise ValueError("population depth must be in [0, 1]")
         require_finite(self, *self._fields)
+        for name in ("fwhm1", "fwhm2"):
+            # _lorentz divides by the half-width squared plus the detuning's;
+            # a square of 0 gives 0 / 0 at the center, one past float64 raises
+            width = getattr(self, name)
+            square = (0.5 * width) * (0.5 * width)
+            if square == 0.0:
+                raise ValueError(
+                    f"{name} {width:g} Hz is too narrow: its half-width squared underflows "
+                    "float64 to 0"
+                )
+            if square == math.inf:
+                raise ValueError(
+                    f"{name} {width:g} Hz is too wide: its half-width squared overflows float64"
+                )
 
     def population(self, freqs: np.ndarray) -> np.ndarray:
         """Driven population fraction p(f) = sum of the two Lorentzian dips."""
@@ -214,14 +228,14 @@ def gate_measured_odmr(
         if (
             h.bin_width != first.bin_width
             or h.rep_rate != first.rep_rate
-            or h.integration_time != first.integration_time
+            or h.channel_time != first.channel_time
         ):
-            raise ValueError("histograms must share bin width, rep rate and integration time")
+            raise ValueError("histograms must share bin width, rep rate and channel time")
     counts = np.array([h.gated_total(gate.t_start, gate.t_end) for h in hists])
     return OdmrSpectrum(
         freqs=freqs,
         counts=counts,
-        integration_per_point=first.integration_time,
+        integration_per_point=first.channel_time,
         gate=gate,
     )
 

@@ -171,7 +171,7 @@ def read_histogram(path: str) -> histogram.TcspcHistogram:
         except ValueError as exc:
             raise ParseError(f"non-numeric metadata {key}: {exc}", line=key_lines[key]) from exc
 
-    bin_width, rep_rate, integration = map(number, HISTOGRAM_KEYS[:3])
+    bin_width, rep_rate, channel_time = map(number, HISTOGRAM_KEYS[:3])
     parsed = _loaded_columns(lines[start:], 2)
     if parsed is None or _histogram_failures(*parsed, bin_width).any():
         parsed = _per_line_histogram(lines, start, bin_width)
@@ -184,7 +184,7 @@ def read_histogram(path: str) -> histogram.TcspcHistogram:
             bin_width=bin_width,
             counts=counts,
             channel=meta["channel"],
-            integration_time=integration,
+            channel_time=channel_time,
             rep_rate=rep_rate,
         )
     except ValueError as exc:

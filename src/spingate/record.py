@@ -124,8 +124,10 @@ POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max
 
 def _require_means_within(means, quantity: str, limit: float, source: str) -> None:
     """Raise ValueError naming quantity, its largest mean and source's limit
-    when a mean in means is nan or above limit."""
+    when a mean in means is above limit, or saying so when one is nan."""
     peak = float(np.max(means, initial=0.0))
+    if math.isnan(peak):
+        raise ValueError(f"{quantity} include nan")
     if not peak <= limit:
         raise ValueError(f"{quantity} reach {peak:.6g}, above {source} limit of {limit:.6g}")
 

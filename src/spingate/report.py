@@ -441,7 +441,7 @@ def write_report(path: str, report: ColumnarReport) -> None:
 
 
 def write_histogram(path: str, hist: histogram.TcspcHistogram) -> None:
-    values = (hist.bin_width, hist.rep_rate, hist.integration_time, hist.channel)
+    values = (hist.bin_width, hist.rep_rate, hist.channel_time, hist.channel)
     header = [f"# {k}={format_value(v)}" for k, v in zip(HISTOGRAM_KEYS, values)]
     _write_rows(path, header, [hist.bin_starts, hist.counts], [None, None])
 

@@ -6,15 +6,14 @@ broken toward the smallest gate onset (and smallest repetition rate for the
 joint optimum) by taking the first maximum on an ascending grid.
 
 Channel counts follow the MW toggling scheme: each channel integrates for
-``SweepConfig.channel_time``, the MW-off channel sees the pure spin-0 decay
-and the MW-on channel the population mixture with weight ``c_sat``.
+``SweepConfig.channel_time`` at the rates of ``decay.channel_rates``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .decay import FluorescenceModel, PulseTrain, steady_rate
+from .decay import FluorescenceModel, PulseTrain, channel_rates
 from .errors import ConfigError
 from .metrics import (
     CountPair,
@@ -29,9 +28,12 @@ POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
 
 
 class SweepConfig(Record):
-    """Knobs shared by the gate and repetition-rate sweeps.
+    """The acquisition's channel rule, and the knobs of the gate and
+    repetition-rate sweeps.
 
-    Each MW channel (off and on) integrates for channel_time.
+    The MW drive alternates the two channels, off and on, over an
+    acquisition of integration_time; each channel integrates for
+    channel_time. Every command takes its per-channel time from here.
     """
 
     integration_time: float = 1.0  # s, total acquisition time
@@ -47,8 +49,11 @@ class SweepConfig(Record):
     def __post_init__(self):
         if not self.integration_time > 0:
             raise ValueError("integration_time must be > 0")
-        if not 0 < self.mw_duty < 1:
-            raise ValueError("mw_duty must be in (0, 1)")
+        if not 0 < self.mw_duty <= 0.5:
+            raise ValueError(
+                f"mw_duty must be in (0, 0.5], got {self.mw_duty}: the MW-off and MW-on "
+                "channels alternate, so each counts at most half of integration_time"
+            )
         if not self.tau_c_resolution > 0:
             raise ValueError("tau_c_resolution must be > 0")
         if self.tau_c_max is not None and not self.tau_c_max >= 0:
@@ -78,8 +83,8 @@ class SweepConfig(Record):
         """Integration time of each MW channel, off and on, in s.
 
         integration_time * mw_duty: the one rule that turns the duty into a
-        per-channel time, used by the sweeps and by the simulate and mc
-        commands.
+        per-channel time, used by the sweeps and by the simulate, mc and
+        hw-sim commands.
         """
         return self.integration_time * self.mw_duty
 
@@ -159,8 +164,7 @@ def sweep_gate(model: FluorescenceModel, train: PulseTrain, cfg: SweepConfig) ->
     Each channel's rates come from one kernel call over the whole grid.
     """
     grid = _gate_grid(train, cfg)
-    r0 = steady_rate(model, "ms0", grid, train)
-    r1 = steady_rate(model, cfg.c_sat, grid, train)
+    r0, r1 = channel_rates(model, cfg.c_sat, grid, train)
     pair = CountPair(r0 * cfg.channel_time, r1 * cfg.channel_time)
     contrasts = contrast(pair)
     snrs = snr(pair)

@@ -16,8 +16,6 @@ from scipy.stats import chi2, ks_2samp
 from spingate import acquisition
 from spingate.acquisition import (
     BLOCK_PULSES,
-    CHANNEL_OFF,
-    CHANNEL_ON,
     EventStream,
     block_count,
     block_seed,
@@ -30,6 +28,7 @@ from spingate.acquisition import (
     simulate_events,
 )
 from spingate.decay import (
+    CHANNELS,
     DecayComponent,
     FluorescenceModel,
     GateWindow,
@@ -52,6 +51,7 @@ def small_model() -> FluorescenceModel:
 
 TRAIN = PulseTrain(20e6)
 C_SAT = 0.15  # MW-on mixture weight
+CHANNEL_OFF, CHANNEL_ON = CHANNELS.index("mw_off"), CHANNELS.index("mw_on")
 
 
 class TestSampleHistogram:
@@ -72,7 +72,7 @@ class TestSampleHistogram:
             bin_width=1.0,
             counts=np.zeros(50),
             channel="mw_off",
-            integration_time=1.0,
+            channel_time=1.0,
             rep_rate=20e6,
         )
         assert np.all(sample_histogram(h, 3).counts == 0)
@@ -82,14 +82,14 @@ class TestSampleHistogram:
             bin_width=1.0,
             counts=np.zeros(50),
             channel="mw_off",
-            integration_time=1.0,
+            channel_time=1.0,
             rep_rate=20e6,
         )
         bad = TcspcHistogram(
             bin_width=1.0,
             counts=h.counts,
             channel="mw_off",
-            integration_time=1.0,
+            channel_time=1.0,
             rep_rate=20e6,
         )
         # histograms themselves refuse negative bins, so patch the array
@@ -104,7 +104,7 @@ class TestSampleHistogram:
             bin_width=1.0,
             counts=np.full(50, mean),
             channel="mw_off",
-            integration_time=1.0,
+            channel_time=1.0,
             rep_rate=20e6,
         )
         s = sample_histogram(h, 123).counts
@@ -284,7 +284,7 @@ class TestEventBlocks:
         [(math.inf, "must be finite, got inf"), (math.nan, "must be >= 0"), (-1.0, "must be >= 0")],
     )
     def test_block_count_needs_a_finite_acquisition(self, integration, message):
-        with pytest.raises(ValueError, match=f"integration_time {message}"):
+        with pytest.raises(ValueError, match=f"stream_time {message}"):
             block_count(TRAIN, integration)
 
     def test_block_count_on_both_sides_of_the_timestamp_limit(self):
@@ -300,7 +300,7 @@ class TestEventBlocks:
             with pytest.raises(ValueError) as err:
                 block_count(TRAIN, integration)
             assert str(err.value) == (
-                f"integration_time {integration:g} s runs timestamps past 8.79609e+12 ns, "
+                f"stream_time {integration:g} s runs timestamps past 8.79609e+12 ns, "
                 "where float64 no longer resolves 0.001 ns of phase"
             )
         with pytest.raises(ValueError, match="runs timestamps past"):
@@ -560,7 +560,9 @@ class TestMcSnr:
         analytic = report.snr[np.isclose(report.tau_c_grid, 9.2)][0]
         assert abs(res.mean - analytic) < 5.0 * res.std / math.sqrt(trials)
 
-    @given(duty=st.floats(0.01, 0.99), index=st.integers(0, 200), seed=st.integers(0, 2**32))
+    # a duty above 0.5 is invalid; one far below 0.01 leaves trials with no
+    # counts in either channel, where the SNR is undefined
+    @given(duty=st.floats(0.01, 0.5), index=st.integers(0, 200), seed=st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_analytic_is_the_sweep_snr_for_any_duty(self, duty, index, seed):
         m = small_model().scaled(20.0)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs through main(argv)."""
 
+import argparse
 import ast
 import math
 import os
@@ -11,13 +12,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spingate
-from spingate import cli, mapping, odmr
+from spingate import acquisition, cli, config, decay, mapping, odmr
+from spingate.acquisition import BLOCK_PULSES
 from spingate.cli import main
-from spingate.decay import GateWindow, PulseTrain, gated_counts
+from spingate.decay import CHANNELS, GateWindow, PulseTrain, gated_counts, steady_rate
 from spingate.errors import ParseError
-from spingate.histogram import CHANNELS
+from spingate.metrics import CountPair, snr
 from spingate.presets import bulk_model
 from spingate.report import ColumnarReport, read_histogram, read_report, write_report
 
@@ -78,7 +82,7 @@ class TestSimulate:
         assert hist.n_bins == 500
         assert hist.channel == "mw_off"
         assert not np.issubdtype(hist.counts.dtype, np.integer)
-        assert hist.integration_time == pytest.approx(0.1)
+        assert hist.channel_time == pytest.approx(0.1)
 
     def test_sampled_histogram_is_integral(self, config_path, tmp_path):
         out = str(tmp_path / "hist.csv")
@@ -116,6 +120,77 @@ class TestSimulate:
             "error: line 13: bad value for 'integration_time': not a finite number: 'inf'\n"
         )
         assert not out.exists()
+
+
+class TestChannelTime:
+    """simulate, mc and hw-sim count each MW channel for
+    SweepConfig.channel_time, integration_time * mw_duty, at any duty in
+    (0, 0.5]: per-channel totals match steady_rate * channel_time within
+    5 sqrt(N). Duties below 1e-3 are left out: there mc's trials can draw no
+    count in either channel, where the SNR is undefined."""
+
+    INTEGRATION = 2e-3  # s; hw-sim's stream, 2 * INTEGRATION * mw_duty, is at most 2 ms
+    GATE = 9.2  # ns
+
+    def run_config(self, duty: float):
+        return config.parse_config(
+            CONFIG.replace("mw_duty = 0.5", f"mw_duty = {duty!r}")
+            .replace("integration_time = 0.2", f"integration_time = {self.INTEGRATION!r}")
+        )
+
+    def means(self, run, duty: float, onset: float) -> list[float]:
+        """Each channel's expected counts: its spin mixture's rate times
+        integration_time * mw_duty."""
+        return [
+            steady_rate(run.model, spin, onset, run.train) * (self.INTEGRATION * duty)
+            for spin in ("ms0", run.sweep.c_sat)
+        ]
+
+    @given(duty=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1))
+    @example(duty=0.5, seed=1)
+    @settings(max_examples=15, deadline=None)
+    def test_simulate(self, duty, seed):
+        run = self.run_config(duty)
+        for channel, mean in zip(CHANNELS, self.means(run, duty, 0.0)):
+            args = argparse.Namespace(channel=channel, bin_width=0.5, sample=True)
+            hist = decay.cmd_simulate(args, run, seed)
+            assert (hist.channel, hist.channel_time) == (channel, self.INTEGRATION * duty)
+            assert abs(hist.counts.sum() - mean) <= 5.0 * math.sqrt(mean)
+
+    @given(duty=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1))
+    @example(duty=0.5, seed=1)
+    @settings(max_examples=15, deadline=None)
+    def test_mc(self, duty, seed):
+        run = self.run_config(duty)
+        trials = 200
+        args = argparse.Namespace(tau_c=self.GATE, t_end=None, trials=trials)
+        meta, columns = acquisition.cmd_mc(args, run, seed)
+        means = self.means(run, duty, self.GATE)
+        # the trials are the SNRs of (N0, N1) pairs drawn from these means
+        counts = np.random.default_rng(seed).poisson(means, size=(trials, 2))
+        assert np.array_equal(columns["snr"], snr(CountPair(counts[:, 0], counts[:, 1])))
+        assert meta["analytic_snr"] == snr(CountPair(*means))
+        for total, mean in zip(counts.sum(axis=0), means):
+            assert abs(total - trials * mean) <= 5.0 * math.sqrt(trials * mean)
+
+    @given(duty=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1),
+           periods=st.integers(1, 3))
+    @example(duty=0.5, seed=1, periods=1)
+    @settings(max_examples=10, deadline=None)
+    def test_hw_sim(self, duty, seed, periods):
+        # a whole number of toggle periods in the stream, so the 50 % toggle
+        # gives each channel half of it
+        run = self.run_config(duty)
+        stream = 2 * self.INTEGRATION * duty
+        args = argparse.Namespace(integration=self.INTEGRATION, toggle_rate=periods / stream,
+                                  delay=self.GATE, length=None, jitter=0.0)
+        meta, columns, labels = acquisition.cmd_hw_sim(args, run, seed)
+        assert labels == {"channel": CHANNELS}
+        kept = np.bincount(columns["channel"], minlength=len(CHANNELS))
+        for n, mean in zip(kept, self.means(run, duty, self.GATE)):
+            assert abs(n - mean) <= 5.0 * math.sqrt(mean)
+        total = sum(self.means(run, duty, 0.0))
+        assert abs(meta["n_events"] - total) <= 5.0 * math.sqrt(total)
 
 
 class TestSweeps:
@@ -453,6 +528,36 @@ class TestHwSim:
         assert capsys.readouterr().err == "error: integration_time must be finite, got inf\n"
         assert not out.exists()
 
+    def test_zero_integration_rejected(self, config_path, tmp_path, capsys):
+        # as integration_time = 0 in a config; it once wrote an empty file
+        out = tmp_path / "hw.csv"
+        code = run_cli("hw-sim", "--config", config_path, "--delay", "9.2", "--seed", "5",
+                       "--integration", "0", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: integration_time must be > 0\n"
+        assert not out.exists()
+
+    def test_duty_sets_the_stream(self, tmp_path):
+        # each channel counts integration * mw_duty, so the duty sets the
+        # stream's length; hw-sim once wrote the same bytes at 0.3 and 0.5
+        outs = []
+        for duty in ("0.3", "0.5"):
+            path, out = tmp_path / f"duty{duty}.ini", tmp_path / f"hw{duty}.csv"
+            path.write_text(CONFIG.replace("mw_duty = 0.5", f"mw_duty = {duty}"))
+            assert run_cli("hw-sim", "--config", str(path), "--out", str(out), "--seed", "3",
+                           "--integration", "1e-3", "--toggle-rate", "2000",
+                           "--delay", "9.2") == 0
+            outs.append(read_table(out))
+        assert outs[0].metadata["n_events"] != outs[1].metadata["n_events"]
+        # 0.6 ms and 1 ms of stream from one seed: the two whole blocks of
+        # 4,096 pulses that both start with are the same draw
+        short, long = (t.data["timestamp_ns"] for t in outs)
+        assert short[-1] < 0.6e6 <= long[-1]
+        head = 2 * BLOCK_PULSES * 50.0  # ns, at 20 MHz
+        for name in ("timestamp_ns", "channel"):
+            a, b = (t.data[name][t.data["timestamp_ns"] < head] for t in outs)
+            assert a.size > 0 and np.array_equal(a, b)
+
     def test_stream_past_the_timestamp_limit_fails_at_once(self, config_path, tmp_path):
         # 1e300 s of stream is about 5e303 blocks; block_count refuses it
         # before the first block, so the run ends well inside the timeout
@@ -461,7 +566,7 @@ class TestHwSim:
                           "--integration", "1e300", "--delay", "9.2", "--seed", "1",
                           "--out", str(out), timeout=20)
         assert (done.returncode, done.stderr.splitlines()) == (2, [
-            "error: integration_time 1e+300 s runs timestamps past 8.79609e+12 ns, "
+            "error: stream_time 1e+300 s runs timestamps past 8.79609e+12 ns, "
             "where float64 no longer resolves 0.001 ns of phase"
         ])
         assert not out.exists()
@@ -917,6 +1022,23 @@ class TestNonFiniteArguments:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "width, message",
+        [("1e-300", "1e-300 Hz is too narrow: its half-width squared underflows float64 to 0"),
+         ("1e200", "1e+200 Hz is too wide: its half-width squared overflows float64")],
+        ids=["narrow", "wide"],
+    )
+    def test_fwhm_whose_square_leaves_float64(self, config_path, tmp_path, width, message):
+        # finite widths the Lorentzian cannot use: 1e-300 divided 0 by 0 with
+        # numpy's warning, then failed on a nan count "above" float64's
+        # limit; 1e200 ended in an OverflowError traceback (exit 1)
+        out = tmp_path / "o.csv"
+        done = run_python("-m", "spingate.cli", "odmr-synth", "--fwhm1", width,
+                          "--config", config_path, "--out", str(out))
+        assert (done.returncode, done.stderr.splitlines()) == (2, [f"error: fwhm1 {message}"])
+        assert not out.exists()
+
+
 class TestHugePoissonMeans:
     """A Poisson mean above numpy's limit is named before the draw, and an
     expectation that overflows float64 where it is computed: exit 2, one
@@ -935,7 +1057,7 @@ class TestHugePoissonMeans:
              "expected counts per point (integration_per_point 1e+14 s) reach 9.44247e+22, "
              + LIMIT),
             (["simulate", "--sample", "--seed", "1"], "1e300",
-             "expected counts per bin (integration_time 5e+299 s) reach 2.12427e+307, " + LIMIT),
+             "expected counts per bin (channel_time 5e+299 s) reach 2.12427e+307, " + LIMIT),
             (["mc", "--tau-c", "9.2", "--seed", "1"], "1e300",
              "expected gated counts per channel (channel_time 5e+299 s) reach 5.54687e+307, "
              + LIMIT),
@@ -943,7 +1065,7 @@ class TestHugePoissonMeans:
              "expected counts per point (integration_per_point 1e+300 s) reach inf, "
              + FLOAT_LIMIT),
             (["simulate"], "1e308",
-             f"expected counts per bin (integration_time 5e+307 s) reach inf, {FLOAT_LIMIT}"),
+             f"expected counts per bin (channel_time 5e+307 s) reach inf, {FLOAT_LIMIT}"),
         ],
         ids=["odmr-synth", "odmr-synth-1e14", "simulate-sample", "mc", "odmr-synth-expected",
              "simulate-expected"],
@@ -961,16 +1083,84 @@ class TestHugePoissonMeans:
         assert not out.exists()
 
 
-def run_python(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+def run_python(*argv: str, timeout: float = 120, preexec_fn=None) -> subprocess.CompletedProcess:
     """python -W default argv in a fresh interpreter on this tree; -W default
-    shows every warning once, whatever the interpreter's filters."""
+    shows every warning once, whatever the interpreter's filters. preexec_fn
+    runs in the child before it starts."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-W", "default", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
     )
+
+
+class TestOutOfMemory:
+    """A request too large for the memory available ends in one error line
+    and exit 2, with nothing written, not in numpy's traceback (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "raised, line",
+        [
+            (MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                         "(100000000000, 2) and data type int64"),
+             "error: out of memory: Unable to allocate 1.46 TiB for an array with shape "
+             "(100000000000, 2) and data type int64"),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_is_one_line(self, config_path, tmp_path, monkeypatch, capsys,
+                                      raised, line):
+        from spingate import sweep
+
+        def handler(args, run, seed):
+            raise raised
+
+        monkeypatch.setattr(sweep, "cmd_gate_sweep", handler)
+        out = tmp_path / "o.csv"
+        assert run_cli("gate-sweep", "--config", config_path, "--out", str(out)) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    # A 2 GB address-space cap, set in the child alone: an interpreter with
+    # numpy and spingate loaded needs a few hundred MB of it, and each request
+    # below asks numpy for one array of 74 GiB or more.
+    CAP = 2 * 1024**3
+
+    @pytest.mark.skipif(os.name != "posix", reason="RLIMIT_AS is POSIX-only")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "mc --config {config} --tau-c 9.2 --trials 100000000000 --seed 1",
+            "snr-map --input {p}/scan.csv --channel gated --factor 100000",
+            "simulate --config {config} --bin-width 1e-9",
+            "odmr-synth --config {config} --points 10000000000",
+            "gate-sweep --config {p}/fine.ini",
+        ],
+        ids=["mc", "snr-map", "simulate", "odmr-synth", "gate-sweep"],
+    )
+    def test_oversized_request_under_an_address_space_cap(self, config_path, tmp_path, argv):
+        import resource
+
+        (tmp_path / "fine.ini").write_text(
+            CONFIG.replace("tau_c_step = 0.1", "tau_c_step = 1e-12")
+        )
+        write_scan(tmp_path / "scan.csv")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = self.CAP if hard == resource.RLIM_INFINITY else min(self.CAP, hard)
+        out = tmp_path / "o.csv"
+        done = run_python(
+            "-m", "spingate.cli", *argv.format(config=config_path, p=tmp_path).split(),
+            "--out", str(out), timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+        )
+        assert done.returncode == 2, done.stderr
+        [line] = done.stderr.splitlines()
+        assert re.fullmatch(r"error: out of memory: Unable to allocate [\d.]+ [GT]iB for an "
+                            r"array with shape \([\d, ]+\) and data type \w+", line), line
+        assert not out.exists()
 
 
 def run_script(script: str, *args: str) -> list[str]:
@@ -1066,7 +1256,7 @@ COMMAND_MODULES = [
     ("mc", "mc --config {p}/run.ini --tau-c 9.2 --trials 10 --seed 1",
      "acquisition " + SWEEP_MODULES),
     ("hw-sim", "hw-sim --config {p}/run.ini --delay 9.2 --integration 1e-4 --seed 1",
-     "acquisition histogram " + SWEEP_MODULES),
+     "acquisition " + SWEEP_MODULES),
     ("odmr-synth", "odmr-synth --config {p}/run.ini", "odmr " + SWEEP_MODULES),
     ("odmr-fit", "odmr-fit --input {p}/spectrum.csv",
      "cli decay errors metrics odmr reader record report"),
@@ -1122,12 +1312,12 @@ class TestLazyModules:
     @pytest.mark.parametrize(
         "module, commands",
         [
-            ("histogram", {"simulate", "simulate-sample", "gate-apply", "hw-sim"}),
+            ("histogram", {"simulate", "simulate-sample", "gate-apply"}),
             ("reader", {"odmr-fit", "gate-apply", "snr-map"}),
         ],
     )
     def test_only_its_commands_load_a_module(self, module, commands):
-        # the sweeps, mc and odmr-synth never build a histogram, and only
+        # the sweeps, mc, hw-sim and odmr-synth never build a histogram, and only
         # the commands with an --input read a file
         loading = {name for name, _, modules in COMMAND_MODULES if module in modules.split()}
         assert loading == commands

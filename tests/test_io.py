@@ -435,7 +435,7 @@ class TestBlocks:
         bins = max(n, 1)  # a histogram has at least one bin
         hist = TcspcHistogram(
             bin_width=50.0 / bins, counts=np.arange(bins) * 0.1, channel="mw_on",
-            integration_time=1.0, rep_rate=20e6,
+            channel_time=1.0, rep_rate=20e6,
         )
 
         def written(rows):
@@ -574,11 +574,11 @@ class TestCellFormatter:
         hist = TcspcHistogram(
             bin_width=1e9 / rep_rate / n, counts=counts,
             channel=data.draw(st.sampled_from(["mw_off", "mw_on"])),
-            integration_time=data.draw(st.floats(0.0, 1e6)), rep_rate=rep_rate,
+            channel_time=data.draw(st.floats(0.0, 1e6)), rep_rate=rep_rate,
         )
         path = tmp_path_factory.mktemp("fmt") / "h.csv"
         write_histogram(str(path), hist)
-        values = (hist.bin_width, hist.rep_rate, hist.integration_time, hist.channel)
+        values = (hist.bin_width, hist.rep_rate, hist.channel_time, hist.channel)
         header = [f"# {k}={format_value(v)}" for k, v in zip(HISTOGRAM_KEYS, values)]
         assert path.read_bytes() == percent_text(header, [hist.bin_starts, hist.counts])
 
@@ -738,7 +738,7 @@ class TestHistogramFiles:
             bin_width=0.1,
             counts=np.asarray(counts),
             channel="mw_off",
-            integration_time=1.0,
+            channel_time=1.0,
             rep_rate=20e6,
         )
 
@@ -751,7 +751,7 @@ class TestHistogramFiles:
         assert np.array_equal(back.counts, hist.counts)
         assert back.bin_width == hist.bin_width
         assert back.rep_rate == hist.rep_rate
-        assert back.integration_time == hist.integration_time
+        assert back.channel_time == hist.channel_time
         assert back.channel == "mw_off"
 
     def test_float_round_trip(self, tmp_path):
@@ -788,20 +788,20 @@ class TestHistogramFiles:
                 bin_width=1.0,
                 counts=np.r_[np.zeros(49), np.nan],
                 channel="mw_off",
-                integration_time=1.0,
+                channel_time=1.0,
                 rep_rate=20e6,
             )
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("integration_time", math.inf, "integration_time must be finite, got inf"),
+            ("channel_time", math.inf, "channel_time must be finite, got inf"),
             ("counts", np.r_[np.zeros(49), np.inf], "counts must be finite"),
         ],
     )
     def test_infinite_values_rejected_by_histogram(self, field, value, message):
         fields = dict(
-            bin_width=1.0, counts=np.zeros(50), channel="mw_off", integration_time=1.0,
+            bin_width=1.0, counts=np.zeros(50), channel="mw_off", channel_time=1.0,
             rep_rate=20e6,
         )
         with pytest.raises(ValueError, match=message):
@@ -811,7 +811,7 @@ class TestHistogramFiles:
         # the writer cannot write it, so the reader does not take it either
         text = "# bin_width_ns=25\n# rep_rate_hz=2e7\n# integration_s=inf\n# channel=mw_off\n"
         (tmp_path / "inf.csv").write_text(text + "0,5\n25,6\n")
-        with pytest.raises(ParseError, match="integration_time must be finite, got inf"):
+        with pytest.raises(ParseError, match="channel_time must be finite, got inf"):
             read_histogram(str(tmp_path / "inf.csv"))
 
     def test_first_of_two_bad_lines_named(self, tmp_path):
@@ -986,6 +986,44 @@ class TestConfig:
         assert main(["gate-sweep", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("duty", ["0.6", "1.0"])
+    def test_duty_above_half_rejected_with_its_line(self, duty, tmp_path, capsys):
+        # the two channels alternate, so neither can count for more than half
+        # of the acquisition; 0.6 once gave each channel 0.6 of it
+        text = (
+            "[model]\nspin0 = 1, 12\nspin1 = 1, 8\n[train]\nrep_rate = 2e7\n"
+            f"[sweep]\nintegration_time = 10\nmw_duty = {duty}\n"
+        )
+        line = (
+            f"line 8: [sweep] invalid: mw_duty must be in (0, 0.5], got {duty}: the MW-off and "
+            "MW-on channels alternate, so each counts at most half of integration_time"
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert (str(err.value), err.value.line) == (line, 8)
+        path, out = tmp_path / "duty.ini", tmp_path / "o.csv"
+        path.write_text(text)
+        assert main(["gate-sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
+
+    def test_record_invariant_names_the_line_that_set_it(self):
+        # tau_c_step sets SweepConfig.tau_c_resolution, c_sat in [model] sets
+        # SweepConfig.c_sat; a rejected value points at its own key's line
+        # and section (c_sat's once read "[sweep] invalid", with no line)
+        head = "[model]\nspin0 = 1, 12\nspin1 = 1, 8\n"
+        for text, message in (
+            (head + "c_sat = 1.5\n[train]\nrep_rate = 2e7\n",
+             "line 4: [model] invalid: c_sat must be in [0, 1)"),
+            (head + "[train]\nrep_rate = 2e7\n[sweep]\ntau_c_step = 0\n",
+             "line 7: [sweep] invalid: tau_c_resolution must be > 0"),
+            (head + "dark_rate = -1\n[train]\nrep_rate = 2e7\n",
+             "line 4: [model] invalid: dark_rate must be >= 0"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert str(err.value) == message
 
     def test_orphan_companion_key_rejected(self):
         text = (

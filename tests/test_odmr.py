@@ -274,7 +274,7 @@ class TestGateMeasuredOdmr:
                 bin_width=1.0,
                 counts=counts,
                 channel="mw_off",
-                integration_time=0.5,
+                channel_time=0.5,
                 rep_rate=20e6,
             )
             out.append((2.86e9 + i * 1e6, h))
@@ -296,7 +296,7 @@ class TestGateMeasuredOdmr:
                     bin_width=h.bin_width,
                     counts=h.counts * 2.0,
                     channel=h.channel,
-                    integration_time=h.integration_time,
+                    channel_time=h.channel_time,
                     rep_rate=h.rep_rate,
                 ),
             )
@@ -317,7 +317,7 @@ class TestGateMeasuredOdmr:
             bin_width=0.5,
             counts=np.full(100, 3.0),
             channel="mw_off",
-            integration_time=0.5,
+            channel_time=0.5,
             rep_rate=20e6,
         )
         hists.append((2.9e9, odd))
@@ -423,6 +423,23 @@ class TestDoubletTypes:
     def test_truth_fields_must_be_finite(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             replace(TRUTH, **{field: value})
+
+    @pytest.mark.parametrize("field", ["fwhm1", "fwhm2"])
+    def test_truth_width_whose_square_leaves_float64(self, field):
+        # (0.5 * 1e-300)**2 is 0, so the Lorentzian at its center was 0 / 0;
+        # (0.5 * 1e200)**2 raised OverflowError, a traceback. Widths whose
+        # squares survive, one as a subnormal, still give the full dip depth.
+        for width, message in (
+            (1e-300, "1e-300 Hz is too narrow: its half-width squared underflows float64 to 0"),
+            (1e200, "1e+200 Hz is too wide: its half-width squared overflows float64"),
+        ):
+            with pytest.raises(ValueError) as err:
+                replace(TRUTH, **{field: width})
+            assert str(err.value) == f"{field} {message}"
+        for width in (1e-161, 1e154):
+            truth = replace(TRUTH, **{field: width})
+            centers = np.array([truth.center1, truth.center2])
+            assert np.all(truth.population(centers) >= [truth.depth1, truth.depth2])
 
     def test_spectrum_requires_increasing_freqs(self):
         with pytest.raises(ValueError):

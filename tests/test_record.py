@@ -68,8 +68,8 @@ CASES = [
         TcspcHistogram, (50.0, np.array([3]), "mw_off", 1.0, 20e6),
         {"channel": "mw_on"}, {"channel": "x"},
         "TcspcHistogram(bin_width=50.0, counts=array([3]), channel='mw_off', "
-        "integration_time=1.0, rep_rate=20000000.0)",
-        "(bin_width, counts, channel, integration_time, rep_rate)",
+        "channel_time=1.0, rep_rate=20000000.0)",
+        "(bin_width, counts, channel, channel_time, rep_rate)",
     ),
     (
         CountPair, (100.0, 80.0), {"n1": 90.0}, {"n0": -1.0},
@@ -243,7 +243,11 @@ def test_poisson_limit_is_numpys():
 def test_finite_means_name_the_overflow():
     # the same message shape as the Poisson limit's, at float64's largest value
     require_finite_means(np.array([0.0, np.finfo(float).max]), "counts")
-    for bad, shown in ((np.inf, "inf"), (np.nan, "nan")):
+    with pytest.raises(ValueError) as err:
+        require_finite_means([1.0, np.inf], "counts")
+    assert str(err.value) == "counts reach inf, above float64's limit of 1.79769e+308"
+    # a nan mean is not above a limit: the message says it is nan
+    for require in (require_finite_means, require_poisson_means):
         with pytest.raises(ValueError) as err:
-            require_finite_means([1.0, bad], "counts")
-        assert str(err.value) == f"counts reach {shown}, above float64's limit of 1.79769e+308"
+            require([1.0, np.nan, np.inf], "counts")
+        assert str(err.value) == "counts include nan"
