@@ -45,7 +45,7 @@ from .decay import (
     gate_from_args,
 )
 from .errors import ConfigError
-from .metrics import CountPair, snr
+from .metrics import snr
 from .record import Record, frozen_array, replace, require_poisson_means
 
 # Laser pulses per event-stream block: about 190k events per block for a
@@ -418,9 +418,9 @@ def mc_snr_distribution(
     )
     rng = np.random.default_rng(_require_seed(seed, "mc_snr_distribution"))
     counts = rng.poisson(means, size=(trials, 2))
-    samples = snr(CountPair(counts[:, 0], counts[:, 1]))
+    samples = snr(counts.T)
     std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
-    analytic = float(snr(CountPair(*means)))
+    analytic = float(snr(means))
     return McSnrResult(mean=float(np.mean(samples)), std=std, samples=samples, analytic=analytic)
 
 

@@ -20,8 +20,9 @@ class MetricError(SpingateError, ValueError):
     """A figure of merit is undefined for the given counts or rates."""
 
 
-class ConfigError(SpingateError, ValueError):
-    """Config file rejected. Carries the offending line number when known."""
+class LineError(SpingateError, ValueError):
+    """Input file rejected. Carries the offending line number when known and
+    prefixes it to the message."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -30,14 +31,12 @@ class ConfigError(SpingateError, ValueError):
         self.line = line
 
 
-class ParseError(SpingateError, ValueError):
-    """Data file rejected. Carries the offending line number when known."""
+class ConfigError(LineError):
+    """Config file rejected."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+
+class ParseError(LineError):
+    """Data file rejected."""
 
 
 class FitError(SpingateError, RuntimeError):

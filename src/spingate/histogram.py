@@ -76,6 +76,10 @@ class TcspcHistogram(Record):
         gated and ungated photons, so they are rejected rather than weighted.
         An unbounded or beyond-period t_end means "to the end of the period".
         """
+        if not 0 <= t_start < t_end:  # nan fails too
+            raise GateError(
+                f"gate window requires 0 <= t_start < t_end, got [{t_start}, {t_end})"
+            )
         i0 = _edge_index(t_start, self.bin_width)
         if i0 is None or i0 > self.n_bins:
             raise GateError(

@@ -1,9 +1,10 @@
 """Per-pixel SNR maps of confocal scans, with bicubic upsampling.
 
 A scan stores four count planes: {mw_off, mw_on} x {gated, ungated}. The SNR
-plane is (N_off - N_on)/sqrt(N_off + N_on) on raw per-pixel counts; pixels
-with zero total counts get SNR 0 and are marked in a flag plane so they stay
-distinguishable from genuinely zero-difference pixels.
+plane is metrics.snr of the raw per-pixel counts, so a pixel with zero total
+counts reads 0 (the metrics module states the rule); such pixels are also
+marked in a flag plane so they stay distinguishable from genuinely
+zero-difference pixels.
 
 Upsampling uses the Catmull-Rom bicubic kernel, separable and edge-clamped.
 Output sample j maps to input coordinate j/factor, so every original node
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import reader
 from .errors import ParseError
+from .metrics import snr
 from .record import Record, frozen_array
 from .report import format_value
 
@@ -139,15 +141,10 @@ def catmull_rom_upsample(arr: np.ndarray, factor: int) -> np.ndarray:
 def snr_map(scan: ScanMap, channel: str, interp_factor: int = 4) -> SnrMap:
     """Per-pixel SNR plane of one channel kind, bicubically upsampled."""
     off, on = scan.channel_planes(channel)
-    total = off + on
-    zero = total == 0
-    snr_px = np.zeros_like(total)
-    nonzero = ~zero
-    snr_px[nonzero] = (off[nonzero] - on[nonzero]) / np.sqrt(total[nonzero])
     return SnrMap(
-        values=catmull_rom_upsample(snr_px, interp_factor),
+        values=catmull_rom_upsample(snr((off, on)), interp_factor),
         factor=int(interp_factor),
-        zero_flags=zero,
+        zero_flags=off + on == 0,
     )
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import histogram, reader
 from .decay import FluorescenceModel, GateWindow, PulseTrain, gate_from_args, steady_rate
 from .errors import ConfigError, FitError, NonConvergenceError, ParseError
-from .metrics import RatePair, sensitivity_cw
+from .metrics import sensitivity_cw
 from .record import (
     Record, frozen_array, require_finite, require_finite_means, require_poisson_means
 )
@@ -240,7 +240,7 @@ def gate_measured_odmr(
     )
 
 
-def sensitivity_from_fit(doublet: LorentzianDoublet, rates: RatePair) -> float:
+def sensitivity_from_fit(doublet: LorentzianDoublet, rates) -> float:
     """CW sensitivity using the deeper dip's linewidth."""
     _, fwhm, _ = doublet.deeper_dip()
     return sensitivity_cw(fwhm, rates)

@@ -15,13 +15,7 @@ import numpy as np
 
 from .decay import FluorescenceModel, PulseTrain, channel_rates
 from .errors import ConfigError
-from .metrics import (
-    CountPair,
-    RatePair,
-    contrast,
-    sensitivity_cw,
-    snr,
-)
+from .metrics import contrast, sensitivity_cw, snr
 from .record import Record, frozen_array, require_finite
 
 POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
@@ -164,20 +158,20 @@ def sweep_gate(model: FluorescenceModel, train: PulseTrain, cfg: SweepConfig) ->
     Each channel's rates come from one kernel call over the whole grid.
     """
     grid = _gate_grid(train, cfg)
-    r0, r1 = channel_rates(model, cfg.c_sat, grid, train)
-    pair = CountPair(r0 * cfg.channel_time, r1 * cfg.channel_time)
-    contrasts = contrast(pair)
-    snrs = snr(pair)
+    rates = channel_rates(model, cfg.c_sat, grid, train)
+    counts = rates * cfg.channel_time
+    contrasts = contrast(counts)
+    snrs = snr(counts)
     etas = None
     if cfg.linewidth is not None:
-        etas = sensitivity_cw(cfg.linewidth, RatePair(r0, r1))
+        etas = sensitivity_cw(cfg.linewidth, rates)
     # The grid starts at the ungated onset 0, the EF baseline, so ef[0] == 1
     # exactly; enhancement over a zero-SNR baseline is undefined, not infinite.
     ef = snrs / snrs[0] if snrs[0] != 0.0 else np.full(grid.size, np.nan)
     return GateSweepReport(
         tau_c_grid=grid,
         contrast=contrasts,
-        shot_noise=np.sqrt(pair.n0 + pair.n1),
+        shot_noise=np.sqrt(counts.sum(axis=0)),
         snr=snrs,
         ef=ef,
         eta=etas,

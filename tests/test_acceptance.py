@@ -32,7 +32,6 @@ from spingate.decay import (
 )
 from spingate.mapping import catmull_rom_upsample, snr_map, ScanMap
 from spingate.metrics import (
-    CountPair,
     contrast,
     ef_empirical,
     ef_theoretical,
@@ -87,8 +86,8 @@ def test_criterion_02_enhancement_identities():
             n0 = rng.uniform(10.0, 1e6)
             n1 = n0 * rng.uniform(0.0, 1.0)
             nbg = n0 * rng.uniform(0.0, 10.0)
-            gated = CountPair(n0, n1)
-            ungated = CountPair(n0 + nbg, n1 + nbg)
+            gated = (n0, n1)
+            ungated = (n0 + nbg, n1 + nbg)
             got = ef_empirical(gated, ungated)
             want = ef_theoretical(contrast(gated), nbg / n0)
             assert abs(got - want) <= 1e-12 * want
@@ -203,7 +202,7 @@ def test_criterion_06_repetition_rate_optimum():
             train = PulseTrain(1e9 / period)
             r0 = steady_rate(model, "ms0", 10.0, train)
             r1 = steady_rate(model, 0.15, 10.0, train)
-            snrs.append(snr(CountPair(r0 * 5.0, r1 * 5.0)))
+            snrs.append(snr((r0 * 5.0, r1 * 5.0)))
         opt = int(np.argmax(snrs))
         best = periods[opt]
 
@@ -232,7 +231,7 @@ def test_criterion_07_monte_carlo_shot_noise():
         )
         r0 = steady_rate(model, "ms0", 9.2, train)
         r1 = steady_rate(model, BULK_C_SAT, 9.2, train)
-        analytic = snr(CountPair(r0 * 5.0, r1 * 5.0))
+        analytic = snr((r0 * 5.0, r1 * 5.0))
         margin = 3.0 * result.std / math.sqrt(trials)
         assert abs(result.mean - analytic) <= margin
 

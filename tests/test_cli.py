@@ -19,9 +19,11 @@ import spingate
 from spingate import acquisition, cli, config, decay, mapping, odmr
 from spingate.acquisition import BLOCK_PULSES
 from spingate.cli import main
-from spingate.decay import CHANNELS, GateWindow, PulseTrain, gated_counts, steady_rate
+from spingate.decay import (
+    CHANNELS, GateWindow, PulseTrain, channel_rates, gated_counts, steady_rate
+)
 from spingate.errors import ParseError
-from spingate.metrics import CountPair, snr
+from spingate.metrics import snr
 from spingate.presets import bulk_model
 from spingate.report import ColumnarReport, read_histogram, read_report, write_report
 
@@ -126,8 +128,9 @@ class TestChannelTime:
     """simulate, mc and hw-sim count each MW channel for
     SweepConfig.channel_time, integration_time * mw_duty, at any duty in
     (0, 0.5]: per-channel totals match steady_rate * channel_time within
-    5 sqrt(N). Duties below 1e-3 are left out: there mc's trials can draw no
-    count in either channel, where the SNR is undefined."""
+    5 sqrt(N). simulate and hw-sim take duties from 1e-3, so that their
+    channels count something; mc takes any duty, since a trial with no count
+    in either channel reads SNR 0."""
 
     INTEGRATION = 2e-3  # s; hw-sim's stream, 2 * INTEGRATION * mw_duty, is at most 2 ms
     GATE = 9.2  # ns
@@ -157,7 +160,7 @@ class TestChannelTime:
             assert (hist.channel, hist.channel_time) == (channel, self.INTEGRATION * duty)
             assert abs(hist.counts.sum() - mean) <= 5.0 * math.sqrt(mean)
 
-    @given(duty=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1))
+    @given(duty=st.floats(0.0, 0.5, exclude_min=True), seed=st.integers(0, 2**32 - 1))
     @example(duty=0.5, seed=1)
     @settings(max_examples=15, deadline=None)
     def test_mc(self, duty, seed):
@@ -168,10 +171,27 @@ class TestChannelTime:
         means = self.means(run, duty, self.GATE)
         # the trials are the SNRs of (N0, N1) pairs drawn from these means
         counts = np.random.default_rng(seed).poisson(means, size=(trials, 2))
-        assert np.array_equal(columns["snr"], snr(CountPair(counts[:, 0], counts[:, 1])))
-        assert meta["analytic_snr"] == snr(CountPair(*means))
+        assert np.array_equal(columns["snr"], snr(counts.T))
+        assert meta["analytic_snr"] == snr(means)
         for total, mean in zip(counts.sum(axis=0), means):
             assert abs(total - trials * mean) <= 5.0 * math.sqrt(trials * mean)
+
+    def test_mc_trials_with_no_count_read_zero(self, tmp_path):
+        # at mw_duty 1e-9 nearly every trial draws no photon in either channel
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.replace("mw_duty = 0.5", "mw_duty = 1e-9"))
+        out = str(tmp_path / "mc.csv")
+        assert run_cli("mc", "--config", str(path), "--tau-c", "9.2", "--seed", "1",
+                       "--out", out) == 0
+        column = read_table(out).data["snr"]
+        assert column.size == 1000
+        run = config.load_config(str(path))
+        means = channel_rates(run.model, run.sweep.c_sat, self.GATE, run.train) * (0.2 * 1e-9)
+        counts = np.random.default_rng(1).poisson(means, size=(1000, 2))
+        empty = counts.sum(axis=1) == 0
+        assert empty.sum() > 900
+        assert np.all(column[empty] == 0.0)
+        assert np.array_equal(column, snr(counts.T))
 
     @given(duty=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1),
            periods=st.integers(1, 3))
@@ -224,6 +244,21 @@ class TestSweeps:
         code = run_cli("rep-sweep", "--config", config_path, "--out", str(tmp_path / "r"))
         assert code == 2
         assert "rate_grid" in capsys.readouterr().err
+
+    def test_gate_sweep_onset_with_no_reference_count_fails(self, tmp_path, capsys):
+        # a 10 ps spin0 lifetime leaves N0 = 0 past the first onsets: the SNR
+        # there would read 0, but the contrast is undefined, so the sweep
+        # exits 2 and writes nothing
+        path = tmp_path / "fast.ini"
+        path.write_text(CONFIG.replace("spin0 = 1.0, 12.0", "spin0 = 1.0, 0.01")
+                        .replace("spin1 = 1.0, 8.0", "spin1 = 1.0, 0.008")
+                        .replace("background_ratio = 3", "background_ratio = 0"))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("gate-sweep", "--config", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: undefined contrast: reference channel N0 has zero counts\n"
+        )
+        assert not out.exists()
 
     def test_joint_opt_metadata(self, config_path, tmp_path):
         cfg = open(config_path).read() + "period_grid = 45:55:5\n"
@@ -1263,7 +1298,7 @@ COMMAND_MODULES = [
     ("gate-apply", "gate-apply --input {p}/hist.csv --tau-c 9.2",
      "cli decay errors histogram reader record report"),
     ("snr-map", "snr-map --input {p}/scan.csv --channel gated",
-     "cli errors mapping reader record report"),
+     "cli errors mapping metrics reader record report"),
 ]
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from spingate.cli import main
 from spingate.config import load_config, parse_config
 from spingate.decay import FluorescenceModel
-from spingate.errors import ConfigError, ParseError
+from spingate.errors import ConfigError, GateError, ParseError, SpingateError
 from spingate.histogram import TcspcHistogram
 from spingate import report as report_module
 from spingate.sweep import SweepConfig
@@ -895,6 +895,38 @@ class TestHistogramFiles:
         (tmp_path / "bc.csv").write_text(text)
         with pytest.raises(ParseError, match="channel"):
             read_histogram(str(tmp_path / "bc.csv"))
+
+
+@pytest.mark.parametrize("cls, other", [(ConfigError, ParseError), (ParseError, ConfigError)])
+def test_rejected_input_names_its_line(cls, other):
+    assert issubclass(cls, SpingateError) and issubclass(cls, ValueError)
+    assert not issubclass(cls, other)
+    err = cls("bad value", line=4)
+    assert (str(err), err.line) == ("line 4: bad value", 4)
+    err = cls("bad value")
+    assert (str(err), err.line) == ("bad value", None)
+
+
+class TestGatedTotal:
+    HIST = TcspcHistogram(
+        bin_width=1.0, counts=np.arange(50.0), channel="mw_off", channel_time=1.0, rep_rate=20e6
+    )
+
+    def test_aligned_windows(self):
+        assert self.HIST.gated_total(0.0) == 1225.0
+        assert self.HIST.gated_total(40.0) == 445.0
+        assert self.HIST.gated_total(0.0, 40.0) == 780.0
+        assert self.HIST.gated_total(20.0, 30.0) == 245.0
+
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        # a negative edge would count from the end of the period, as a Python
+        # index does, and an inverted window would count nothing
+        [(-10.0, np.inf), (0.0, -10.0), (30.0, 20.0), (20.0, 20.0), (np.nan, 30.0)],
+    )
+    def test_window_outside_the_period_or_inverted_rejected(self, t_start, t_end):
+        with pytest.raises(GateError, match=r"gate window requires 0 <= t_start < t_end"):
+            self.HIST.gated_total(t_start, t_end)
 
 
 class TestConfig:

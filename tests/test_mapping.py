@@ -12,7 +12,7 @@ import pytest
 
 from spingate.decay import GateWindow, PulseTrain, gated_counts
 from spingate.mapping import ScanMap, SnrMap, catmull_rom_upsample, snr_map
-from spingate.metrics import CountPair, snr
+from spingate.metrics import snr
 from spingate.presets import FND_C_SAT, FND_REP_RATE, fnd_model
 
 
@@ -133,7 +133,7 @@ class TestSnrMap:
         for j in range(4):
             for i in range(4):
                 assert m.values[j, i] == pytest.approx(
-                    snr(CountPair(off[j, i], on[j, i])), rel=1e-12
+                    snr((off[j, i], on[j, i])), rel=1e-12
                 )
 
     def test_channel_kind_validation(self):

@@ -15,7 +15,7 @@ import spingate.odmr as odmr_mod
 from spingate.decay import GateWindow, PulseTrain, gated_counts
 from spingate.errors import FitError, GateError, NonConvergenceError
 from spingate.histogram import TcspcHistogram
-from spingate.metrics import RatePair, sensitivity_cw
+from spingate.metrics import sensitivity_cw
 from spingate.odmr import (
     DoubletTruth,
     LorentzianDoublet,
@@ -341,8 +341,8 @@ class TestSensitivity:
             fwhm2=12e6,
             depth2=0.3,
         )
-        got = sensitivity_from_fit(fit, RatePair(1e6, 0.9e6))
-        assert got == sensitivity_cw(12e6, RatePair(1e6, 0.9e6))
+        got = sensitivity_from_fit(fit, (1e6, 0.9e6))
+        assert got == sensitivity_cw(12e6, (1e6, 0.9e6))
 
     def test_equal_depths_tie_to_lower_frequency(self):
         fit = LorentzianDoublet(
@@ -355,13 +355,13 @@ class TestSensitivity:
             depth2=0.2,
         )
         assert fit.deeper_dip()[0] == 2.86e9
-        got = sensitivity_from_fit(fit, RatePair(1e6, 0.9e6))
-        assert got == sensitivity_cw(5e6, RatePair(1e6, 0.9e6))
+        got = sensitivity_from_fit(fit, (1e6, 0.9e6))
+        assert got == sensitivity_cw(5e6, (1e6, 0.9e6))
 
     def test_quadrupled_counts_halve_eta(self):
         fit = self.fitted(GateWindow(9.2, 50.0))
-        base = sensitivity_from_fit(fit, RatePair(1e6, 0.9e6))
-        quad = sensitivity_from_fit(fit, RatePair(4e6, 3.6e6))
+        base = sensitivity_from_fit(fit, (1e6, 0.9e6))
+        quad = sensitivity_from_fit(fit, (4e6, 3.6e6))
         assert quad == pytest.approx(0.5 * base, rel=1e-12)
 
     def test_gated_eta_improves_about_twofold(self):
@@ -374,10 +374,10 @@ class TestSensitivity:
         n0g, _ = channel_counts(gate, t)
         n0u, _ = channel_counts(None, t)
         eta_g = sensitivity_from_fit(
-            fg, RatePair(n0g / t, (n0g / t) * (1 - fg.deeper_dip()[2]))
+            fg, (n0g / t, (n0g / t) * (1 - fg.deeper_dip()[2]))
         )
         eta_u = sensitivity_from_fit(
-            fu, RatePair(n0u / t, (n0u / t) * (1 - fu.deeper_dip()[2]))
+            fu, (n0u / t, (n0u / t) * (1 - fu.deeper_dip()[2]))
         )
         ratio = eta_u / eta_g
         assert 1.8 <= ratio <= 2.6

@@ -10,7 +10,6 @@ from spingate.config import RunConfig
 from spingate.decay import DecayComponent, FluorescenceModel, GatedCounts, GateWindow, PulseTrain
 from spingate.histogram import TcspcHistogram
 from spingate.mapping import ScanMap, SnrMap
-from spingate.metrics import CountPair, RatePair
 from spingate.odmr import DoubletTruth, LorentzianDoublet, OdmrSpectrum
 from spingate.record import (
     POISSON_MEAN_MAX,
@@ -70,16 +69,6 @@ CASES = [
         "TcspcHistogram(bin_width=50.0, counts=array([3]), channel='mw_off', "
         "channel_time=1.0, rep_rate=20000000.0)",
         "(bin_width, counts, channel, channel_time, rep_rate)",
-    ),
-    (
-        CountPair, (100.0, 80.0), {"n1": 90.0}, {"n0": -1.0},
-        "CountPair(n0=100.0, n1=80.0)",
-        "(n0, n1)",
-    ),
-    (
-        RatePair, (1e5, 8e4), {"r1": 9e4}, {"r1": -1.0},
-        "RatePair(r0=100000.0, r1=80000.0)",
-        "(r0, r1)",
     ),
     (
         ScanMap, (0.5, 1e-3, [[4.0]], [[3.0]], [[2.0]], [[1.0]]), {"pitch": 1.0}, {"dwell": 0.0},

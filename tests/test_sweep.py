@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spingate.decay import DecayComponent, FluorescenceModel, PulseTrain, steady_rate
-from spingate.metrics import CountPair, RatePair, contrast, sensitivity_cw, snr
+from spingate.metrics import contrast, sensitivity_cw, snr
 from spingate.presets import (
     BULK_C_SAT,
     BULK_REP_RATE,
@@ -95,7 +95,7 @@ class TestBulkSweep:
             tau = float(bulk_report.tau_c_grid[i])
             n0 = steady_rate(model, "ms0", tau, train) * per_channel
             n1 = steady_rate(model, cfg.c_sat, tau, train) * per_channel
-            pair = CountPair(n0, n1)
+            pair = (n0, n1)
             assert bulk_report.snr[i] == pytest.approx(snr(pair), rel=1e-12)
             assert bulk_report.shot_noise[i] == pytest.approx(
                 math.sqrt(n0 + n1), rel=1e-12
@@ -208,11 +208,11 @@ def per_onset_sweep(model, train, cfg, grid):
     for tau in grid:
         r0 = steady_rate(model, "ms0", float(tau), train)
         r1 = steady_rate(model, cfg.c_sat, float(tau), train)
-        pair = CountPair(r0 * per_channel, r1 * per_channel)
+        pair = (r0 * per_channel, r1 * per_channel)
         columns["contrast"].append(contrast(pair))
         columns["snr"].append(snr(pair))
         if cfg.linewidth is not None:
-            columns["eta"].append(sensitivity_cw(cfg.linewidth, RatePair(r0, r1)))
+            columns["eta"].append(sensitivity_cw(cfg.linewidth, (r0, r1)))
     return {k: np.array(v) for k, v in columns.items()}
 
 
