@@ -244,6 +244,7 @@ _ERFCX_BIG_DEN = (
 _FRAC_1_SQRT_PI = 5.6418958354775628695e-1
 _SQRT2 = math.sqrt(2.0)
 _ERFC_ZERO = 27.5  # erfc(x) < 2**-1075 past x = 27.39, so it rounds to 0
+_RATIO_MAX = math.sqrt(np.finfo(float).max)  # the least sigma/tau whose square is inf
 
 
 def _poly(coeffs, t: np.ndarray) -> np.ndarray:
@@ -323,17 +324,24 @@ def _tail(x, lifetime: float, sigma: float) -> np.ndarray:
     the exponent cancels against Phi's own exp(-u^2/2), leaving
     erfcx(-u/sqrt 2) exp(-z^2/2) / 2, which neither overflows nor
     underflows early. sigma = 0 is the plain exponential,
-    S(x) = exp(-x/tau) for x >= 0.
+    S(x) = exp(-x/tau) for x >= 0. A sigma/tau whose square overflows
+    float64 is rejected, naming both.
     """
     if sigma == 0.0:
         return np.where(x < 0.0, 0.0, -np.exp(-np.maximum(x, 0.0) / lifetime))
+    ratio = sigma / lifetime
+    if not ratio < _RATIO_MAX:
+        raise ValueError(
+            f"irf_sigma {sigma:g} ns over a lifetime of {lifetime:g} ns is {ratio:g}, "
+            "whose square overflows float64"
+        )
     z = x / sigma
-    u = z - sigma / lifetime
+    u = z - ratio
     below = u < 0.0
     above = ~below
     shifted = np.empty_like(z)
     shifted[below] = _erfcx(-u[below] / _SQRT2) * np.exp(-0.5 * z[below] ** 2)
-    shifted[above] = np.exp(0.5 * (sigma / lifetime) ** 2 - x[above] / lifetime) * _erfc(
+    shifted[above] = np.exp(0.5 * ratio**2 - x[above] / lifetime) * _erfc(
         -u[above] / _SQRT2
     )
     return 0.5 * (np.where(x < 0.0, 1.0, -1.0) * _erfc(np.abs(z) / _SQRT2) - shifted)
@@ -426,6 +434,11 @@ def histogram_expectation(
         raise ValueError("bin_width must be positive")
     period = train.period
     n_float = period / bin_width
+    if not math.isfinite(n_float):
+        raise ValueError(
+            f"the {period:g} ns period (rep_rate {train.rep_rate:g} Hz) holds {n_float:g} "
+            f"bins of bin_width {bin_width:g} ns, not a finite count"
+        )
     n_bins = round(n_float)
     if n_bins < 1 or abs(n_bins * bin_width - period) > 1e-9 * period:
         raise ValueError(

@@ -47,6 +47,12 @@ def background_amplitude(
         window = GateWindow(0.0, period)
         signal = sum(gated_counts_exponential(c, window) for c in spin0)
         unit_bg = gated_counts_exponential(DecayComponent(1.0, bg_lifetime), window)
+        if unit_bg == 0.0:
+            raise ValueError(
+                f"background_lifetime {bg_lifetime:g} ns over the {period:g} ns period: the "
+                "background's integral over one period underflows float64 to 0, so no "
+                "amplitude gives an integrated ratio"
+            )
         return ratio * signal / unit_bg
     raise ValueError(f"unknown ratio mode {mode!r}, expected 'amplitude' or 'integrated'")
 

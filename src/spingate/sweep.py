@@ -16,7 +16,7 @@ import numpy as np
 from .decay import FluorescenceModel, PulseTrain, channel_rates
 from .errors import ConfigError
 from .metrics import contrast, sensitivity_cw, snr
-from .record import Record, frozen_array, require_finite
+from .record import Record, frozen_array, require_finite, require_finite_means
 
 POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
 
@@ -159,7 +159,14 @@ def sweep_gate(model: FluorescenceModel, train: PulseTrain, cfg: SweepConfig) ->
     """
     grid = _gate_grid(train, cfg)
     rates = channel_rates(model, cfg.c_sat, grid, train)
-    counts = rates * cfg.channel_time
+    # the SNR and the shot noise take both channels' sum, so that must stay
+    # finite; the check, not numpy's overflow warning, names its input
+    with np.errstate(over="ignore"):
+        counts = rates * cfg.channel_time
+        total = counts.sum(axis=0)
+    require_finite_means(
+        total, f"expected counts of both channels (channel_time {cfg.channel_time:g} s)"
+    )
     contrasts = contrast(counts)
     snrs = snr(counts)
     etas = None
@@ -171,7 +178,7 @@ def sweep_gate(model: FluorescenceModel, train: PulseTrain, cfg: SweepConfig) ->
     return GateSweepReport(
         tau_c_grid=grid,
         contrast=contrasts,
-        shot_noise=np.sqrt(counts.sum(axis=0)),
+        shot_noise=np.sqrt(total),
         snr=snrs,
         ef=ef,
         eta=etas,

@@ -51,6 +51,29 @@ CONFIG = textwrap.dedent(
 )
 
 
+# A 0.3 ns Gaussian IRF, so every model command takes the EMG kernel, over
+# a background set by its amplitude ratio (the default mode)
+IRF_CONFIG = textwrap.dedent(
+    """\
+    [model]
+    spin0 = 1.0, 12.0
+    spin1 = 1.0, 8.0
+    background_ratio = 3
+    background_lifetime = 1.7
+    irf_sigma = 0.3
+    c_sat = 0.15
+
+    [train]
+    rep_rate = 20e6
+
+    [sweep]
+    integration_time = 10.0
+    mw_duty = 0.5
+    tau_c_step = 2.0
+    """
+)
+
+
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "run.ini"
@@ -60,6 +83,37 @@ def config_path(tmp_path_factory):
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def run_python(*argv: str, timeout: float = 120, preexec_fn=None,
+               env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """python -W default argv in a fresh interpreter, with env's variables
+    added to this one's. The child imports the spingate this process
+    imported: its directory goes first on PYTHONPATH, so that is src/ in a
+    checkout and site-packages where the package is installed. -W default
+    shows every warning once, whatever the interpreter's filters;
+    preexec_fn runs in the child before it starts."""
+    variables = dict(os.environ, **(env or {}))
+    home = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
+    variables["PYTHONPATH"] = os.pathsep.join(
+        p for p in (home, variables.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "default", *argv],
+        capture_output=True, text=True, env=variables, timeout=timeout, preexec_fn=preexec_fn,
+    )
+
+
+def run_script(script: str, *args: str) -> list[str]:
+    """The output lines of script run by run_python, which must exit 0."""
+    done = run_python("-c", script, *args)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def set_key(text: str, key: str, value: str) -> str:
+    """The config text with key's line set to key = value."""
+    return re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
 
 
 def write_scan(path, nx=5, ny=4):
@@ -260,6 +314,16 @@ class TestSweeps:
         )
         assert not out.exists()
 
+    def test_infinite_integration_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "inf.ini"
+        path.write_text(set_key(CONFIG, "integration_time", "inf"))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("gate-sweep", "--config", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: line 13: bad value for 'integration_time': not a finite number: 'inf'\n"
+        )
+        assert not out.exists()
+
     def test_joint_opt_metadata(self, config_path, tmp_path):
         cfg = open(config_path).read() + "period_grid = 45:55:5\n"
         path = tmp_path / "joint.ini"
@@ -370,6 +434,23 @@ class TestOdmrChain:
         assert row["center1_hz"] == pytest.approx(2.865e9, rel=1e-9)
         assert row["fwhm2_hz"] == pytest.approx(8e6, rel=1e-6)
         assert float(fit.metadata["residual_norm"]) < 1e-3 * row["baseline"]
+
+    def test_low_contrast_fit_finds_both_dips(self, tmp_path):
+        # 121 points at about 1 % contrast, where a start taken from the
+        # spectrum's minima once sent a center out of the span
+        path, spect, fit_out = tmp_path / "irf.ini", tmp_path / "low.csv", tmp_path / "fit.csv"
+        path.write_text(IRF_CONFIG)
+        assert run_cli(
+            "odmr-synth", "--config", str(path), "--points", "121", "--depth1", "0.05",
+            "--depth2", "0.05", "--integration-per-point", "1e-4", "--seed", "83",
+            "--out", str(spect),
+        ) == 0
+        assert run_cli("odmr-fit", "--input", str(spect), "--out", str(fit_out)) == 0
+        fit = read_table(str(fit_out))
+        row = dict(zip(fit.columns, fit.rows[0]))
+        # each fitted center lies within one 8 MHz linewidth of its dip
+        assert abs(row["center1_hz"] - 2.865e9) < 8e6
+        assert abs(row["center2_hz"] - 2.875e9) < 8e6
 
     @pytest.mark.parametrize(
         "value, message",
@@ -528,6 +609,21 @@ class TestGateApply:
         assert "gate window requires" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_count_named(self, config_path, tmp_path, capsys):
+        # the C parser refuses the file, and the per-line pass names the cell
+        hist = tmp_path / "hist.csv"
+        assert run_cli("simulate", "--config", config_path, "--sample", "--seed", "1",
+                       "--out", str(hist)) == 0
+        lines = hist.read_text().splitlines()
+        lines[99] = lines[99].split(",")[0] + ",x"
+        hist.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "g.csv"
+        assert run_cli("gate-apply", "--input", str(hist), "--tau-c", "9.2", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: line 100: non-numeric cell: could not convert string to float: 'x'\n"
+        )
+        assert not out.exists()
+
 
 class TestHwSim:
     def test_hardware_equals_offline(self, config_path, tmp_path):
@@ -616,6 +712,7 @@ class TestHwSim:
             "--integration", "0.001", "--delay", "9.2", "--jitter", "0.3", "--toggle-rate", "2000",
         ) == 0
         table = read_table(out)
+        assert table.columns == ("timestamp_ns", "channel")
         channel = table.data["channel"]
         assert channel.dtype == np.dtype("<U6")
         assert set(channel.tolist()) == set(CHANNELS)
@@ -645,19 +742,13 @@ class TestHwSim:
     )
 
     def peak_rss_mb(self, config: str, out: str, integration: str) -> float:
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [
-                sys.executable, "-c", self.MEASURE,
-                "import sys; from spingate.cli import main; sys.exit(main(sys.argv[1:]))",
-                "hw-sim", "--config", config, "--out", out, "--seed", "3",
-                "--integration", integration, "--delay", "40", "--length", "1",
-            ],
-            capture_output=True, text=True, env=env, timeout=300, check=True,
+        [line] = run_script(
+            self.MEASURE,
+            "import sys; from spingate.cli import main; sys.exit(main(sys.argv[1:]))",
+            "hw-sim", "--config", config, "--out", out, "--seed", "3",
+            "--integration", integration, "--delay", "40", "--length", "1",
         )
-        code, maxrss_kb = map(int, done.stdout.split())
+        code, maxrss_kb = map(int, line.split())
         assert code == 0
         return maxrss_kb / 1024.0
 
@@ -826,17 +917,14 @@ class TestReproducibility:
             "odmr-synth", "--config", config_path, "--points", "100000", "--seed", seed,
             "--out", spectrum,
         ) == 0
-        src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
         outs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
             outs.append(tmp_path / f"fit{threads}.csv")
-            subprocess.run(
-                [sys.executable, "-m", "spingate.cli", "odmr-fit", "--input", spectrum,
-                 "--out", str(outs[-1])],
-                env=env, timeout=120, check=True,
+            done = run_python(
+                "-m", "spingate.cli", "odmr-fit", "--input", spectrum, "--out", str(outs[-1]),
+                env=dict(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
             )
+            assert done.returncode == 0, done.stderr
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
@@ -938,6 +1026,15 @@ class TestParser:
         assert err.startswith("usage: spingate [-h] [--version]")
         assert "{" + ",".join(cli.COMMANDS) + "}" in err
         assert err.endswith(f"spingate: error: {error}\n")
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: spingate [-h] [--version]")
+        assert "{" + ",".join(cli.COMMANDS) + "}" in out
+        words = " ".join(out.split())  # argparse wraps the help texts
+        for name, spec in cli.COMMANDS.items():
+            assert f"{name} {spec['help']}" in words
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_usage_states_the_required_arguments(self, command, capsys):
@@ -1084,33 +1181,39 @@ class TestHugePoissonMeans:
     FLOAT_LIMIT = "above float64's limit of 1.79769e+308"
 
     @pytest.mark.parametrize(
-        "argv, integration_time, message",
+        "argv, config_text, message",
         [
             (["odmr-synth", "--integration-per-point", "1e300", "--seed", "1"], None,
              f"expected counts per point (integration_per_point 1e+300 s) reach inf, {LIMIT}"),
             (["odmr-synth", "--integration-per-point", "1e14", "--seed", "1"], None,
              "expected counts per point (integration_per_point 1e+14 s) reach 9.44247e+22, "
              + LIMIT),
-            (["simulate", "--sample", "--seed", "1"], "1e300",
+            (["simulate", "--sample", "--seed", "1"], set_key(CONFIG, "integration_time", "1e300"),
              "expected counts per bin (channel_time 5e+299 s) reach 2.12427e+307, " + LIMIT),
-            (["mc", "--tau-c", "9.2", "--seed", "1"], "1e300",
+            (["mc", "--tau-c", "9.2", "--seed", "1"], set_key(CONFIG, "integration_time", "1e300"),
              "expected gated counts per channel (channel_time 5e+299 s) reach 5.54687e+307, "
              + LIMIT),
             (["odmr-synth", "--integration-per-point", "1e300"], None,
              "expected counts per point (integration_per_point 1e+300 s) reach inf, "
              + FLOAT_LIMIT),
-            (["simulate"], "1e308",
+            (["simulate"], set_key(CONFIG, "integration_time", "1e308"),
              f"expected counts per bin (channel_time 5e+307 s) reach inf, {FLOAT_LIMIT}"),
+            (["simulate", "--sample", "--seed", "1"],
+             set_key(IRF_CONFIG, "integration_time", "1e300"),
+             "expected counts per bin (channel_time 5e+299 s) reach 3.01668e+306, " + LIMIT),
+            (["mc", "--tau-c", "9.2", "--seed", "1"],
+             set_key(IRF_CONFIG, "integration_time", "1e300"),
+             "expected gated counts per channel (channel_time 5e+299 s) reach 5.41347e+307, "
+             + LIMIT),
         ],
         ids=["odmr-synth", "odmr-synth-1e14", "simulate-sample", "mc", "odmr-synth-expected",
-             "simulate-expected"],
+             "simulate-expected", "simulate-sample-irf", "mc-irf"],
     )
-    def test_exits_2_and_writes_nothing(self, config_path, tmp_path, argv, integration_time,
+    def test_exits_2_and_writes_nothing(self, config_path, tmp_path, argv, config_text,
                                         message):
-        if integration_time is not None:
-            text = CONFIG.replace("integration_time = 0.2", f"integration_time = {integration_time}")
+        if config_text is not None:
             config_path = tmp_path / "huge.ini"
-            config_path.write_text(text)
+            config_path.write_text(config_text)
         out = tmp_path / "o.csv"
         done = run_python("-m", "spingate.cli", *argv, "--config", str(config_path),
                           "--out", str(out))
@@ -1118,17 +1221,100 @@ class TestHugePoissonMeans:
         assert not out.exists()
 
 
-def run_python(*argv: str, timeout: float = 120, preexec_fn=None) -> subprocess.CompletedProcess:
-    """python -W default argv in a fresh interpreter on this tree; -W default
-    shows every warning once, whatever the interpreter's filters. preexec_fn
-    runs in the child before it starts."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-W", "default", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
+class TestFiniteExtremes:
+    """A finite setting at an extreme either runs clean or exits 2 with one
+    line naming the input it broke, no warning before it and no file. Each
+    case below once ended in a traceback or a numpy warning."""
+
+    # CONFIG's integrated background ratio with a 0.3 ns IRF and a period grid
+    BASE = CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\nirf_sigma = 0.3") + (
+        "period_grid = 40:60:10\n"
     )
+    COMMANDS = {
+        "gate-sweep": [],
+        "rep-sweep": [],
+        "joint-opt": [],
+        "simulate": [],
+        "mc": ["--tau-c", "9.2", "--seed", "1"],
+        "odmr-synth": [],
+        "hw-sim": ["--delay", "9.2", "--integration", "1e-4", "--seed", "1"],
+    }
+    UNDERFLOW = ("the background's integral over one period underflows float64 to 0, so no "
+                 "amplitude gives an integrated ratio")
+    SQUARE = "whose square overflows float64"
+
+    def run(self, tmp_path, text: str, command: str) -> int:
+        """The exit code of command on the config text; no file may be left
+        where it fails."""
+        path, out = tmp_path / "run.ini", tmp_path / "o.csv"
+        path.write_text(text)
+        code = run_cli(command, "--config", str(path), *self.COMMANDS[command], "--out", str(out))
+        assert code == 0 or not out.exists()
+        return code
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # the background integral of the ratio mode divided by 0
+            ("rep_rate", "1e300",
+             f"background_lifetime 1.7 ns over the 1e-291 ns period: {UNDERFLOW}"),
+            ("background_lifetime", "1e300",
+             f"background_lifetime 1e+300 ns over the 50 ns period: {UNDERFLOW}"),
+            # the EMG tail's Python float power raised OverflowError
+            ("irf_sigma", "1e300",
+             f"irf_sigma 1e+300 ns over a lifetime of 12 ns is 8.33333e+298, {SQUARE}"),
+            ("background_lifetime", "1e-300",
+             f"irf_sigma 0.3 ns over a lifetime of 1e-300 ns is 3e+299, {SQUARE}"),
+        ],
+        ids=["rep-rate", "background-lifetime", "irf-sigma", "short-background-lifetime"],
+    )
+    def test_model_setting(self, tmp_path, capsys, command, key, value, message):
+        assert self.run(tmp_path, set_key(self.BASE, key, value), command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_period_past_float64_has_no_bin_count(self, tmp_path, capsys):
+        # a 1e-300 Hz train's period is inf ns, and round() of its bin count
+        # raised OverflowError
+        assert self.run(tmp_path, set_key(CONFIG, "rep_rate", "1e-300"), "simulate") == 2
+        assert capsys.readouterr().err == (
+            "error: the inf ns period (rep_rate 1e-300 Hz) holds inf bins of bin_width 0.1 ns, "
+            "not a finite count\n"
+        )
+
+    @pytest.mark.parametrize("command", ["gate-sweep", "rep-sweep", "joint-opt"])
+    def test_sweep_counts_past_float64(self, tmp_path, capsys, command):
+        # the counts overflowed float64 with numpy's warning, and the sweep then
+        # failed on its own record's "optimum index does not attain the maximum SNR"
+        text = set_key(CONFIG, "integration_time", "1e300") + "period_grid = 40:60:10\n"
+        assert self.run(tmp_path, text, command) == 2
+        assert capsys.readouterr().err == (
+            "error: expected counts of both channels (channel_time 5e+299 s) reach inf, "
+            "above float64's limit of 1.79769e+308\n"
+        )
+
+    def test_far_frequency_span_reads_the_baseline(self, config_path, tmp_path):
+        # past the first point every detuning's square overflows float64, so
+        # both dips are exactly 0 and each count is the MW-off level; numpy
+        # once warned of the overflow
+        out = tmp_path / "far.csv"
+        done = run_python("-m", "spingate.cli", "odmr-synth", "--config", config_path,
+                          "--f-stop", "1e300", "--out", str(out))
+        assert (done.returncode, done.stderr) == (0, "")
+        run = config.load_config(config_path)
+        counts = read_table(str(out)).data["counts"]
+        assert counts.size == 121
+        assert np.all(counts[1:] == steady_rate(run.model, "ms0", 0.0, run.train) * 0.1)
+
+    @pytest.mark.parametrize("dip", ["1", "2"])
+    def test_far_center_is_a_dip_of_depth_zero(self, config_path, tmp_path, dip):
+        far, flat = tmp_path / "far.csv", tmp_path / "flat.csv"
+        done = run_python("-m", "spingate.cli", "odmr-synth", "--config", config_path,
+                          f"--center{dip}", "1e300", "--out", str(far))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert run_cli("odmr-synth", "--config", config_path, f"--depth{dip}", "0",
+                       "--out", str(flat)) == 0
+        assert far.read_bytes() == flat.read_bytes()
 
 
 class TestOutOfMemory:
@@ -1166,17 +1352,20 @@ class TestOutOfMemory:
 
     @pytest.mark.skipif(os.name != "posix", reason="RLIMIT_AS is POSIX-only")
     @pytest.mark.parametrize(
-        "argv",
+        "argv, exact",
         [
-            "mc --config {config} --tau-c 9.2 --trials 100000000000 --seed 1",
-            "snr-map --input {p}/scan.csv --channel gated --factor 100000",
-            "simulate --config {config} --bin-width 1e-9",
-            "odmr-synth --config {config} --points 10000000000",
-            "gate-sweep --config {p}/fine.ini",
+            ("mc --config {config} --tau-c 9.2 --trials 100000000000 --seed 1",
+             "error: out of memory: Unable to allocate 1.46 TiB for an array with shape "
+             "(100000000000, 2) and data type int64"),
+            ("snr-map --input {p}/scan.csv --channel gated --factor 100000", None),
+            ("simulate --config {config} --bin-width 1e-9", None),
+            ("odmr-synth --config {config} --points 10000000000", None),
+            ("gate-sweep --config {p}/fine.ini", None),
         ],
         ids=["mc", "snr-map", "simulate", "odmr-synth", "gate-sweep"],
     )
-    def test_oversized_request_under_an_address_space_cap(self, config_path, tmp_path, argv):
+    def test_oversized_request_under_an_address_space_cap(self, config_path, tmp_path, argv,
+                                                          exact):
         import resource
 
         (tmp_path / "fine.ini").write_text(
@@ -1195,23 +1384,8 @@ class TestOutOfMemory:
         [line] = done.stderr.splitlines()
         assert re.fullmatch(r"error: out of memory: Unable to allocate [\d.]+ [GT]iB for an "
                             r"array with shape \([\d, ]+\) and data type \w+", line), line
+        assert exact is None or line == exact
         assert not out.exists()
-
-
-def run_script(script: str, *args: str) -> list[str]:
-    """The output lines of script run in a fresh interpreter on this tree."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spingate.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-        check=True,
-    )
-    return done.stdout.splitlines()
 
 
 class TestImportCost:
@@ -1229,24 +1403,30 @@ class TestImportCost:
         print(code, "scipy.special" in sys.modules)
         """
     )
-    # a None entry in sys.modules makes every import of scipy raise ImportError
+    # a None entry in sys.modules makes every import of scipy raise ImportError;
+    # each argument is one command line
     NO_SCIPY = textwrap.dedent(
         """\
-        import os, sys
+        import sys
         sys.modules["scipy"] = None
         from spingate.cli import main
-        config, out = sys.argv[1], sys.argv[2]
-        codes = [
-            main(["gate-sweep", "--config", config, "--out", os.path.join(out, "gate.csv")]),
-            main(["simulate", "--config", config, "--sample", "--seed", "3",
-                  "--out", os.path.join(out, "hist.csv")]),
-            main(["mc", "--config", config, "--tau-c", "9.2", "--trials", "200", "--seed", "3",
-                  "--out", os.path.join(out, "mc.csv")]),
-            main(["hw-sim", "--config", config, "--delay", "9.2", "--jitter", "0.5",
-                  "--integration", "0.0005", "--seed", "3", "--out", os.path.join(out, "hw.csv")]),
-        ]
-        print(*codes)
+        print(*(main(line.split()) for line in sys.argv[1:]))
         """
+    )
+    # every model command on IRF_CONFIG, mc also at mw_duty 1e-9, where some
+    # trials draw no count, then the read commands on the files written
+    IRF_RUNS = (
+        "gate-sweep --config {p}/irf.ini --out {p}/gate.csv",
+        "rep-sweep --config {p}/irf.ini --out {p}/rep.csv",
+        "joint-opt --config {p}/irf.ini --out {p}/joint.csv",
+        "simulate --config {p}/irf.ini --sample --seed 1 --out {p}/hist.csv",
+        "mc --config {p}/irf.ini --tau-c 9.2 --trials 1000 --seed 1 --out {p}/mc.csv",
+        "mc --config {p}/dim.ini --tau-c 9.2 --seed 1 --out {p}/dim.csv",
+        "hw-sim --config {p}/irf.ini --delay 9.2 --jitter 0.5 --integration 0.001 --seed 1 "
+        "--out {p}/hw.csv",
+        "odmr-synth --config {p}/irf.ini --points 5001 --seed 1 --out {p}/spectrum.csv",
+        "gate-apply --input {p}/hist.csv --tau-c 9.2 --out {p}/gated.csv",
+        "odmr-fit --input {p}/spectrum.csv --out {p}/fit.csv",
     )
 
     def test_sigma_zero_gate_sweep_leaves_scipy_unloaded(self, config_path, tmp_path):
@@ -1254,10 +1434,10 @@ class TestImportCost:
         assert lines == ["False", "0 False"]
 
     def test_irf_commands_run_without_scipy(self, tmp_path):
-        path = tmp_path / "irf.ini"
-        path.write_text(CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\nirf_sigma = 0.3"))
-        lines = run_script(self.NO_SCIPY, str(path), str(tmp_path))
-        assert lines == ["0 0 0 0"]
+        (tmp_path / "irf.ini").write_text(IRF_CONFIG + "period_grid = 40:60:10\n")
+        (tmp_path / "dim.ini").write_text(set_key(IRF_CONFIG, "mw_duty", "1e-9"))
+        lines = run_script(self.NO_SCIPY, *(run.format(p=tmp_path) for run in self.IRF_RUNS))
+        assert lines == [" ".join("0" * len(self.IRF_RUNS))]
         assert read_histogram(str(tmp_path / "hist.csv")).counts.sum() > 0
 
     def test_cli_import_leaves_dataclasses_unloaded(self):
