@@ -85,6 +85,9 @@ class PulseTrain(Record):
         if not self.rep_rate > 0:
             raise ValueError(f"rep_rate must be > 0, got {self.rep_rate}")
         require_finite(self, "rep_rate")
+        if not math.isfinite(self.period):
+            raise ValueError(f"rep_rate {self.rep_rate:g} Hz: the period 1e9 / rep_rate overflows "
+                             "float64 to inf ns")
 
     @property
     def period(self) -> float:
@@ -401,8 +404,10 @@ def steady_rate(
     if np.any(onset >= train.period):
         raise GateError("gate exceeds pulse period")
     end = np.minimum(gate_end, train.period)
-    signal, background, dark = _gated(model, spin, onset, end)
-    rate = train.rep_rate * (signal + background + dark)
+    with np.errstate(over="ignore"):  # refused below, naming the scale
+        signal, background, dark = _gated(model, spin, onset, end)
+        rate = train.rep_rate * (signal + background + dark)
+    require_finite_means(rate, f"detected rates (rep_rate {train.rep_rate:g} Hz)")
     return float(rate) if np.ndim(rate) == 0 else rate
 
 

@@ -21,14 +21,18 @@ class MetricError(SpingateError, ValueError):
 
 
 class LineError(SpingateError, ValueError):
-    """Input file rejected. Carries the offending line number when known and
-    prefixes it to the message."""
+    """Input file rejected. Carries the file's path and the offending line
+    number, each when known, and prefixes them to the message as
+    '<path>: line <n>: <message>'."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class ConfigError(LineError):

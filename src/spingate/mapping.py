@@ -150,25 +150,21 @@ def snr_map(scan: ScanMap, channel: str, interp_factor: int = 4) -> SnrMap:
 
 def _read_scan(path: str) -> ScanMap:
     table = reader.read_report(path, ("ix", "iy") + _SCAN_PLANES)
-    try:
-        nx = int(table.metadata["nx"])
-        ny = int(table.metadata["ny"])
-        pitch = float(table.metadata.get("pitch_um", 1.0))
-        dwell = float(table.metadata.get("dwell_s", 1.0))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: bad or missing scan metadata ({exc})") from exc
+    meta = table.metadata
+    nx, ny = (int(reader.metadata_number(path, meta, k, whole=True)) for k in ("nx", "ny"))
+    pitch, dwell = (reader.metadata_number(path, meta, k, 1.0) for k in ("pitch_um", "dwell_s"))
     ix, iy = table.data["ix"], table.data["iy"]
 
     def pixel(i: int) -> str:
-        return f"{path}: pixel ({format_value(ix[i])}, {format_value(iy[i])})"
+        return f"pixel ({format_value(ix[i])}, {format_value(iy[i])})"
 
     # checked as floats, before the cast to ints, so nan and +-inf fail too
     fractional = np.flatnonzero((ix != np.floor(ix)) | (iy != np.floor(iy)))
     if fractional.size:
-        raise ParseError(f"{pixel(fractional[0])} is not an integer index")
+        raise ParseError(f"{pixel(fractional[0])} is not an integer index", path=path)
     outside = np.flatnonzero(~((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)))
     if outside.size:
-        raise ParseError(f"{pixel(outside[0])} outside the {nx}x{ny} grid")
+        raise ParseError(f"{pixel(outside[0])} outside the {nx}x{ny} grid", path=path)
     # sorted by pixel, so nothing is allocated by the header's nx * ny: a
     # repeat sits next to its pixel's first row, and without repeats only
     # nx * ny rows fill the grid
@@ -176,13 +172,14 @@ def _read_scan(path: str) -> ScanMap:
     order = np.argsort(flat, kind="stable")
     repeats = flat[order[1:]] == flat[order[:-1]]
     if repeats.any():
-        raise ParseError(f"{pixel(order[:-1][repeats].min())} appears in more than one row")
+        first = order[:-1][repeats].min()
+        raise ParseError(f"{pixel(first)} appears in more than one row", path=path)
     if flat.size < nx * ny:
-        raise ParseError(f"{path}: plane {_SCAN_PLANES[0]} has missing pixels")
+        raise ParseError(f"plane {_SCAN_PLANES[0]} has missing pixels", path=path)
     planes = {name: table.data[name][order].reshape(ny, nx) for name in _SCAN_PLANES}
     for name, plane in planes.items():
         if np.any(np.isnan(plane)):
-            raise ParseError(f"{path}: plane {name} has missing pixels")
+            raise ParseError(f"plane {name} has missing pixels", path=path)
     return ScanMap(pitch=pitch, dwell=dwell, **planes)
 
 

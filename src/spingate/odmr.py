@@ -32,7 +32,7 @@ import numpy as np
 
 from . import histogram, reader
 from .decay import FluorescenceModel, GateWindow, PulseTrain, gate_from_args, steady_rate
-from .errors import ConfigError, FitError, NonConvergenceError, ParseError
+from .errors import ConfigError, FitError, NonConvergenceError
 from .metrics import sensitivity_cw
 from .record import (
     Record, frozen_array, require_finite, require_finite_means, require_poisson_means
@@ -442,20 +442,11 @@ def cmd_odmr_synth(args, run, seed):
 def cmd_odmr_fit(args, run, seed):
     table = reader.read_report(args.input, ("freq_hz", "counts"))
     meta = table.metadata
-
-    def number(key: str, default=None) -> float:
-        value = meta.get(key, default)
-        if value is None:
-            raise ParseError(f"{args.input}: missing metadata key {key}")
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"{args.input}: metadata {key}={value!r} is not a number") from None
-
-    integration = number("integration_per_point_s", 1.0)
+    integration = reader.metadata_number(args.input, meta, "integration_per_point_s", 1.0)
     gate = None
     if meta.get("gate_start_ns", "none") != "none":
-        gate = GateWindow(number("gate_start_ns"), number("gate_end_ns"))
+        keys = ("gate_start_ns", "gate_end_ns")
+        gate = GateWindow(*(reader.metadata_number(args.input, meta, k) for k in keys))
     spectrum = OdmrSpectrum(
         freqs=table.data["freq_hz"],
         counts=table.data["counts"],

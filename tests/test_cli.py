@@ -538,7 +538,11 @@ class TestOdmrChain:
         spect.write_text("\n".join([metadata, "freq_hz,counts", *lines]) + "\n")
         code = run_cli("odmr-fit", "--input", str(spect), "--out", str(tmp_path / "f"))
         assert code == 2
-        assert capsys.readouterr().err == f"error: {spect}: {message}\n"
+        # the key's line, or the header's (after the metadata) for a missing key
+        key = message.split()[-1] if message.startswith("missing") else message[9:].split("=")[0]
+        entries = [entry.split("=")[0] for entry in metadata.split("\n")]
+        line = entries.index(f"# {key}") + 1 if f"# {key}" in entries else len(entries) + 1
+        assert capsys.readouterr().err == f"error: {spect}: line {line}: {message}\n"
 
     # a cell near the top of the file and one far down: numpy's text parser
     # refuses either, and the per-line pass names it
@@ -551,7 +555,7 @@ class TestOdmrChain:
         code = run_cli("odmr-fit", "--input", str(spect), "--out", str(tmp_path / "f"))
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: {spect}: column counts: 'x' in data row {row} is not a number\n"
+        assert err == f"error: {spect}: line {row + 1}: column counts: 'x' is not a number\n"
 
     def test_fit_rejects_wrong_columns(self, tmp_path, capsys):
         bad = tmp_path / "wrong.csv"
@@ -566,7 +570,8 @@ class TestOdmrChain:
         bad.write_text("\n".join(["freq_hz,counts,note", *lines]) + "\n")
         code = run_cli("odmr-fit", "--input", str(bad), "--out", str(tmp_path / "f"))
         assert code == 2
-        assert capsys.readouterr().err == f"error: {bad}: expected columns freq_hz,counts\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 1: expected columns freq_hz,counts\n"
         assert not (tmp_path / "f").exists()
 
 
@@ -620,7 +625,7 @@ class TestGateApply:
         out = tmp_path / "g.csv"
         assert run_cli("gate-apply", "--input", str(hist), "--tau-c", "9.2", "--out", str(out)) == 2
         assert capsys.readouterr().err == (
-            "error: line 100: non-numeric cell: could not convert string to float: 'x'\n"
+            f"error: {hist}: line 100: column counts: 'x' is not a number\n"
         )
         assert not out.exists()
 
@@ -848,6 +853,47 @@ class TestSnrMapCommand:
         assert code == 2
         assert "expected columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ("# nx=5", "line 4: missing metadata key nx"),
+            ("# nx=abc", "line 1: metadata nx='abc' is not a whole number"),
+            ("# ny=4.5", "line 2: metadata ny='4.5' is not a whole number"),
+            ("# nx=inf", "line 1: metadata nx='inf' is not a whole number"),
+            ("# pitch_um=x", "line 3: metadata pitch_um='x' is not a number"),
+            ("# pitch_um=0.5", None),
+            ("# dwell_s=0.01", None),
+        ],
+    )
+    def test_scan_metadata_named(self, tmp_path, capsys, entry, problem):
+        # the entry replaces its key's, or is dropped where it is the file's
+        # own; pitch_um and dwell_s default to 1
+        scan = tmp_path / "scan.csv"
+        write_scan(scan)
+        lines = scan.read_text().splitlines()
+        keys = [line.split("=")[0] for line in lines]
+        at = keys.index(entry.split("=")[0])
+        lines[at : at + 1] = [] if lines[at] == entry else [entry]
+        scan.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.csv"
+        code = run_cli("snr-map", "--input", str(scan), "--channel", "gated", "--out", str(out))
+        if problem is None:
+            assert code == 0
+        else:
+            assert (code, capsys.readouterr().err) == (2, f"error: {scan}: {problem}\n")
+
+    def test_whole_scan_size_read_as_a_float(self, tmp_path):
+        # nx and ny are whole numbers, written any way float() reads them
+        scan, other = tmp_path / "scan.csv", tmp_path / "other.csv"
+        write_scan(scan)
+        text = scan.read_text()
+        other.write_text(text.replace("# nx=5", "# nx=5.0").replace("# ny=4", "# ny=4e0"))
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, out in zip((scan, other), outs):
+            assert run_cli("snr-map", "--input", str(path), "--channel", "gated",
+                           "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
     @pytest.mark.parametrize("row", [10, 4100])
     def test_non_numeric_cell_named(self, tmp_path, capsys, row):
@@ -862,7 +908,7 @@ class TestSnrMapCommand:
                        "--out", str(tmp_path / "m"))
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: {scan}: column mw_on_gated: 'x' in data row {row} is not a number\n"
+        assert err == f"error: {scan}: line {row + 5}: column mw_on_gated: 'x' is not a number\n"
 
 
 class TestReproducibility:
@@ -1273,14 +1319,48 @@ class TestFiniteExtremes:
         assert self.run(tmp_path, set_key(self.BASE, key, value), command) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    INF_PERIOD = ("error: line 10: [train] invalid: rep_rate 1e-300 Hz: the period 1e9 / rep_rate "
+                  "overflows float64 to inf ns\n")
+
     def test_period_past_float64_has_no_bin_count(self, tmp_path, capsys):
         # a 1e-300 Hz train's period is inf ns, and round() of its bin count
-        # raised OverflowError
+        # raised OverflowError; the train is refused before that
         assert self.run(tmp_path, set_key(CONFIG, "rep_rate", "1e-300"), "simulate") == 2
-        assert capsys.readouterr().err == (
-            "error: the inf ns period (rep_rate 1e-300 Hz) holds inf bins of bin_width 0.1 ns, "
-            "not a finite count\n"
-        )
+        assert capsys.readouterr().err == self.INF_PERIOD
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "simulate"])
+    def test_period_past_float64_refused(self, tmp_path, capsys, command):
+        # hw-sim once warned "invalid value encountered in multiply" (0 * inf
+        # dark photons) and exited 0 with no events; mc and odmr-synth ran
+        # on an inf period
+        text = set_key(CONFIG, "rep_rate", "1e-300") + "period_grid = 40:60:10\n"
+        assert self.run(tmp_path, text, command) == 2
+        assert capsys.readouterr().err == self.INF_PERIOD
+
+    RATE = "detected rates (rep_rate {} Hz) reach inf, above float64's limit of 1.79769e+308"
+
+    @pytest.mark.parametrize(
+        "key, command, message",
+        [
+            ("dark_rate", "gate-sweep", RATE.format("2e+07")),
+            ("dark_rate", "rep-sweep", RATE.format("2.5e+07")),
+            ("dark_rate", "mc", RATE.format("2e+07")),
+            ("dark_rate", "odmr-synth", RATE.format("2e+07")),
+            ("background_ratio", "gate-sweep", RATE.format("2e+07")),
+            ("background_ratio", "rep-sweep", RATE.format("2.5e+07")),
+            # the gated rate is finite; its counts are past the Poisson limit
+            ("background_ratio", "mc", "expected gated counts per channel (channel_time 0.1 s) "
+             "reach 1.05469e+305, above numpy's Poisson limit of 9.22337e+18"),
+            ("background_ratio", "odmr-synth", RATE.format("2e+07")),
+        ],
+    )
+    def test_rate_past_float64(self, tmp_path, capsys, key, command, message):
+        # rep_rate times the per-pulse counts overflowed with numpy's warning,
+        # and gate-sweep then named channel_time, not the rate
+        text = CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\ndark_rate = 0")
+        text = set_key(text, key, "1e300") + "period_grid = 40:60:10\n"
+        assert self.run(tmp_path, text, command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["gate-sweep", "rep-sweep", "joint-opt"])
     def test_sweep_counts_past_float64(self, tmp_path, capsys, command):
