@@ -24,14 +24,16 @@ __version__ = "0.1.0"
 
 # Every submodule but cli.
 _SUBMODULES = (
-    "acquisition config decay errors histogram mapping metrics odmr presets quadrature reader "
-    "record report sweep"
+    "acquisition config decay errors gating histogram mapping metrics odmr presets quadrature "
+    "reader record report sweep"
 ).split()
 # The names the package re-exports, by module.
 _EXPORTS = {
-    "decay": "DecayComponent FluorescenceModel GateWindow PulseTrain",
+    "config": "SweepConfig",
+    "decay": "DecayComponent FluorescenceModel PulseTrain",
+    "gating": "GateWindow",
     "presets": "bulk_model",
-    "sweep": "SweepConfig optimal_gate sweep_gate",
+    "sweep": "optimal_gate sweep_gate",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

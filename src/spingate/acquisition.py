@@ -34,17 +34,9 @@ import operator
 import numpy as np
 
 from . import histogram
-from .decay import (
-    CHANNELS,
-    FluorescenceModel,
-    GateWindow,
-    PulseTrain,
-    _window_counts,
-    channel_rates,
-    channel_weights,
-    gate_from_args,
-)
+from .decay import FluorescenceModel, PulseTrain, _window_counts, channel_rates, channel_weights
 from .errors import ConfigError
+from .gating import CHANNELS, GateWindow, gate_from_args
 from .metrics import snr
 from .record import Record, frozen_array, replace, require_poisson_means
 
@@ -68,7 +60,7 @@ WINDOW_SIGMAS = 8.0
 class EventStream(Record):
     """Column store of photon events sorted by timestamp.
 
-    channels holds channel codes, indices into decay.CHANNELS. n_outside
+    channels holds channel codes, indices into gating.CHANNELS. n_outside
     counts the photons of the acquisition that the stream does not list:
     those outside the window it was drawn in, and those a selection removed.
     So len(stream) + n_outside is the acquisition's photon count.
@@ -166,7 +158,8 @@ def _source_means(
     """simulate_events' per-source draw parameters for the phase window
     [t_start, t_end): per-pulse means per channel and source, per-pulse
     means outside the window per channel, lifetimes, the truncated
-    exponential's CDF scale per source, and x_lo. Cached, so a stream drawn
+    exponential's CDF scale per source, and x_lo; a mean numpy's Poisson
+    sampler refuses is refused first. Cached, so a stream drawn
     block by block evaluates its EMG tails once, not once per block; the
     arrays are read-only, since every call with the same window shares them.
 
@@ -198,6 +191,17 @@ def _source_means(
     weights[:, n0 : n0 + n1] = spin1
     means = weights * drawn
     outside_means = np.maximum(weights @ outside, 0.0)
+    # checked before any draw: each source's means, naming the setting that
+    # scales them, then the mean count of a block's photons outside the window
+    settings = [f"{group} = {c.amplitude:g}, {c.lifetime:g}"
+                for group in ("spin0", "spin1", "background") for c in getattr(model, group)]
+    for column, setting in zip(means.T, settings + [f"dark_rate = {model.dark_rate:g}"]):
+        require_poisson_means(column, f"expected counts per pulse of [model] {setting}")
+    with np.errstate(over="ignore"):  # an inf reads as such in the message
+        block_outside = outside_means * BLOCK_PULSES
+    require_poisson_means(
+        block_outside, f"expected counts outside the draw window per block of {BLOCK_PULSES} pulses"
+    )
     lifetimes = np.array([c.lifetime for c in comps] + [0.0])
     # log1p(u * shrink) inverts the truncated exponential's CDF; the dark
     # source's 0 gives offset 0 before its uniform phase replaces it

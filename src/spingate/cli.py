@@ -50,7 +50,7 @@ _TAU_C = ("--tau-c", dict(type=float, required=True, help="gate onset, ns"))
 COMMANDS = {
     "simulate": _command(
         "expected or sampled TCSPC histogram", "decay.cmd_simulate",
-        # decay.CHANNELS, spelled out so that building the parser loads no module
+        # gating.CHANNELS, spelled out so that building the parser loads no module
         ("--channel", dict(choices=("mw_off", "mw_on"), default="mw_off")),
         ("--bin-width", dict(type=float, default=0.1, help="ns")),
         ("--sample", dict(action="store_true", help="Poisson-sample the expectation")),

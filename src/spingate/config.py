@@ -42,8 +42,71 @@ import numpy as np
 from .decay import DecayComponent, FluorescenceModel, PulseTrain
 from .errors import ConfigError
 from .presets import background_amplitude
-from .record import Record
-from .sweep import SweepConfig
+from .record import Record, require_finite
+
+POWER_MODES = ("constant-pulse-energy", "constant-mean-power")
+
+
+class SweepConfig(Record):
+    """The acquisition's channel rule, and the knobs of the gate and
+    repetition-rate sweeps.
+
+    The MW drive alternates the two channels, off and on, over an
+    acquisition of integration_time; each channel integrates for
+    channel_time. Every command takes its per-channel time from here.
+    """
+
+    integration_time: float = 1.0  # s, total acquisition time
+    mw_duty: float = 0.5  # fraction of integration_time on each channel
+    tau_c_resolution: float = 0.1  # ns
+    tau_c_max: float | None = None  # ns; None -> 0.8 * period
+    rate_grid: tuple[float, ...] | None = None  # Hz
+    linewidth: float | None = None  # Hz; enables sensitivity columns
+    c_sat: float = 0.15  # MW-on mixture weight
+    power_mode: str = "constant-pulse-energy"
+    reference_rate: float = 40e6  # Hz; amplitude anchor for constant-mean-power
+
+    def __post_init__(self):
+        if not self.integration_time > 0:
+            raise ValueError("integration_time must be > 0")
+        if not 0 < self.mw_duty <= 0.5:
+            raise ValueError(
+                f"mw_duty must be in (0, 0.5], got {self.mw_duty}: the MW-off and MW-on "
+                "channels alternate, so each counts at most half of integration_time"
+            )
+        if not self.tau_c_resolution > 0:
+            raise ValueError("tau_c_resolution must be > 0")
+        if self.tau_c_max is not None and not self.tau_c_max >= 0:
+            raise ValueError("tau_c_max must be >= 0")
+        if not 0 <= self.c_sat < 1:
+            raise ValueError("c_sat must be in [0, 1)")
+        if self.power_mode not in POWER_MODES:
+            raise ValueError(f"power_mode must be one of {POWER_MODES}, got {self.power_mode!r}")
+        if self.linewidth is not None and not self.linewidth > 0:
+            raise ValueError("linewidth must be > 0 when given")
+        if not self.reference_rate > 0:
+            raise ValueError("reference_rate must be > 0")
+        require_finite(
+            self, "integration_time", "tau_c_resolution", "tau_c_max", "linewidth",
+            "reference_rate",
+        )
+        if self.rate_grid is not None:
+            grid = tuple(float(r) for r in self.rate_grid)
+            if any(r <= 0 for r in grid):
+                raise ValueError("rate_grid entries must be > 0")
+            if not np.isfinite(grid).all():
+                raise ValueError("rate_grid entries must be finite")
+            object.__setattr__(self, "rate_grid", grid)
+
+    @property
+    def channel_time(self) -> float:
+        """Integration time of each MW channel, off and on, in s.
+
+        integration_time * mw_duty: the one rule that turns the duty into a
+        per-channel time, used by the sweeps and by the simulate, mc and
+        hw-sim commands.
+        """
+        return self.integration_time * self.mw_duty
 
 
 class RunConfig(Record):
@@ -221,8 +284,13 @@ def parse_config(text: str) -> RunConfig:
             model["background"] = (DecayComponent(amplitude, ratio["bg_lifetime"], "background"),)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    model = _record(FluorescenceModel, model, "model", lines)
+    if not model.pulse_time < train.period:  # so only a given pulse_time fails
+        raise ConfigError(
+            f"[model] invalid: pulse_time {model.pulse_time:g} ns must lie within the "
+            f"{train.period:g} ns period",
+            line=lines["model.pulse_time"],
+        )
     return RunConfig(
-        model=_record(FluorescenceModel, model, "model", lines),
-        train=train,
-        sweep=_record(SweepConfig, given["sweep"], "sweep", lines),
+        model=model, train=train, sweep=_record(SweepConfig, given["sweep"], "sweep", lines)
     )

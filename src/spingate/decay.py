@@ -19,8 +19,8 @@ Spin selection: operations take a selector that is either the string
 mixture ``(1 - w) * spin0 + w * spin1``. Driving the spin transition never
 changes the emitted amplitude per excited population, only how the population
 is shared between the two decay branches, so a partially saturated MW-on
-channel is the mixture with ``w = C_sat``. ``CHANNELS`` names the two MW
-channels, and ``channel_weights`` is the one statement of their mixtures.
+channel is the mixture with ``w = C_sat``. ``gating.CHANNELS`` names the two
+MW channels, and ``channel_weights`` is the one statement of their mixtures.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ import numpy as np
 
 from . import acquisition, histogram
 from .errors import ConfigError, GateError
+from .gating import CHANNELS, GateWindow
 from .record import Record, replace, require_finite, require_finite_means
 
 SpinSelector = Union[str, float]
-
-# The MW channels; a channel's code is its index. channel_weights gives
-# each channel's spin mixture.
-CHANNELS = ("mw_off", "mw_on")
 
 
 class DecayComponent(Record):
@@ -61,19 +58,6 @@ class DecayComponent(Record):
 
     def scaled(self, factor: float) -> "DecayComponent":
         return DecayComponent(self.amplitude * factor, self.lifetime, self.label)
-
-
-class GateWindow(Record):
-    """Detection window [t_start, t_end) in ns after the pulse trigger."""
-
-    t_start: float
-    t_end: float = math.inf
-
-    def __post_init__(self):
-        if not (0 <= self.t_start < self.t_end):
-            raise ValueError(
-                f"gate window requires 0 <= t_start < t_end, got [{self.t_start}, {self.t_end})"
-            )
 
 
 class PulseTrain(Record):
@@ -103,7 +87,9 @@ def _components(value, group: str) -> tuple[DecayComponent, ...]:
 
 
 class FluorescenceModel(Record):
-    """Full emitter model: two spin branches, background, dark rate, IRF."""
+    """Full emitter model: two spin branches, background, dark rate, IRF,
+    and the excitation instant within the period (pulse_time, which a
+    config refuses at or past its train's period)."""
 
     spin0: tuple[DecayComponent, ...]
     spin1: tuple[DecayComponent, ...]
@@ -469,13 +455,7 @@ def histogram_expectation(
     )
 
 
-# Command-line handlers: handler(args, run, seed) -> the command's result;
-# gate_from_args serves the handlers that take --tau-c and --t-end.
-
-
-def gate_from_args(args) -> GateWindow:
-    """The gate of --tau-c and --t-end; without --t-end it runs to the period."""
-    return GateWindow(args.tau_c, math.inf if args.t_end is None else args.t_end)
+# Command-line handler: handler(args, run, seed) -> the command's result.
 
 
 def cmd_simulate(args, run, seed) -> histogram.TcspcHistogram:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import decay, reader
+from . import reader
 from .errors import GateError
+from .gating import CHANNELS, gate_from_args
 from .record import Record, frozen_array, require_finite
 
 PERIOD_REL_TOL = 1e-9
@@ -25,15 +26,13 @@ class TcspcHistogram(Record):
 
     bin_width: float  # ns
     counts: np.ndarray  # per bin
-    channel: str  # one of decay.CHANNELS
+    channel: str  # one of gating.CHANNELS
     channel_time: float  # s, the channel's integration time
     rep_rate: float  # Hz
 
     def __post_init__(self):
-        if self.channel not in decay.CHANNELS:
-            raise ValueError(
-                f"unknown channel {self.channel!r}, expected one of {decay.CHANNELS}"
-            )
+        if self.channel not in CHANNELS:
+            raise ValueError(f"unknown channel {self.channel!r}, expected one of {CHANNELS}")
         if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
         if not self.rep_rate > 0:
@@ -114,7 +113,7 @@ def _edge_index(t: float, bin_width: float) -> int | None:
 
 def cmd_gate_apply(args, run, seed):
     hist = reader.read_histogram(args.input)
-    gate = decay.gate_from_args(args)
+    gate = gate_from_args(args)
     window = hist.aligned_slice(gate.t_start, gate.t_end)
     counts = hist.counts[window]
     meta = dict(

@@ -165,16 +165,15 @@ def _read_scan(path: str) -> ScanMap:
     outside = np.flatnonzero(~((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)))
     if outside.size:
         raise ParseError(f"{pixel(outside[0])} outside the {nx}x{ny} grid", path=path)
-    # sorted by pixel, so nothing is allocated by the header's nx * ny: a
-    # repeat sits next to its pixel's first row, and without repeats only
-    # nx * ny rows fill the grid
-    flat = iy.astype(np.int64) * nx + ix.astype(np.int64)
-    order = np.argsort(flat, kind="stable")
-    repeats = flat[order[1:]] == flat[order[:-1]]
+    # sorted by pixel, row by row, so nothing is allocated by the header's
+    # nx * ny, nor formed in int64: a repeat sits next to its pixel's first
+    # row, and without repeats only nx * ny rows fill the grid
+    order = np.lexsort((ix, iy))
+    repeats = (ix[order[1:]] == ix[order[:-1]]) & (iy[order[1:]] == iy[order[:-1]])
     if repeats.any():
         first = order[:-1][repeats].min()
         raise ParseError(f"{pixel(first)} appears in more than one row", path=path)
-    if flat.size < nx * ny:
+    if ix.size < nx * ny:
         raise ParseError(f"plane {_SCAN_PLANES[0]} has missing pixels", path=path)
     planes = {name: table.data[name][order].reshape(ny, nx) for name in _SCAN_PLANES}
     for name, plane in planes.items():

@@ -4,7 +4,7 @@ Contrast, shot-noise-limited SNR, the gating enhancement factor and its
 quadratic measurement-time speedup, and the CW magnetic-resonance
 sensitivity. All functions are pure algebra over counts or rates; no model
 evaluation happens here. They take the two channels stacked on axis 0 in
-the order of decay.CHANNELS, (mw_off, mw_on): a 2-tuple, or the (2, ...)
+the order of gating.CHANNELS, (mw_off, mw_on): a 2-tuple, or the (2, ...)
 array that decay.channel_rates returns. Each channel holds a scalar or
 equal-shape arrays (one value per grid point or trial), and the functions
 work elementwise.

@@ -30,10 +30,10 @@ import math
 
 import numpy as np
 
-from . import histogram, reader
-from .decay import FluorescenceModel, GateWindow, PulseTrain, gate_from_args, steady_rate
+# decay and metrics load on first use, so odmr-fit loads neither
+from . import decay, histogram, metrics, reader
 from .errors import ConfigError, FitError, NonConvergenceError
-from .metrics import sensitivity_cw
+from .gating import GateWindow, gate_from_args
 from .record import (
     Record, frozen_array, require_finite, require_finite_means, require_poisson_means
 )
@@ -177,8 +177,8 @@ def _lorentz(f: np.ndarray, center: float, fwhm: float) -> np.ndarray:
 
 
 def synth_odmr(
-    model: FluorescenceModel,
-    train: PulseTrain,
+    model: decay.FluorescenceModel,
+    train: decay.PulseTrain,
     gate: GateWindow | None,
     freqs,
     truth: DoubletTruth,
@@ -195,7 +195,8 @@ def synth_odmr(
     freqs = np.asarray(freqs, dtype=float)
     window = GateWindow(0.0) if gate is None else gate
     n0, n1 = (
-        steady_rate(model, spin, window.t_start, train, window.t_end) * integration_per_point
+        decay.steady_rate(model, spin, window.t_start, train, window.t_end)
+        * integration_per_point
         for spin in ("ms0", "ms1")
     )
     p = truth.population(freqs)
@@ -244,7 +245,7 @@ def gate_measured_odmr(
 def sensitivity_from_fit(doublet: LorentzianDoublet, rates) -> float:
     """CW sensitivity using the deeper dip's linewidth."""
     _, fwhm, _ = doublet.deeper_dip()
-    return sensitivity_cw(fwhm, rates)
+    return metrics.sensitivity_cw(fwhm, rates)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ background_ratio_mode keys (background_amplitude) give any other ratio.
 
 from __future__ import annotations
 
-from .decay import DecayComponent, FluorescenceModel, GateWindow, PulseTrain, gated_counts_exponential
+from .decay import DecayComponent, FluorescenceModel, PulseTrain, gated_counts_exponential
+from .gating import GateWindow
 
 BULK_REP_RATE = 20e6  # Hz
 FND_REP_RATE = 10e6  # Hz

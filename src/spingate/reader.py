@@ -2,14 +2,19 @@
 
 A file is '# key=value' metadata lines, then (in a report) a header naming
 the columns, then comma-separated rows, read as float64 columns by one row
-path. The rows go to numpy's C text parser in one call. Its float converter
-is CPython's PyOS_string_to_double, the routine float() uses, so where it
-accepts the rows its values are float()'s. Where it refuses them (a cell it
-does not take, "1_000" or non-ASCII digits among them, a whitespace-only
-line, a ragged row, no rows) or a row check fails, one per-line pass reads
-them, one float() per cell, and returns its own values or names the first
-offending line. metadata_number reads a metadata number. Every ParseError
-reads '<path>: line <n>: <what>', without the line where none is known.
+path. The rows go to numpy's C text parser in one call. A file that is
+ASCII, with '\n' its only line break, gives the parser its path, and only
+its head (the metadata lines and the line after them) is split into lines;
+any other file is split whole, as str.splitlines splits it, and the parser
+takes its lines. The parser's float converter is CPython's
+PyOS_string_to_double, the routine float() uses, so where it accepts the
+rows its values are float()'s. Where it refuses them (a cell it does not
+take, "1_000" or non-ASCII digits among them, a whitespace-only line, a
+ragged row, no rows) or a row check fails, one per-line pass reads the
+file's lines, one float() per cell, and returns its own values or names the
+first offending line. metadata_number reads a metadata number. Every
+ParseError reads '<path>: line <n>: <what>', without the line where none is
+known.
 
 Only the commands that read a file load this module; spingate.report
 resolves read_report and read_histogram to it.
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import array
 import itertools
+import os
+import re
 import warnings
 
 import numpy as np
@@ -28,12 +35,33 @@ from .errors import ParseError
 from .report import HISTOGRAM_KEYS, ColumnarReport
 
 
-def _read_lines(path: str) -> list[str]:
+# The line breaks of str.splitlines that are ASCII, but for '\n'; the
+# suffixes whose files np.loadtxt decompresses when given their path; and a
+# file's head: its metadata lines and the line after them.
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_HEAD = re.compile(rb"(?:#[^\n]*\n)*[^\n]*")
+
+
+def _read_lines(path: str, head: bool = False) -> tuple[list[str], list[str] | str]:
+    """(lines, source): the file's lines, as str.splitlines splits them, and
+    the same list as the source of its rows. With head, a file that
+    np.loadtxt reads as that split does (ASCII, with '\n' its only line
+    break, and not named as compressed) gives only its head's lines, and its
+    absolute path, which numpy reads as no URL, as the source."""
+    if head:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        source = os.path.abspath(path)
+        other_breaks = any(map(data.__contains__, _OTHER_BREAKS))
+        if data.isascii() and not other_breaks and not source.endswith(_COMPRESSED):
+            return _HEAD.match(data).group().decode().splitlines(), source
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
+            lines = handle.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(str(exc), path=path) from exc
+    return lines, lines
 
 
 def _split_metadata(path: str, lines: list[str]):
@@ -68,34 +96,37 @@ def metadata_number(path: str, metadata: dict, key: str, default=None, whole=Fal
             return number
     except (TypeError, ValueError):
         pass
-    _, start, key_lines = _split_metadata(path, _read_lines(path))  # the lines, on error only
+    _, start, key_lines = _split_metadata(path, _read_lines(path)[0])  # the lines, on error only
     if value is None:
         raise ParseError(f"missing metadata key {key}", line=start + 1, path=path)
     kind = "a whole number" if whole else "a number"
     raise ParseError(f"metadata {key}={value!r} is not {kind}", line=key_lines[key], path=path)
 
 
-def _table(path: str, lines: list[str], start: int, columns: tuple, checks=None) -> np.ndarray:
-    """The rows from lines[start] on as a (k, n) float64 array of the k
+def _table(path: str, source, start: int, columns: tuple, checks=None) -> np.ndarray:
+    """The rows from line start (0-based) on of source, the file's lines or
+    path as _read_lines gives them, as a (k, n) float64 array of the k
     columns. checks is (flags, messages): flags(table) is a (len(messages),
     n) bool array, True where a row fails a check, and messages[c] formats
     with the failing row's text (row), cell texts (cells) and values.
 
     The C parser reads the rows where it takes them all (skipping empty
     lines) and no check fails. Otherwise the per-line pass reads the
-    non-blank lines, stripped, one float() per cell up to the first ragged
-    row or cell float() refuses, and ParseError names the first offending
-    line: a row before that one that fails a check (its first), else that.
+    file's non-blank lines, stripped, one float() per cell up to the first
+    ragged row or cell float() refuses, and ParseError names the first
+    offending line: a row before that one that fails a check (its first),
+    else that.
     """
     k = len(columns)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning, as of no rows, is a refusal
         try:
-            table = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2).T
+            table = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=start).T
         except (ValueError, Warning):
             table = None
     if table is not None and len(table) == k and not (checks and checks[0](table).any()):
         return table
+    lines = source if isinstance(source, list) else _read_lines(path)[0]
     stripped = list(map(str.strip, lines[start:]))
     numbers = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped))) + start + 1
     rows = list(filter(None, stripped))
@@ -125,13 +156,13 @@ def _table(path: str, lines: list[str], start: int, columns: tuple, checks=None)
 def read_report(path: str, columns: tuple[str, ...]) -> ColumnarReport:
     """A report file whose header names columns, in order, as float64
     columns. ParseError names the first ragged row or non-numeric cell."""
-    lines = _read_lines(path)
+    lines, source = _read_lines(path, head=True)
     meta, start, _ = _split_metadata(path, lines)
     if start >= len(lines) or not lines[start].strip():
         raise ParseError("missing column header line", line=start + 1, path=path)
     if [c.strip() for c in lines[start].split(",")] != list(columns):
         raise ParseError(f"expected columns {','.join(columns)}", line=start + 1, path=path)
-    table = _table(path, lines, start + 1, columns)
+    table = _table(path, source, start + 1, columns)
     return ColumnarReport(metadata=meta, data=dict(zip(columns, table)))
 
 
@@ -142,7 +173,7 @@ def read_histogram(path: str) -> histogram.TcspcHistogram:
     offending line: a ragged row, a non-numeric or non-finite cell, a bin
     start out of order or off the grid, or negative counts.
     """
-    lines = _read_lines(path)
+    lines, source = _read_lines(path, head=True)
     meta, start, _ = _split_metadata(path, lines)
     numbers = (metadata_number(path, meta, key) for key in HISTOGRAM_KEYS[:3])
     bin_width, rep_rate, channel_time = numbers
@@ -165,10 +196,10 @@ def read_histogram(path: str) -> histogram.TcspcHistogram:
         f"bin start {{values[0]}} does not sit on the {bin_width} ns grid",
         "negative counts {cells[1]}",
     )
-    counts = _table(path, lines, start, ("bin_start_ns", "counts"), (flags, messages))[1]
+    counts = _table(path, source, start, ("bin_start_ns", "counts"), (flags, messages))[1]
+    del lines, source
     if not counts.size:
-        raise ParseError("no data rows", line=len(lines) + 1, path=path)
-    del lines
+        raise ParseError("no data rows", line=len(_read_lines(path)[0]) + 1, path=path)
     if np.all((counts == np.floor(counts)) & (counts < 2.0**63)):
         counts = counts.astype(np.int64)
     try:

@@ -281,6 +281,19 @@ def _float_words() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
+def _last_places() -> np.ndarray:
+    """By group j (0 ... 3) of a float's 17 digits and its value g, the place
+    (1 ... 16) of g's last non-zero digit after the first digit, or 0 where g
+    is 0: 4 * j + 4 less g's trailing zeros. A read-only (4, 10**4) uint8
+    table."""
+    g = np.arange(10**4)
+    trailing = sum(g % 10**i == 0 for i in (1, 2, 3))
+    places = np.where(g > 0, np.arange(4, 20, 4)[:, None] - trailing, 0).astype(np.uint8)
+    places.setflags(write=False)
+    return places
+
+
+@functools.cache
 def _float_keep() -> np.ndarray:
     """Keep masks over a float row, one per (exponent k in -4 ... 16, last
     non-zero digit, sign), in that index order; read-only."""
@@ -312,9 +325,10 @@ def _float_cells(x: np.ndarray, separator: int) -> np.ndarray:
     correctly rounded conversion does. A row is "-0.000", then the 17 digits
     each followed by a point slot, the last slot the separator, written as
     five 8-byte words looked up by d's first digit and its four 4-digit
-    groups. A mask looked up by (k, last non-zero digit, sign) then blanks
-    every byte but the sign, the integer digits, the point and the digits up
-    to the last non-zero one.
+    groups. The place of d's last non-zero digit is the largest of those the
+    groups look up in _last_places. A mask looked up by (k, that place,
+    sign) then blanks every byte but the sign, the integer digits, the point
+    and the digits up to the last non-zero one.
     """
     x = x.astype(np.float64, copy=False)  # float16 and float32 widen exactly, as "%.17g" does
     magnitude = np.abs(x)
@@ -330,11 +344,12 @@ def _float_cells(x: np.ndarray, separator: int) -> np.ndarray:
     lead, dotted = _float_words()
     words = np.empty((x.size, 5), np.uint64)
     words[:, 0] = np.take(lead, first)
-    for j, group in enumerate(groups, start=1):
+    last = np.zeros(x.size, np.uint8)  # the place of the last non-zero digit
+    for j, (group, places) in enumerate(zip(groups, _last_places()), start=1):
         words[:, j] = np.take(dotted, group)
+        np.maximum(last, np.take(places, group), out=last)
     cells = words.view(np.uint8)
     cells[:, 39] = separator
-    last = 16 - np.argmax(cells[:, 38:5:-2] != ord("0"), axis=1)  # last non-zero digit
     cells *= np.take(_float_keep(), ((k + 4) * 17 + last) * 2 + np.signbit(x), axis=0)
     refused = np.flatnonzero(refused)
     _put_cells(cells, refused, [format(v, ".17g").encode() for v in x[refused].tolist()])

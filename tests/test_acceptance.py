@@ -21,15 +21,16 @@ from spingate.acquisition import (
     offline_gate,
     simulate_events,
 )
+from spingate.config import SweepConfig
 from spingate.decay import (
     DecayComponent,
     FluorescenceModel,
-    GateWindow,
     PulseTrain,
     gated_counts,
     gated_counts_exponential,
     steady_rate,
 )
+from spingate.gating import GateWindow
 from spingate.mapping import catmull_rom_upsample, snr_map, ScanMap
 from spingate.metrics import (
     contrast,
@@ -55,7 +56,7 @@ from spingate.presets import (
     fnd_model,
 )
 from spingate.quadrature import adaptive_simpson
-from spingate.sweep import SweepConfig, optimal_gate, sweep_gate
+from spingate.sweep import optimal_gate, sweep_gate
 
 
 @contextmanager

@@ -6,6 +6,7 @@ in-test Monte-Carlo oracle) so seed churn cannot flake them.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,18 +28,18 @@ from spingate.acquisition import (
     sample_histogram,
     simulate_events,
 )
+from spingate.config import SweepConfig
 from spingate.decay import (
-    CHANNELS,
     DecayComponent,
     FluorescenceModel,
-    GateWindow,
     PulseTrain,
     histogram_expectation,
     steady_rate,
 )
+from spingate.gating import CHANNELS, GateWindow
 from spingate.histogram import TcspcHistogram
 from spingate.metrics import snr
-from spingate.sweep import SweepConfig, sweep_gate
+from spingate.sweep import sweep_gate
 
 
 def small_model() -> FluorescenceModel:
@@ -274,6 +275,19 @@ class TestEventBlocks:
                 model, TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT, block=k, window=window
             )
             assert len(calls) == 2 * 3  # two mass evaluations per decay component
+
+    def test_block_outside_the_window_past_the_poisson_limit(self):
+        # each pulse's mean outside the window is drawable, but a block of
+        # them is not: it is refused before the draw, naming the block
+        bright = FluorescenceModel(
+            spin0=small_model().spin0, spin1=small_model().spin1,
+            background=(DecayComponent(1e17, 1.7),),
+        )
+        message = ("expected counts outside the draw window per block of 4096 pulses reach "
+                   "6.9632e+20, above numpy's Poisson limit of 9.22337e+18")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_events(bright, TRAIN, self.INTEGRATION, 1000.0, 12, C_SAT, block=0,
+                            window=GateWindow(40.0, 50.0))
 
     def test_no_pulses_is_one_empty_block(self):
         assert block_count(TRAIN, 0.0) == 1

@@ -19,10 +19,9 @@ import spingate
 from spingate import acquisition, cli, config, decay, mapping, odmr
 from spingate.acquisition import BLOCK_PULSES
 from spingate.cli import main
-from spingate.decay import (
-    CHANNELS, GateWindow, PulseTrain, channel_rates, gated_counts, steady_rate
-)
+from spingate.decay import PulseTrain, channel_rates, gated_counts, steady_rate
 from spingate.errors import ParseError
+from spingate.gating import CHANNELS, GateWindow
 from spingate.metrics import snr
 from spingate.presets import bulk_model
 from spingate.report import ColumnarReport, read_histogram, read_report, write_report
@@ -834,6 +833,18 @@ class TestSnrMapCommand:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_grid_past_int64_has_missing_pixels(self, tmp_path, capsys):
+        # nx * ny once formed each pixel's index in int64 and overflowed, a traceback
+        scan = tmp_path / "scan.csv"
+        scan.write_text(
+            "# nx=100000000000000000000\n# ny=1\n"
+            "ix,iy,mw_off_gated,mw_on_gated,mw_off_ungated,mw_on_ungated\n0,0,1,1,1,1\n"
+        )
+        out = tmp_path / "m"
+        assert run_cli("snr-map", "--input", str(scan), "--channel", "gated", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {scan}: plane mw_off_gated has missing pixels\n"
+        assert not out.exists()
+
     def test_duplicate_pixel_rejected(self, tmp_path, capsys):
         # a second row for pixel (0, 0) once overwrote the first
         scan = tmp_path / "scan.csv"
@@ -1362,6 +1373,34 @@ class TestFiniteExtremes:
         assert self.run(tmp_path, text, command) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("dark_rate", "dark_rate = 1e+300 reach 4.08e+301"),
+            ("background_ratio", "background = 6.94938e+300, 1.7 reach 5.27346e+298"),
+        ],
+    )
+    def test_hw_sim_poisson_means(self, tmp_path, capsys, key, message):
+        # numpy's sampler refused the per-pulse means with a bare "lam value
+        # too large"; the line now names the setting that scales them
+        text = CONFIG.replace("c_sat = 0.15", "c_sat = 0.15\ndark_rate = 0")
+        assert self.run(tmp_path, set_key(text, key, "1e300"), "hw-sim") == 2
+        assert capsys.readouterr().err == (
+            f"error: expected counts per pulse of [model] {message}, "
+            "above numpy's Poisson limit of 9.22337e+18\n"
+        )
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_pulse_time_past_the_period(self, tmp_path, capsys, command):
+        # simulate and hw-sim warned of numpy overflows, mc and odmr-synth
+        # wrote all-zero outputs, and gate-sweep found an undefined contrast
+        text = self.BASE.replace("c_sat = 0.15", "c_sat = 0.15\npulse_time = 1e300")
+        assert self.run(tmp_path, text, command) == 2
+        assert capsys.readouterr().err == (
+            "error: line 8: [model] invalid: pulse_time 1e+300 ns must lie within the 50 ns "
+            "period\n"
+        )
+
     @pytest.mark.parametrize("command", ["gate-sweep", "rep-sweep", "joint-opt"])
     def test_sweep_counts_past_float64(self, tmp_path, capsys, command):
         # the counts overflowed float64 with numpy's warning, and the sweep then
@@ -1539,24 +1578,26 @@ LOADED = textwrap.dedent(
     print(*sorted(n[9:] for n in names if n not in loaded))
     """
 )
-SWEEP_MODULES = "cli config decay errors metrics presets record report sweep"
+# what every command with a --config loads: the config builds the model
+MODEL_MODULES = "cli config decay errors gating presets record report"
 # (id, command line, the submodules it loads)
 COMMAND_MODULES = [
-    ("gate-sweep", "gate-sweep --config {p}/run.ini", SWEEP_MODULES),
-    ("rep-sweep", "rep-sweep --config {p}/run.ini", SWEEP_MODULES),
-    ("joint-opt", "joint-opt --config {p}/run.ini", SWEEP_MODULES),
-    ("simulate", "simulate --config {p}/run.ini", "histogram " + SWEEP_MODULES),
+    ("gate-sweep", "gate-sweep --config {p}/run.ini", "metrics sweep " + MODEL_MODULES),
+    ("rep-sweep", "rep-sweep --config {p}/run.ini", "metrics sweep " + MODEL_MODULES),
+    ("joint-opt", "joint-opt --config {p}/run.ini", "metrics sweep " + MODEL_MODULES),
+    ("simulate", "simulate --config {p}/run.ini", "histogram " + MODEL_MODULES),
     ("simulate-sample", "simulate --config {p}/run.ini --sample --seed 1",
-     "acquisition histogram " + SWEEP_MODULES),
+     "acquisition histogram metrics " + MODEL_MODULES),
     ("mc", "mc --config {p}/run.ini --tau-c 9.2 --trials 10 --seed 1",
-     "acquisition " + SWEEP_MODULES),
+     "acquisition metrics " + MODEL_MODULES),
     ("hw-sim", "hw-sim --config {p}/run.ini --delay 9.2 --integration 1e-4 --seed 1",
-     "acquisition " + SWEEP_MODULES),
-    ("odmr-synth", "odmr-synth --config {p}/run.ini", "odmr " + SWEEP_MODULES),
+     "acquisition metrics " + MODEL_MODULES),
+    ("odmr-synth", "odmr-synth --config {p}/run.ini", "odmr " + MODEL_MODULES),
+    # the two readers that gate or fit a file load no decay model
     ("odmr-fit", "odmr-fit --input {p}/spectrum.csv",
-     "cli decay errors metrics odmr reader record report"),
+     "cli errors gating odmr reader record report"),
     ("gate-apply", "gate-apply --input {p}/hist.csv --tau-c 9.2",
-     "cli decay errors histogram reader record report"),
+     "cli errors gating histogram reader record report"),
     ("snr-map", "snr-map --input {p}/scan.csv --channel gated",
      "cli errors mapping metrics reader record report"),
 ]

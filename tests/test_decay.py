@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from spingate.decay import (
     DecayComponent,
     FluorescenceModel,
-    GateWindow,
     PulseTrain,
     folded_model,
     gated_counts,
@@ -25,6 +24,7 @@ from spingate.decay import (
 )
 from spingate.decay import _erfc, _erfcx, _tail
 from spingate.errors import GateError
+from spingate.gating import GateWindow
 from spingate.quadrature import adaptive_simpson
 
 

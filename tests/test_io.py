@@ -14,12 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spingate.cli import main
-from spingate.config import load_config, parse_config
+from spingate.config import SweepConfig, load_config, parse_config
 from spingate.decay import FluorescenceModel
 from spingate.errors import ConfigError, GateError, ParseError, SpingateError
 from spingate.histogram import TcspcHistogram
 from spingate import report as report_module
-from spingate.sweep import SweepConfig
 from spingate.report import (
     HISTOGRAM_KEYS,
     ColumnarReport,
@@ -813,6 +812,53 @@ class TestCParserBoundary:
         message = "ragged row: 1 cells against 2 columns"
         with pytest.raises(ParseError, match=exactly(path, line, message)):
             read_report(str(path), ("i", "x"))
+
+
+    HIST_META = "# bin_width_ns=25\n# rep_rate_hz=2e7\n# integration_s=1\n# channel=mw_off\n"
+
+    @pytest.mark.parametrize("char", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_other_line_breaks_split_as_str_splitlines(self, tmp_path, char):
+        # numpy is given the path of an ASCII file with "\n" its only line
+        # break; any other break, in a metadata line or a data row, splits
+        # the file as str.splitlines does
+        path = tmp_path / "r.csv"
+        path.write_bytes(f"# k=v{char}a,b{char}1,2{char}3,4\n".encode())
+        got = read_report(str(path), ("a", "b"))
+        assert (got.metadata, got.rows) == ({"k": "v"}, ((1.0, 2.0), (3.0, 4.0)))
+        path.write_bytes(f"# k=v{char}w=x\na,b\n1,2\n".encode())
+        with pytest.raises(ParseError, match=exactly(path, 2, "expected columns a,b")):
+            read_report(str(path), ("a", "b"))
+        meta = self.HIST_META.replace("\n", char, 1)
+        path.write_bytes(f"{meta}0,5{char}25,6\n".encode())
+        assert read_histogram(str(path)).counts.tolist() == [5, 6]
+        path.write_bytes(f"{meta}0,5{char}25,-6\n".encode())
+        with pytest.raises(ParseError, match=exactly(path, 6, "negative counts -6")):
+            read_histogram(str(path))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, suffix):
+        # numpy decompresses a file whose path it is given by such a name
+        path = tmp_path / f"r.csv{suffix}"
+        path.write_text("# k=v\na,b\n1,2\n")
+        assert read_report(str(path), ("a", "b")).rows == ((1.0, 2.0),)
+
+    def test_non_ascii_file_split_whole(self, tmp_path):
+        # a non-ASCII metadata value, a non-ASCII digit, and a cell that
+        # float() refuses for its non-ASCII letter
+        path = tmp_path / "u.csv"
+        path.write_text("# k=\u00e9\na,b\n1,2\n3,\u0664\n", "utf-8")
+        got = read_report(str(path), ("a", "b"))
+        assert (got.metadata, got.rows) == ({"k": "\u00e9"}, ((1.0, 2.0), (3.0, 4.0)))
+        path.write_text("# k=v\na,b\n1,2\n3,4\u00e9\n", "utf-8")
+        message = "column b: '4\u00e9' is not a number"
+        with pytest.raises(ParseError, match=exactly(path, 4, message)):
+            read_report(str(path), ("a", "b"))
+        path.write_text(f"# note=\u00e9\n{self.HIST_META}0,5\n25,\u0666\n", "utf-8")
+        assert read_histogram(str(path)).counts.tolist() == [5, 6]
+        path.write_text(f"{self.HIST_META}0,5\n25,6\u00e9\n", "utf-8")
+        message = "column counts: '6\u00e9' is not a number"
+        with pytest.raises(ParseError, match=exactly(path, 6, message)):
+            read_histogram(str(path))
 
 
 class TestHistogramFiles:

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from spingate.decay import GateWindow, PulseTrain, gated_counts
+from spingate.decay import PulseTrain, gated_counts
+from spingate.gating import GateWindow
 from spingate.mapping import ScanMap, SnrMap, catmull_rom_upsample, snr_map
 from spingate.metrics import snr
 from spingate.presets import FND_C_SAT, FND_REP_RATE, fnd_model

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spingate.decay import DecayComponent, GateWindow, gated_counts_exponential
+from spingate.decay import DecayComponent, gated_counts_exponential
+from spingate.gating import GateWindow
 from spingate.errors import MetricError
 from spingate.metrics import (
     BOHR_MAGNETON,

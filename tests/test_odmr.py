@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import spingate.odmr as odmr_mod
-from spingate.decay import GateWindow, PulseTrain, gated_counts
+from spingate.decay import PulseTrain, gated_counts
+from spingate.gating import GateWindow
 from spingate.errors import FitError, GateError, NonConvergenceError
 from spingate.histogram import TcspcHistogram
 from spingate.metrics import sensitivity_cw

@@ -7,7 +7,8 @@ import pytest
 
 from spingate.acquisition import EventStream, McSnrResult
 from spingate.config import RunConfig
-from spingate.decay import DecayComponent, FluorescenceModel, GatedCounts, GateWindow, PulseTrain
+from spingate.config import SweepConfig
+from spingate.decay import DecayComponent, FluorescenceModel, GatedCounts, PulseTrain
 from spingate.histogram import TcspcHistogram
 from spingate.mapping import ScanMap, SnrMap
 from spingate.odmr import DoubletTruth, LorentzianDoublet, OdmrSpectrum
@@ -20,7 +21,8 @@ from spingate.record import (
     require_poisson_means,
 )
 from spingate.report import ColumnarReport
-from spingate.sweep import GateSweepReport, RepRateSweepReport, SweepConfig
+from spingate.gating import GateWindow
+from spingate.sweep import GateSweepReport, RepRateSweepReport
 
 MODEL = FluorescenceModel((DecayComponent(1.0, 12.0),), (DecayComponent(1.0, 8.0),))
 MODEL_REPR = (

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from spingate.config import SweepConfig
 from spingate.decay import DecayComponent, FluorescenceModel, PulseTrain, steady_rate
 from spingate.metrics import contrast, sensitivity_cw, snr
 from spingate.presets import (
@@ -22,7 +23,6 @@ from spingate.presets import (
 from spingate.sweep import (
     GateSweepReport,
     RepRateSweepReport,
-    SweepConfig,
     joint_optimum,
     optimal_gate,
     optimal_point,
