@@ -25,11 +25,22 @@ put ahead of the metadata.
 Exit codes: 0 success, 2 validation/config/parse error or a request too
 large for the memory available, 3 numeric failure (fit non-convergence and
 similar). Identical config and seed give byte-identical output files.
+
+At exit: main registers gc.freeze with atexit, once per process, so the
+interpreter's shutdown collections skip the objects the run left and the
+operating system reclaims them; stdout and stderr are flushed and other
+atexit hooks run as usual. The collector stays on while main runs. An
+in-process caller of main inherits the freeze: at its own exit, cyclic
+garbage is not collected and the finalizers of objects in cycles do not
+run.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import importlib
 import sys
 
@@ -115,7 +126,22 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Register gc.freeze to run at interpreter exit, once per process.
+
+    It moves every live object into the permanent generation, so that the
+    shutdown collections skip the run's object graph (numpy's and
+    spingate's, 10-15 ms of work) and the operating system reclaims it. Only
+    the finalizers of objects in reference cycles are skipped, and no output
+    depends on them: every file a command opens is closed before main
+    returns. The collector itself stays on until then.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:

@@ -291,6 +291,14 @@ def parse_config(text: str) -> RunConfig:
             f"{train.period:g} ns period",
             line=lines["model.pulse_time"],
         )
-    return RunConfig(
-        model=model, train=train, sweep=_record(SweepConfig, given["sweep"], "sweep", lines)
-    )
+    sweep = _record(SweepConfig, given["sweep"], "sweep", lines)
+    # rep-sweep and joint-opt run a train at each grid rate
+    short = [1e9 / rate for rate in sweep.rate_grid or () if not model.pulse_time < 1e9 / rate]
+    if short:
+        key = "sweep.period_grid" if "sweep.period_grid" in lines else "sweep.rate_grid"
+        raise ConfigError(
+            f"[sweep] invalid: pulse_time {model.pulse_time:g} ns must lie within every "
+            f"{key[6:]} period, got {short[0]:g} ns",
+            line=lines[key],
+        )
+    return RunConfig(model=model, train=train, sweep=sweep)

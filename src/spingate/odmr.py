@@ -424,6 +424,11 @@ def cmd_odmr_synth(args, run, seed):
             f"frequency span must be finite, got --f-start {args.f_start} --f-stop {args.f_stop}"
         )
     freqs = np.linspace(args.f_start, args.f_stop, args.points)
+    if not np.all(freqs[1:] > freqs[:-1]):  # a reversed, empty or sub-ulp span
+        raise ConfigError(
+            f"frequency span must hold --points {args.points} increasing float64 values, "
+            f"got --f-start {args.f_start} --f-stop {args.f_stop}"
+        )
     truth = DoubletTruth(
         args.center1, args.fwhm1, args.depth1, args.center2, args.fwhm2, args.depth2
     )

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import math
 import os
 import re
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -922,6 +925,24 @@ class TestSnrMapCommand:
         assert err == f"error: {scan}: line {row + 5}: column mw_on_gated: 'x' is not a number\n"
 
 
+@pytest.fixture(scope="module")
+def command_inputs(config_path, tmp_path_factory):
+    """The paths TestReproducibility.ARGV formats: the configs and the files
+    the read commands take."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "grid.ini").write_text(CONFIG + "period_grid = 40:60:10\n")
+    write_scan(d / "scan.csv")
+    paths = {name: str(d / f"{name}.csv") for name in ("spectrum", "histogram")}
+    assert run_cli(
+        "odmr-synth", "--config", config_path, "--tau-c", "9.2", "--out", paths["spectrum"]
+    ) == 0
+    assert run_cli(
+        "simulate", "--config", config_path, "--sample", "--seed", "9",
+        "--out", paths["histogram"],
+    ) == 0
+    return dict(paths, config=config_path, grid=str(d / "grid.ini"), scan=str(d / "scan.csv"))
+
+
 class TestReproducibility:
     """Two runs of a subcommand on the same inputs and seed write the same bytes."""
 
@@ -941,24 +962,9 @@ class TestReproducibility:
         "snr-map": ("--input", "{scan}", "--channel", "gated", "--factor", "2"),
     }
 
-    @pytest.fixture(scope="class")
-    def inputs(self, config_path, tmp_path_factory):
-        d = tmp_path_factory.mktemp("inputs")
-        (d / "grid.ini").write_text(CONFIG + "period_grid = 40:60:10\n")
-        write_scan(d / "scan.csv")
-        paths = {name: str(d / f"{name}.csv") for name in ("spectrum", "histogram")}
-        assert run_cli(
-            "odmr-synth", "--config", config_path, "--tau-c", "9.2", "--out", paths["spectrum"]
-        ) == 0
-        assert run_cli(
-            "simulate", "--config", config_path, "--sample", "--seed", "9",
-            "--out", paths["histogram"],
-        ) == 0
-        return dict(paths, config=config_path, grid=str(d / "grid.ini"), scan=str(d / "scan.csv"))
-
     @pytest.mark.parametrize("command", list(ARGV))
-    def test_same_inputs_same_bytes(self, inputs, tmp_path, command):
-        argv = [command] + [arg.format(**inputs) for arg in self.ARGV[command]]
+    def test_same_inputs_same_bytes(self, command_inputs, tmp_path, command):
+        argv = [command] + [arg.format(**command_inputs) for arg in self.ARGV[command]]
         outs = [tmp_path / f"out{k}.csv" for k in range(2)]
         for out in outs:
             assert run_cli(*argv, "--out", str(out)) == 0
@@ -983,6 +989,131 @@ class TestReproducibility:
             )
             assert done.returncode == 0, done.stderr
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestExitFreeze:
+    """main registers gc.freeze with atexit, so the interpreter's shutdown
+    collections skip the run's object graph. The collector runs as before
+    until the process exits, and nothing a command writes or prints depends
+    on the freeze."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("gate-sweep --config {config}", 0),
+            ("odmr-synth --config {config} --f-start 2.9e9 --f-stop 2.84e9", 2),
+            ("odmr-fit --input {flat}", 3),
+            ("--version", 0),
+        ],
+        ids=["success", "exit-2", "exit-3", "version"],
+    )
+    def test_in_process_caller_keeps_its_collector(self, config_path, tmp_path, capsys,
+                                                   argv, code, enabled):
+        flat = tmp_path / "flat.csv"  # a spectrum with no dip: the fit fails
+        flat.write_text("freq_hz,counts\n" + "".join(
+            f"{2.84e9 + i * 1e6},100\n" for i in range(30)))
+        argv = argv.format(config=config_path, flat=flat).split()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(*argv, "--out", str(tmp_path / "o.csv")) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    PROBE = textwrap.dedent(
+        """\
+        import atexit, gc, sys
+        from spingate.cli import main
+        atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+        print("frozen before:", gc.get_freeze_count() > 0)
+        for _ in range(2):
+            print("code:", main(sys.argv[1:]), "atexit callbacks:", atexit._ncallbacks())
+        """
+    )
+
+    def test_freeze_runs_once_at_exit(self, config_path, tmp_path):
+        # a hook registered before main runs after the freeze (atexit runs
+        # last-in first-out), and a second run adds no registration
+        lines = run_script(self.PROBE, "gate-sweep", "--config", config_path,
+                           "--out", str(tmp_path / "o.csv"))
+        assert lines[0] == "frozen before: False"
+        assert lines[1] == lines[2] and lines[1].startswith("code: 0 ")
+        assert lines[3:] == ["frozen at exit: True"]
+
+    UNREGISTER = textwrap.dedent(
+        """\
+        import atexit, gc, sys
+        from spingate.cli import main
+        code = main(sys.argv[2:])
+        if sys.argv[1] == "unfrozen":
+            atexit.unregister(gc.freeze)
+        sys.exit(code)
+        """
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "hw-sim --config {config} --delay 9.2 --integration 1e-4 --seed 1",
+            "odmr-synth --config {config} --f-start 2.9e9 --f-stop 2.84e9",
+            "--help",
+        ],
+        ids=["success", "exit-2", "help"],
+    )
+    def test_run_is_the_same_without_the_freeze(self, config_path, tmp_path, argv):
+        runs = []
+        for mode in ("frozen", "unfrozen"):
+            out = tmp_path / f"{mode}.csv"
+            done = run_python("-c", self.UNREGISTER, mode,
+                              *argv.format(config=config_path).split(), "--out", str(out))
+            runs.append((done.returncode, done.stdout, done.stderr,
+                         out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1]
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
+
+
+class TestNothingLeftToFinalize:
+    """Every file a command opens is closed before main returns, on success
+    and on an exit-2 path: nothing waits for a finalizer, which the freeze
+    at exit would skip. Each command runs in full with a directory for
+    --out, failing at the rename; the readers also take a malformed input."""
+
+    @pytest.fixture(scope="class")
+    def bad_inputs(self, command_inputs, tmp_path_factory):
+        """Each read command's input with one non-numeric cell in its last row."""
+        d = tmp_path_factory.mktemp("bad")
+        paths = {}
+        for name in ("spectrum", "histogram", "scan"):
+            lines = Path(command_inputs[name]).read_text().splitlines()
+            lines[-1] = lines[-1].rsplit(",", 1)[0] + ",x"
+            paths[name] = d / f"{name}.csv"
+            paths[name].write_text("\n".join(lines) + "\n")
+        return paths
+
+    CASES = [(command, "ok") for command in TestReproducibility.ARGV]
+    CASES += [(command, "out-is-a-directory") for command in TestReproducibility.ARGV]
+    CASES += [("odmr-fit", "spectrum"), ("gate-apply", "histogram"), ("snr-map", "scan")]
+
+    @pytest.mark.parametrize("command, case", CASES, ids=["-".join(c) for c in CASES])
+    def test_no_resource_warning_or_unraisable(self, command_inputs, bad_inputs, tmp_path,
+                                               monkeypatch, capsys, command, case):
+        argv = [command] + [a.format(**command_inputs) for a in TestReproducibility.ARGV[command]]
+        if case in bad_inputs:
+            argv[argv.index("--input") + 1] = str(bad_inputs[case])
+        out = tmp_path if case == "out-is-a-directory" else tmp_path / "o.csv"
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv, "--out", str(out))
+            gc.collect()
+        assert code == (0 if case == "ok" else 2), capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert [str(u.exc_value) for u in unraisable] == []
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
 
 
 class TestArgumentHandling:
@@ -1400,6 +1531,48 @@ class TestFiniteExtremes:
             "error: line 8: [model] invalid: pulse_time 1e+300 ns must lie within the 50 ns "
             "period\n"
         )
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("period_grid = 40:60:10", "period_grid period, got 40 ns"),
+            ("period_grid = 45:60:5", "period_grid period, got 45 ns"),
+            ("rate_grid = 1e7, 2.5e7, 3e7", "rate_grid period, got 40 ns"),
+        ],
+        ids=["period-grid", "period-grid-at", "rate-grid"],
+    )
+    def test_pulse_time_past_a_grid_period(self, tmp_path, capsys, command, grid, message):
+        # rep-sweep and joint-opt once exited 2 with "undefined contrast:
+        # reference channel N0 has zero counts" at the first short period
+        text = self.BASE.replace("c_sat = 0.15", "c_sat = 0.15\npulse_time = 45")
+        text = text.replace("period_grid = 40:60:10", grid)
+        assert self.run(tmp_path, text, command) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 19: [sweep] invalid: pulse_time 45 ns must lie within every {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, span",
+        [
+            (["--f-start", "2.9e9", "--f-stop", "2.84e9"], "2900000000.0 --f-stop 2840000000.0"),
+            (["--f-start", "2.9e9", "--f-stop", "2.9e9"], "2900000000.0 --f-stop 2900000000.0"),
+            (["--f-start", "1e300"], "1e+300 --f-stop 2900000000.0"),
+            (["--f-stop", "2840000000.000001"], "2840000000.0 --f-stop 2840000000.000001"),
+        ],
+        ids=["reversed", "empty", "huge-start", "below-one-step"],
+    )
+    def test_odmr_synth_span_names_both_flags(self, config_path, tmp_path, capsys, argv, span):
+        # the spectrum record refused the frequencies with "freqs must be
+        # strictly increasing", which names neither flag; the last span is
+        # positive but holds fewer than 121 distinct float64 values
+        out = tmp_path / "o.csv"
+        assert run_cli("odmr-synth", "--config", config_path, *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: frequency span must hold --points 121 increasing float64 values, "
+            f"got --f-start {span}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gate-sweep", "rep-sweep", "joint-opt"])
     def test_sweep_counts_past_float64(self, tmp_path, capsys, command):
