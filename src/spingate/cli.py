@@ -9,12 +9,21 @@ require --seed as well.
 
 One table, COMMANDS, declares every command: its help text, its handler's
 module and name, whether it needs a config and a seed, and its arguments.
-The parser states what each command needs from that table. Each handler
-lives in the module it drives and is called as handler(args, run, seed),
-run being the loaded RunConfig or None and seed --seed or None. A run
-whose first argument names a command builds only that command's subparser
-and loads only the handler's module; any other (--help, --version, an
-unknown command, none) builds the full tree. Both print the same usage.
+_flags turns an entry into the command's flags, and both readers of a
+command line take them from there. Each handler lives in the module it
+drives and is called as handler(args, run, seed), run being the loaded
+RunConfig or None and seed --seed or None; a run loads only the handler's
+module.
+
+A well-formed command line builds no parser: _read takes it straight from
+the table. It is well formed when its first word names a command and the
+rest are that command's exact long flags, each required one present and
+none twice, every flag but a store_true one followed by a value that does
+not start with "-" and that the flag's type and choices accept. _read
+returns the namespace argparse would, and --version on its own prints
+argparse's version line. Every other command line (--help, a usage error,
+an abbreviated flag, --flag=value, a value starting with "-") goes to
+argparse's full tree, so help, usage and error texts are argparse's own.
 
 One runner takes every command through the same steps: load the config,
 call the command's handler and write what it returns to --out: a
@@ -37,12 +46,12 @@ run.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import functools
 import gc
 import importlib
 import sys
+import types
 
 # registered lazily by the package: each loads on the first use of one of
 # its names, so a command loads only the modules it runs
@@ -61,7 +70,7 @@ _TAU_C = ("--tau-c", dict(type=float, required=True, help="gate onset, ns"))
 COMMANDS = {
     "simulate": _command(
         "expected or sampled TCSPC histogram", "decay.cmd_simulate",
-        # gating.CHANNELS, spelled out so that building the parser loads no module
+        # gating.CHANNELS, spelled out so that reading a command line loads no module
         ("--channel", dict(choices=("mw_off", "mw_on"), default="mw_off")),
         ("--bin-width", dict(type=float, default=0.1, help="ns")),
         ("--sample", dict(action="store_true", help="Poisson-sample the expectation")),
@@ -143,11 +152,15 @@ def _freeze_at_exit() -> None:
 def main(argv=None) -> int:
     _freeze_at_exit()
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage
-        return int(exc.code) if exc.code is not None else 0
+    if argv == ["--version"]:  # the line argparse's version action prints
+        print(f"spingate {__version__}")
+        return 0
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already printed help or usage
+            return int(exc.code) if exc.code is not None else 0
     try:
         _run(args)
     except (ValueError, OSError) as exc:
@@ -168,26 +181,65 @@ def main(argv=None) -> int:
     return 0
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only command's subparser, or with every command's
-    when command is None."""
+def _flags(spec) -> tuple:
+    """A command's flags as (flag, add_argument keywords), in the order of
+    its usage line."""
+    config = (("--config", dict(required=True, help="INI run configuration")),)
+    return (
+        *(config if spec["config"] else ()),
+        ("--seed", dict(type=int, required=spec["seed"], help="master seed")),
+        ("--out", dict(required=True, help="output path")),
+        *spec["arguments"],
+    )
+
+
+def _read(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse would return for a well-formed argv (see the
+    module docstring), or None for argparse to parse. It prints nothing."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = dict(_flags(COMMANDS[argv[0]]))
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = flags.get(flag)
+        if options is None or flag in given:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    if any(options.get("required") and flag not in given for flag, options in flags.items()):
+        return None
+    args = types.SimpleNamespace(command=argv[0])
+    for flag, options in flags.items():  # argparse's dests and defaults
+        default = options.get("default", False if options.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def _build_parser():
+    """argparse's parser for every command, for help and usage errors."""
+    import argparse  # a well-formed run never loads it
+
     parser = argparse.ArgumentParser(
         prog="spingate",
         description="Time-gated photon counting toolkit for spin-dependent fluorescence readout.",
     )
     parser.add_argument("--version", action="version", version=f"spingate {__version__}")
-    # one command's parser still lists every command in its usage line;
-    # the full tree's metavar stays unset, so its errors name "command"
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        spec = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec["help"])
-        if spec["config"]:
-            p.add_argument("--config", required=True, help="INI run configuration")
-        p.add_argument("--seed", type=int, required=spec["seed"], help="master seed")
-        p.add_argument("--out", required=True, help="output path")
-        for flag, options in spec["arguments"]:
+        for flag, options in _flags(spec):
             p.add_argument(flag, **options)
     return parser
 
@@ -197,7 +249,7 @@ def _run(args) -> None:
     spec = COMMANDS[args.command]
     run = config.load_config(args.config) if spec["config"] else None
     seed = args.seed
-    if seed is not None and seed < 0:  # a value check: argparse checks presence
+    if seed is not None and seed < 0:  # a value check: the readers check presence
         raise errors.ConfigError("--seed must be non-negative")
     module, name = spec["handler"].split(".")
     result = getattr(importlib.import_module(f"{__package__}.{module}"), name)(args, run, seed)

@@ -1,4 +1,4 @@
-"""CW-ODMR spectra: synthesis, double-Lorentzian fitting, per-frequency gating.
+"""CW-ODMR spectra: gated synthesis and double-Lorentzian fitting.
 
 A spectrum is detected counts versus applied MW frequency. On resonance a
 fraction p(f) of the spin population is driven into the MW-on branch, so the
@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 # decay and metrics load on first use, so odmr-fit loads neither
-from . import decay, histogram, metrics, reader
+from . import decay, metrics, reader
 from .errors import ConfigError, FitError, NonConvergenceError
 from .gating import GateWindow, gate_from_args
 from .record import (
@@ -209,36 +209,6 @@ def synth_odmr(
         expected = np.random.default_rng(seed).poisson(expected).astype(float)
     return OdmrSpectrum(
         freqs=freqs, counts=expected, integration_per_point=integration_per_point, gate=gate
-    )
-
-
-def gate_measured_odmr(
-    histograms: list[tuple[float, histogram.TcspcHistogram]], gate: GateWindow
-) -> OdmrSpectrum:
-    """Offline-gate a per-frequency stack of TCSPC histograms.
-
-    Every histogram must share binning and acquisition parameters; the gate
-    must land on bin boundaries (partial bins are rejected, keeping the
-    result a plain sum of integer counts and the operation exactly linear).
-    """
-    if not histograms:
-        raise ValueError("no histograms given")
-    freqs = np.array([f for f, _ in histograms], dtype=float)
-    hists = [h for _, h in histograms]
-    first = hists[0]
-    for h in hists[1:]:
-        if (
-            h.bin_width != first.bin_width
-            or h.rep_rate != first.rep_rate
-            or h.channel_time != first.channel_time
-        ):
-            raise ValueError("histograms must share bin width, rep rate and channel time")
-    counts = np.array([h.gated_total(gate.t_start, gate.t_end) for h in hists])
-    return OdmrSpectrum(
-        freqs=freqs,
-        counts=counts,
-        integration_per_point=first.channel_time,
-        gate=gate,
     )
 
 

@@ -15,9 +15,10 @@ files use the same cell formatting in a fixed two-column layout
 bin_width_ns, rep_rate_hz, integration_s and channel.
 
 All writes go through a temp file in the target directory followed by an
-atomic rename. Rows are written in blocks of WRITE_BLOCK_ROWS, so a file's
-text is never whole in memory, and each block is formatted by numpy with no
-Python run per cell. Each column becomes a uint8 matrix of NUL-padded cells,
+atomic rename, and the file ends with the mode open(path, "w") gives a new
+one. Rows are written in blocks of WRITE_BLOCK_ROWS, so a file's text is
+never whole in memory, and each block is formatted by numpy with no Python
+run per cell. Each column becomes a uint8 matrix of NUL-padded cells,
 one row per data row, ending in its separator (a comma, or a newline in the
 last column); the matrices are laid side by side and one bytes.translate
 pass deletes the NULs (no cell holds one). A float is written as "%.17g"
@@ -200,12 +201,17 @@ WRITE_BLOCK_ROWS = 16384
 @contextlib.contextmanager
 def _atomic_file(path: str):
     """A binary handle on a same-directory temp file, renamed onto path when
-    the block exits without error and removed otherwise."""
+    the block exits without error and removed otherwise. The file gets the
+    mode open(path, "w") gives a new file, 0o666 less the umask, in place
+    of mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
+        umask = os.umask(0)  # read by setting it, then set back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,10 +2,13 @@
 
 import argparse
 import ast
+import contextlib
 import gc
+import io
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -1175,14 +1178,15 @@ def parse(parser, argv, capsys) -> tuple:
 
 
 class TestParser:
-    """A run naming a command builds only that command's subparser, and
-    prints what the full tree would."""
+    """Help and usage errors come from argparse's full tree, and main prints
+    what that tree prints."""
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_command_help_as_from_the_full_tree(self, command, capsys):
-        one = parse(cli._build_parser(command), [command, "--help"], capsys)
-        assert one[0] == 0 and one[1].startswith(f"usage: spingate {command} [-h]")
-        assert one == parse(cli._build_parser(), [command, "--help"], capsys)
+        code, out, err = parse(cli._build_parser(), [command, "--help"], capsys)
+        assert (code, err) == (0, "") and out.startswith(f"usage: spingate {command} [-h]")
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize(
         "argv",
@@ -1190,13 +1194,10 @@ class TestParser:
         ids=["unknown-flag", "missing-required", "bad-choice"],
     )
     def test_usage_error_as_from_the_full_tree(self, argv, capsys):
-        one = parse(cli._build_parser(argv[0]), argv, capsys)
-        assert one[0] == 2 and one[1] == ""
-        # the usage line lists every command, as the full tree's does
-        assert one[2].startswith("usage: spingate ")
-        assert one == parse(cli._build_parser(), argv, capsys)
+        code, out, err = parse(cli._build_parser(), argv, capsys)
+        assert (code, out) == (2, "") and err.startswith(f"usage: spingate {argv[0]} [-h]")
         assert main(argv) == 2
-        assert capsys.readouterr().err == one[2]
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -1229,7 +1230,7 @@ class TestParser:
         # --out always, --config on the model commands only, --seed where
         # the table says
         spec = cli.COMMANDS[command]
-        code, out, _ = parse(cli._build_parser(command), [command, "--help"], capsys)
+        code, out, _ = parse(cli._build_parser(), [command, "--help"], capsys)
         usage = out.split("\n\n")[0]
         assert code == 0 and " --out OUT" in usage and "[--out" not in usage
         assert (" --config CONFIG" in usage) == spec["config"] and "[--config" not in usage
@@ -1259,6 +1260,228 @@ class TestParser:
     def test_simulate_channels_are_the_histograms(self):
         options = dict(cli.COMMANDS["simulate"]["arguments"])
         assert options["--channel"]["choices"] == CHANNELS
+
+
+def argparse_namespace(argv):
+    """argparse's namespace for argv from the full tree, or None where it
+    exits; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def typed(args) -> dict:
+    """A namespace's attributes by repr, so that nan equals nan and 1 is not 1.0."""
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+# the values each kind of flag takes, and some it refuses
+GOOD_VALUES = {float: ["1.5", "nan", "1_0", "inf", "1e300", " 2 "], int: ["0", "7", "1_0", " 3 "],
+               str: ["x", "o.csv", "1.5", "", "nan", "a b"]}
+BAD_VALUES = {float: ["x", "", "-1", "-inf", "1.5.1"], int: ["1.5", "x", "", "-1", "nan"],
+              str: ["-1", "-x", "--out"]}
+# tokens no well-formed command line holds
+NOISE = ["-h", "--help", "--", "--version", "--input", "--sample", "x"]
+
+
+def flag_values(options: dict) -> tuple[list, list]:
+    """Values a flag's type and choices take, and values the reader refuses;
+    None is no value after the flag."""
+    if options.get("action") == "store_true":
+        return [None], ["x", "1"]
+    if "choices" in options:
+        return list(options["choices"]), ["x", options["choices"][0].upper(), "", "-1", None]
+    kind = options.get("type", str)
+    return GOOD_VALUES[kind], BAD_VALUES[kind] + [None]
+
+
+@st.composite
+def command_lines(draw, command: str) -> tuple[list[str], bool]:
+    """A command line of command, and whether it is built well formed. It
+    holds each required flag and some optional ones, in any order, each
+    with a value its type and choices take. Each of these defects then
+    comes in at a drawn rate, 0 to 15 % per flag: a required flag left
+    out, a misspelt flag, a value refused or missing, a flag repeated, and
+    a NOISE token."""
+    rate = draw(st.integers(0, 3))
+
+    def defect() -> bool:
+        return draw(st.integers(0, 19)) < rate
+
+    items, well_formed = [], True
+    for flag, options in cli._flags(cli.COMMANDS[command]):
+        if defect() if options.get("required") else draw(st.booleans()):
+            well_formed &= not options.get("required")
+            continue
+        spelling = draw(st.sampled_from([flag[:-1], f"{flag}=1", flag.upper()])) if defect() else flag
+        good, bad = flag_values(options)
+        value = draw(st.sampled_from(bad if defect() else good))
+        well_formed &= spelling == flag and value in good
+        items.append([spelling] + ([] if value is None else [value]))
+        if defect():
+            items.append(items[-1])
+            well_formed = False
+    if defect():
+        items.append([draw(st.sampled_from(NOISE))])
+        well_formed = False
+    items = draw(st.permutations(items))
+    return [command, *(token for item in items for token in item)], well_formed
+
+
+class TestCommandLineReader:
+    """A well-formed command line is read from COMMANDS with no parser, into
+    the namespace argparse's full tree gives; the reader never refuses, it
+    leaves every other command line to argparse. So a valid run and
+    --version load no argparse, gettext or locale."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_reads_what_argparse_reads(self, command, data):
+        argv, well_formed = data.draw(command_lines(command))
+        args = cli._read(argv)
+        assert args is not None or not well_formed
+        if args is not None:
+            expected = argparse_namespace(argv)
+            assert expected is not None and typed(args) == typed(expected)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_value_of_each_flag(self, command):
+        # the required flags, each at a value it takes, with one flag put
+        # first at each value: the reader reads exactly those its kind takes
+        flags = dict(cli._flags(cli.COMMANDS[command]))
+        base = {flag: flag_values(options)[0][0]
+                for flag, options in flags.items() if options.get("required")}
+        for flag, options in flags.items():
+            good, bad = flag_values(options)
+            for value in good + bad:
+                items = {flag: value, **{k: v for k, v in base.items() if k != flag}}
+                argv = [command]
+                for name, given in items.items():
+                    argv += [name] if given is None else [name, given]
+                args = cli._read(argv)
+                assert (args is not None) == (value in good), argv
+                if args is not None:
+                    assert typed(args) == typed(argparse_namespace(argv)), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gate-sweep", "--config", "x.ini", "--out", "o.csv", "--seed", "-1"],
+         ["mc", "--config", "x.ini", "--tau-c=9.2", "--seed", "1", "--out", "o.csv"],
+         ["mc", "--config", "x.ini", "--tau", "9.2", "--seed", "1", "--out", "o.csv"],
+         ["gate-sweep", "--config", "a.ini", "--config", "b.ini", "--out", "o.csv"]],
+        ids=["negative-value", "flag=value", "prefix", "repeated"],
+    )
+    def test_leaves_what_argparse_accepts_to_argparse(self, argv):
+        # argparse takes each of these; the reader takes none
+        assert cli._read(argv) is None and argparse_namespace(argv) is not None
+
+    PROBE = textwrap.dedent(
+        """\
+        import sys
+        from spingate.cli import main
+        code = main(sys.argv[1:])
+        print(code, *(name for name in ("argparse", "gettext", "locale") if name in sys.modules))
+        """
+    )
+
+    def test_valid_runs_load_no_argparse(self, config_path, tmp_path):
+        out = tmp_path / "o.csv"
+        done = run_python("-c", self.PROBE, "gate-sweep", "--config", config_path,
+                          "--out", str(out))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+        assert out.exists()
+        done = run_python("-c", self.PROBE, "--version")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"spingate {spingate.__version__}\n0\n", ""
+        )
+        # a usage error builds argparse's tree and prints its text
+        done = run_python("-c", self.PROBE, "gate-sweep", "--config", config_path)
+        assert done.stdout.split()[:2] == ["2", "argparse"]
+        assert done.stderr.startswith("usage: spingate gate-sweep [-h] --config CONFIG")
+        assert done.stderr.endswith(
+            "spingate gate-sweep: error: the following arguments are required: --out\n"
+        )
+
+
+# the values of TestFlagExtremes, by flag type, and its cases
+EXTREMES = {float: ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300"),
+            int: ("-1", "0", "1", "2", str(10**12))}
+FLAG_CASES = [
+    (command, flag, value)
+    for command, spec in cli.COMMANDS.items()
+    for flag, options in cli._flags(spec)
+    for value in EXTREMES.get(options.get("type"), ())
+]
+
+
+class TestFlagExtremes:
+    """Every numeric flag of COMMANDS at the extremes, generated from the
+    table: each float flag at nan, +-inf, -1, 0, 1e-300 and 1e300, each int
+    flag at -1, 0, 1, 2 and 10**12, on small base runs. A run exits 0 with no
+    warning, or exits 2 with one error line and no file; where argparse
+    refuses the value (-inf reads as a flag), its usage comes first. -1 and
+    -inf go to argparse, the other values to the reader."""
+
+    BASE = {
+        "simulate": ("--config", "{config}"),
+        "gate-sweep": ("--config", "{config}"),
+        "rep-sweep": ("--config", "{grid}"),
+        "joint-opt": ("--config", "{grid}"),
+        "mc": ("--config", "{config}", "--tau-c", "9.2", "--trials", "10", "--seed", "1"),
+        "odmr-synth": ("--config", "{config}", "--points", "21"),
+        "odmr-fit": ("--input", "{spectrum}"),
+        "gate-apply": ("--input", "{histogram}", "--tau-c", "9.2"),
+        "hw-sim": ("--config", "{config}", "--delay", "9.2", "--integration", "1e-4",
+                   "--seed", "1"),
+        "snr-map": ("--input", "{scan}", "--channel", "gated", "--factor", "2"),
+    }
+
+    @pytest.mark.parametrize("command, flag, value", FLAG_CASES,
+                             ids=[" ".join(case) for case in FLAG_CASES])
+    def test_runs_clean_or_exits_2(self, command_inputs, tmp_path, capsys, command, flag, value):
+        argv = [command, *(arg.format(**command_inputs) for arg in self.BASE[command])]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, "--out", str(out))
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and out.exists()
+            return
+        assert code == 2 and not out.exists(), err
+        *usage, line = err.splitlines()
+        assert "error:" not in "".join(usage)
+        if usage:  # argparse refused the value
+            assert usage[0].startswith(f"usage: spingate {command} [-h]")
+            assert line.startswith(f"spingate {command}: error: argument {flag}: ")
+        else:
+            assert line.startswith("error: ")
+
+
+class TestOutputMode:
+    """An output file gets the mode open(path, "w") gives a new file, 0o666
+    less the umask, not the 0o600 of the temp file it is renamed from."""
+
+    @pytest.mark.skipif(os.name != "posix", reason="umask and file modes are POSIX")
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    @pytest.mark.parametrize(
+        "argv",
+        ["gate-sweep --config {config}", "simulate --config {config}"],
+        ids=["report", "histogram"],
+    )
+    def test_mode_follows_the_umask(self, config_path, tmp_path, argv, umask):
+        out = tmp_path / "o.csv"
+        done = run_python("-m", "spingate.cli", *argv.format(config=config_path).split(),
+                          "--out", str(out), preexec_fn=lambda: os.umask(umask))
+        assert done.returncode == 0, done.stderr
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 class TestQuietCells:
@@ -1832,7 +2055,7 @@ class TestLazyModules:
         assert loading == commands
 
     def test_cli_import_registers_every_submodule(self, tmp_path):
-        # --version exits in the parser, before any handler runs
+        # --version prints its line before any handler runs
         loaded, unloaded = self.run(tmp_path, ["--version"])
         assert loaded == ["0", "cli"]
         assert sorted(loaded[1:] + unloaded) == self.ALL

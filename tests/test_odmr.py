@@ -1,4 +1,4 @@
-"""ODMR synthesis, double-Lorentzian fitting, spectral gating, sensitivity.
+"""ODMR synthesis, double-Lorentzian fitting, sensitivity.
 
 The noiseless round-trip oracle relies on the exact algebra
 counts = N0 (1 - p C) with p the truth mixing profile: a synthesized
@@ -15,14 +15,12 @@ import spingate.odmr as odmr_mod
 from spingate.decay import PulseTrain, gated_counts
 from spingate.gating import GateWindow
 from spingate.errors import FitError, GateError, NonConvergenceError
-from spingate.histogram import TcspcHistogram
 from spingate.metrics import sensitivity_cw
 from spingate.odmr import (
     DoubletTruth,
     LorentzianDoublet,
     OdmrSpectrum,
     fit_double_lorentzian,
-    gate_measured_odmr,
     sensitivity_from_fit,
     synth_odmr,
 )
@@ -263,67 +261,6 @@ class TestFitErrors:
         assert last["center1"] <= last["center2"]
         assert last["baseline"] == pytest.approx(np.median(sp.counts), rel=0.2)
         assert err.value.residual_norm > 0
-
-
-class TestGateMeasuredOdmr:
-    def make_histograms(self, n_freq=5, bins=50):
-        rng = np.random.default_rng(13)
-        out = []
-        for i in range(n_freq):
-            counts = rng.poisson(100.0, bins).astype(float)
-            h = TcspcHistogram(
-                bin_width=1.0,
-                counts=counts,
-                channel="mw_off",
-                channel_time=0.5,
-                rep_rate=20e6,
-            )
-            out.append((2.86e9 + i * 1e6, h))
-        return out
-
-    def test_full_period_equals_totals(self):
-        hists = self.make_histograms()
-        sp = gate_measured_odmr(hists, GateWindow(0.0, 50.0))
-        for i, (_, h) in enumerate(hists):
-            assert sp.counts[i] == h.counts.sum()
-
-    def test_linearity_in_histograms(self):
-        hists = self.make_histograms()
-        gate = GateWindow(10.0, 40.0)
-        doubled = [
-            (
-                f,
-                TcspcHistogram(
-                    bin_width=h.bin_width,
-                    counts=h.counts * 2.0,
-                    channel=h.channel,
-                    channel_time=h.channel_time,
-                    rep_rate=h.rep_rate,
-                ),
-            )
-            for f, h in hists
-        ]
-        a = gate_measured_odmr(hists, gate)
-        b = gate_measured_odmr(doubled, gate)
-        assert np.array_equal(b.counts, 2.0 * a.counts)
-
-    def test_misaligned_gate_rejected(self):
-        hists = self.make_histograms()
-        with pytest.raises(GateError, match="not aligned"):
-            gate_measured_odmr(hists, GateWindow(10.5001, 40.0))
-
-    def test_mixed_bin_width_rejected(self):
-        hists = self.make_histograms()
-        odd = TcspcHistogram(
-            bin_width=0.5,
-            counts=np.full(100, 3.0),
-            channel="mw_off",
-            channel_time=0.5,
-            rep_rate=20e6,
-        )
-        hists.append((2.9e9, odd))
-        with pytest.raises(ValueError):
-            gate_measured_odmr(hists, GateWindow(0.0, 50.0))
 
 
 class TestSensitivity:
