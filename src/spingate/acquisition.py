@@ -33,11 +33,10 @@ import operator
 
 import numpy as np
 
-from . import histogram
+from . import histogram, metrics
 from .decay import FluorescenceModel, PulseTrain, _window_counts, channel_rates, channel_weights
 from .errors import ConfigError
 from .gating import CHANNELS, GateWindow, gate_from_args
-from .metrics import snr
 from .record import Record, frozen_array, replace, require_poisson_means
 
 # Laser pulses per event-stream block: about 190k events per block for a
@@ -211,6 +210,26 @@ def _source_means(
     return means, outside_means, lifetimes, shrink, x_lo
 
 
+def _time_order(timestamps: np.ndarray, photon_pulse: np.ndarray, pulse_channel: np.ndarray):
+    """A drawn block's rows in timestamp order, as a stable sort of the
+    draw's pulse-major order gives them: the timestamps sorted (in place,
+    where the block has one channel), and each one's channel code
+    pulse_channel[photon_pulse].
+
+    In a block of one channel every row has the same channel, so sorting
+    the timestamps alone gives those rows. A block that spans an MW toggle
+    takes the stable argsort: there photons of pulses on either side of the
+    toggle can tie on timestamp, or swap by a rounding, when the draw
+    window reaches both 0 and the period.
+    """
+    channels = pulse_channel[photon_pulse]
+    if pulse_channel.any() and not pulse_channel.all():
+        order = np.argsort(timestamps, kind="stable")
+        return timestamps[order], channels[order]
+    timestamps.sort()
+    return timestamps, channels
+
+
 def simulate_events(
     model: FluorescenceModel,
     train: PulseTrain,
@@ -255,8 +274,12 @@ def simulate_events(
 
     The pulses are drawn in block_count(train, stream_time) blocks of
     BLOCK_PULSES, block k from block_seed(seed, k). Every event lies inside
-    its own pulse's period, so sorting each block sorts the stream. With
-    block=k only block k is returned; with None, every block in order.
+    its own pulse's period, so sorting each block sorts the stream. Events
+    tied on timestamp keep the draw's pulse-major order, as a stable sort
+    keeps them; since only photons of pulses on either side of an MW toggle
+    can tie with different channels, a block of one channel sorts its
+    timestamps alone (_time_order). With block=k only block k is returned;
+    with None, every block in order.
     """
     _require_seed(seed, "simulate_events")
     n_blocks = block_count(train, stream_time)
@@ -282,16 +305,22 @@ def simulate_events(
     def draw(k: int):
         rng = np.random.default_rng(block_seed(seed, k))
         pulse_idx = np.arange(k * BLOCK_PULSES, min(n_pulses, (k + 1) * BLOCK_PULSES))
-        pulse_channel = (np.floor(pulse_idx * period / half_toggle_ns) % 2).astype(np.uint8)
+        starts = pulse_idx * period
+        half_toggles = np.floor(starts / half_toggle_ns)
+        # half_toggles % 2, exactly, for these integral floats: a twentieth
+        # of the cost of numpy's float remainder
+        pulse_channel = (half_toggles - 2.0 * np.floor(0.5 * half_toggles)).astype(np.uint8)
         # (pulse x source) counts; np.repeat keeps the photons in pulse-major
         # order, so the sort sees a nearly sorted input
-        counts = rng.poisson(means[pulse_channel])
-        n_outside = int(rng.poisson(outside_means[pulse_channel].sum()))
+        counts = rng.poisson(means.take(pulse_channel, axis=0))
+        n_outside = int(rng.poisson(outside_means.take(pulse_channel).sum()))
         source = np.repeat(np.tile(source_ids, pulse_idx.size), counts.ravel())
-        photon_pulse = np.repeat(np.arange(pulse_idx.size), counts.sum(axis=1))
+        # each pulse's photons, summed source by source: numpy's reduction
+        # along a row of a few sources costs five times more
+        photon_pulse = np.repeat(np.arange(pulse_idx.size), sum(counts.T))
         u = rng.random(source.size)
-        offsets = np.log1p(u * shrink[source])
-        offsets *= -lifetimes[source]
+        offsets = np.log1p(u * shrink.take(source))
+        offsets *= -lifetimes.take(source)
         offsets += pulse + x_lo
         if sigma > 0.0:
             offsets += sigma * rng.standard_normal(source.size)
@@ -300,9 +329,10 @@ def simulate_events(
 
         kept = (offsets >= t_start) & (offsets < t_end)
         photon_pulse = photon_pulse[kept]
-        timestamps = pulse_idx[photon_pulse] * period + offsets[kept]
-        order = np.argsort(timestamps, kind="stable")
-        return timestamps[order], pulse_channel[photon_pulse[order]], n_outside
+        timestamps, channels = _time_order(
+            starts[photon_pulse] + offsets[kept], photon_pulse, pulse_channel
+        )
+        return timestamps, channels, n_outside
 
     if block is not None:
         return EventStream(*draw(block))
@@ -310,21 +340,30 @@ def simulate_events(
     return EventStream(np.concatenate(timestamps), np.concatenate(channels), sum(n_outside))
 
 
-def offline_gate(events: EventStream, train: PulseTrain, gate: GateWindow) -> EventStream:
-    """Post-processing filter: keep events with (t mod period) inside the gate."""
-    phase = events.timestamps % train.period
+def offline_gate(
+    events: EventStream, train: PulseTrain, gate: GateWindow, phase: np.ndarray | None = None
+) -> EventStream:
+    """Post-processing filter: keep events with (t mod period) inside the gate.
+
+    phase, if given, must be events.timestamps % train.period: a caller
+    that runs both gates on one stream computes it once for both."""
+    if phase is None:
+        phase = events.timestamps % train.period
     return events.select((phase >= gate.t_start) & (phase < gate.t_end))
 
 
 def hw_gate(
-    events: EventStream, train: PulseTrain, gate: GateWindow, jitter_sigma: float = 0.0, seed=None
+    events: EventStream, train: PulseTrain, gate: GateWindow, jitter_sigma: float = 0.0, seed=None,
+    phase: np.ndarray | None = None,
 ) -> EventStream:
     """Hardware gate applied at the event level.
 
     The gate opens gate.t_start after each laser trigger and closes at
-    gate.t_end, which must not pass the period. With jitter_sigma = 0 this
-    is definitionally the same modular-time predicate as offline_gate. With
-    jitter, both gate edges shift together by an independent
+    gate.t_end, which must not pass the period. Each event's phase is
+    events.timestamps % train.period, or phase where the caller gives it,
+    as for offline_gate. With jitter_sigma = 0 this is definitionally the
+    same modular-time predicate as offline_gate. With jitter, both gate
+    edges shift together by an independent
     Normal(0, jitter_sigma) draw per laser pulse, which requires a seed; the
     draws run from the first event's pulse to the last, so their number is
     set by the span of the stream, not by where it starts. Shifted edges
@@ -340,7 +379,8 @@ def hw_gate(
         raise ValueError("jitter_sigma must be >= 0")
     if not math.isfinite(jitter_sigma):
         raise ValueError(f"jitter_sigma must be finite, got {jitter_sigma}")
-    phase = events.timestamps % period
+    if phase is None:
+        phase = events.timestamps % period
     shift = 0.0
     if jitter_sigma > 0.0:
         rng = np.random.default_rng(_require_seed(seed, "jittered hardware gate"))
@@ -422,9 +462,9 @@ def mc_snr_distribution(
     )
     rng = np.random.default_rng(_require_seed(seed, "mc_snr_distribution"))
     counts = rng.poisson(means, size=(trials, 2))
-    samples = snr(counts.T)
+    samples = metrics.snr(counts.T)
     std = float(np.std(samples, ddof=1)) if trials > 1 else 0.0
-    analytic = float(snr(means))
+    analytic = float(metrics.snr(means))
     return McSnrResult(mean=float(np.mean(samples)), std=std, samples=samples, analytic=analytic)
 
 
@@ -471,8 +511,9 @@ def cmd_hw_sim(args, run, seed):
             run.model, run.train, stream_time, args.toggle_rate, stream_seed,
             c_sat=run.sweep.c_sat, block=k, window=window,
         )
-        kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k))
-        offline = offline_gate(events, run.train, gate)
+        phase = events.timestamps % period  # one phase for both gates
+        kept = hw_gate(events, run.train, gate, args.jitter, block_seed(gate_seed, k), phase)
+        offline = offline_gate(events, run.train, gate, phase)
         identical &= bool(
             np.array_equal(kept.timestamps, offline.timestamps)
             and np.array_equal(kept.channels, offline.channels)
@@ -481,7 +522,7 @@ def cmd_hw_sim(args, run, seed):
         n_offline += len(offline)
         stamps.frombytes(kept.timestamps.tobytes())
         codes.frombytes(kept.channels.tobytes())
-        del events, kept, offline
+        del events, phase, kept, offline
     timestamps = np.frombuffer(stamps)
     meta = dict(
         n_events=n_events,

@@ -24,6 +24,8 @@ returns the namespace argparse would, and --version on its own prints
 argparse's version line. Every other command line (--help, a usage error,
 an abbreviated flag, --flag=value, a value starting with "-") goes to
 argparse's full tree, so help, usage and error texts are argparse's own.
+There a word after a flag that float() reads, -1e300 and -inf among them,
+is the flag's value, so the flag's type and the handler check it.
 
 One runner takes every command through the same steps: load the config,
 call the command's handler and write what it returns to --out: a
@@ -227,6 +229,21 @@ def _read(argv: list[str]) -> types.SimpleNamespace | None:
     return args
 
 
+class _Number:
+    """argparse's test of whether a word that starts with "-" is a negative
+    number, and so a value rather than a flag: any word float() reads.
+    argparse's own takes only -<digits>[.<digits>], so -1e300, -1_0, -inf
+    and -nan read as unknown flags."""
+
+    @staticmethod
+    def match(word: str) -> bool:
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return True
+
+
 def _build_parser():
     """argparse's parser for every command, for help and usage errors."""
     import argparse  # a well-formed run never loads it
@@ -239,6 +256,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec["help"])
+        p._negative_number_matcher = _Number  # no flag of a command reads as a number
         for flag, options in _flags(spec):
             p.add_argument(flag, **options)
     return parser

@@ -159,6 +159,8 @@ def _period_grid(text: str) -> tuple[float, ...]:
     start, stop, step = (_number(p) for p in parts)
     if step <= 0 or stop < start or start <= 0:
         raise ValueError("period_grid needs 0 < start <= stop and step > 0")
+    if 1e9 / start == math.inf:  # the shortest period has the highest rate
+        raise ValueError(f"period {start:g} ns: the rate 1e9 / period overflows float64 to inf Hz")
     periods = np.arange(start, stop + 0.5 * step, step)
     return tuple(1e9 / p for p in periods)
 

@@ -7,6 +7,7 @@ in-test Monte-Carlo oracle) so seed churn cannot flake them.
 
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, ks_2samp
 
-from spingate import acquisition
+from spingate import acquisition, config
 from spingate.acquisition import (
     BLOCK_PULSES,
     EventStream,
@@ -525,6 +526,156 @@ class TestGating:
         kept = offline_gate(stream, TRAIN, GateWindow(5.0, 20.0))
         phase = kept.timestamps % TRAIN.period
         assert np.all((phase >= 5.0) & (phase < 20.0))
+
+    @pytest.mark.parametrize(
+        "gate", [GateWindow(0.0, TRAIN.period), GateWindow(9.2, TRAIN.period), GateWindow(5.0, 20.0)]
+    )
+    @pytest.mark.parametrize("jitter", [0.0, 0.5])
+    def test_given_phase_gives_the_same_streams(self, stream, gate, jitter):
+        # the phase a caller computes once for both gates
+        phase = stream.timestamps % TRAIN.period
+        for gated in (
+            lambda **given: hw_gate(stream, TRAIN, gate, jitter, seed=3, **given),
+            lambda **given: offline_gate(stream, TRAIN, gate, **given),
+        ):
+            own, shared = gated(), gated(phase=phase)
+            assert 0 < len(own) <= len(stream)
+            assert np.array_equal(own.timestamps, shared.timestamps)
+            assert np.array_equal(own.channels, shared.channels)
+            assert own.n_outside == shared.n_outside
+
+
+class TestTimeOrder:
+    """A drawn block's rows are those a stable sort of its pulse-major draw
+    gives, also where photons of pulses on either side of an MW toggle tie
+    on timestamp or swap by a rounding."""
+
+    PERIOD = 1e9 / 30e6  # ns, not a binary fraction, so the pulse starts round
+
+    def block(self):
+        """A hand-built block in the draw's order: 4,096 pulses from pulse
+        2**30 on, the MW toggling every pulse, each pulse's photons at
+        uniform phases but its first at phase 0 and its last just below the
+        period."""
+        rng = np.random.default_rng(4)
+        counts = rng.poisson(4.0, BLOCK_PULSES) + 2
+        photon_pulse = np.repeat(np.arange(BLOCK_PULSES), counts)
+        offsets = rng.uniform(0.0, self.PERIOD, photon_pulse.size)
+        last = np.cumsum(counts) - 1
+        offsets[last - counts + 1] = 0.0
+        offsets[last] = np.nextafter(self.PERIOD, 0.0)
+        starts = (2**30 + np.arange(BLOCK_PULSES)) * self.PERIOD
+        pulse_channel = (np.arange(BLOCK_PULSES) % 2).astype(np.uint8)
+        return starts[photon_pulse] + offsets, photon_pulse, pulse_channel
+
+    def test_rows_of_a_stable_sort_across_toggles(self):
+        timestamps, photon_pulse, pulse_channel = self.block()
+        order = np.argsort(timestamps, kind="stable")
+        want = timestamps[order], pulse_channel[photon_pulse[order]]
+        # the block holds both cases an unstable sort or a sort of the
+        # timestamps alone gets wrong: a tie between channels, and a photon
+        # that its pulse's rounding puts after the next pulse's first
+        ties = (want[0][1:] == want[0][:-1]) & (want[1][1:] != want[1][:-1])
+        assert ties.any()
+        assert np.any(np.diff(photon_pulse[order]) < 0)
+        rows = acquisition._time_order(timestamps, photon_pulse, pulse_channel)
+        assert np.array_equal(rows[0], want[0])
+        assert np.array_equal(rows[1], want[1])
+
+    @pytest.mark.parametrize("code", [CHANNEL_OFF, CHANNEL_ON])
+    def test_one_channel_sorts_the_timestamps(self, code):
+        timestamps, photon_pulse, pulse_channel = self.block()
+        pulse_channel[:] = code
+        rows = acquisition._time_order(timestamps.copy(), photon_pulse, pulse_channel)
+        assert np.array_equal(rows[0], np.sort(timestamps))
+        assert np.array_equal(rows[1], np.full(timestamps.size, code, np.uint8))
+
+
+# the bulk model of the command-line tests, at 20 MHz
+HW_CONFIG = """\
+[model]
+spin0 = 1.0, 12.0
+spin1 = 1.0, 8.0
+background_ratio = 3
+background_lifetime = 1.7
+{extra}
+[train]
+rep_rate = 20e6
+"""
+
+
+def composed_hw_sim(run, args, seed):
+    """cmd_hw_sim's metadata and columns, composed block by block from
+    simulate_events, hw_gate and offline_gate, each gate computing its own
+    phase."""
+    train = run.train
+    length = train.period - args.delay if args.length is None else args.length
+    gate = GateWindow(args.delay, args.delay + length)
+    window = hw_gate_window(gate, train, args.jitter)
+    stream_time = 2 * (args.integration * run.sweep.mw_duty)
+    stream_seed, gate_seed = np.random.SeedSequence(seed).spawn(2)
+    kept, n_events, n_offline, identical = [], 0, 0, True
+    for k in range(block_count(train, stream_time)):
+        events = simulate_events(
+            run.model, train, stream_time, args.toggle_rate, stream_seed, run.sweep.c_sat,
+            block=k, window=window,
+        )
+        hw = hw_gate(events, train, gate, args.jitter, block_seed(gate_seed, k))
+        offline = offline_gate(events, train, gate)
+        identical &= np.array_equal(hw.timestamps, offline.timestamps) and np.array_equal(
+            hw.channels, offline.channels
+        )
+        n_events += len(events) + events.n_outside
+        n_offline += len(offline)
+        kept.append(hw)
+    meta = dict(
+        n_events=n_events, n_kept_hw=sum(map(len, kept)), n_kept_offline=n_offline,
+        identical_to_offline=int(identical), trigger_delay_ns=args.delay,
+        gate_length_ns=length, jitter_sigma_ns=args.jitter,
+    )
+    columns = {
+        "timestamp_ns": np.concatenate([hw.timestamps for hw in kept]),
+        "channel": np.concatenate([hw.channels for hw in kept]),
+    }
+    return meta, columns
+
+
+class TestHwSimHandler:
+    """cmd_hw_sim computes one phase per block for both gates; its output
+    is what the gates give with a phase each."""
+
+    @pytest.mark.parametrize(
+        "extra, options",
+        [
+            ("", dict(delay=9.2)),
+            ("", dict(delay=9.2, jitter=0.3)),
+            # the draw window spans the whole period [0, period)
+            ("", dict(delay=0.0)),
+            ("", dict(delay=0.0, jitter=0.3)),
+            # toggles inside blocks: every block holds both channels
+            ("", dict(delay=0.0, toggle_rate=1e5)),
+            ("", dict(delay=9.2, length=20.0, toggle_rate=2000.0)),
+            ("dark_rate = 0.01", dict(delay=2.0, length=30.0, toggle_rate=2000.0)),
+            ("irf_sigma = 0.3", dict(delay=9.2, toggle_rate=2000.0)),
+            ("irf_sigma = 0.3", dict(delay=0.0, jitter=0.3, toggle_rate=1e5)),
+        ],
+    )
+    def test_equals_the_gates_composed_per_block(self, extra, options):
+        run = config.parse_config(HW_CONFIG.format(extra=extra))
+        args = types.SimpleNamespace(
+            **{**dict(integration=1e-3, toggle_rate=50.0, length=None, jitter=0.0), **options}
+        )
+        meta, columns, labels = acquisition.cmd_hw_sim(args, run, 17)
+        want_meta, want_columns = composed_hw_sim(run, args, 17)
+        assert meta == want_meta
+        assert columns.keys() == want_columns.keys()
+        for name, values in columns.items():
+            assert values.dtype == want_columns[name].dtype
+            assert np.array_equal(values, want_columns[name])
+        assert labels == {"channel": CHANNELS}
+        assert meta["identical_to_offline"] == int(args.jitter == 0)
+        if args.toggle_rate > 50.0:
+            assert set(columns["channel"].tolist()) == {CHANNEL_OFF, CHANNEL_ON}
 
 
 class TestMcSnr:

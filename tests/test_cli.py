@@ -1422,8 +1422,8 @@ class TestFlagExtremes:
     table: each float flag at nan, +-inf, -1, 0, 1e-300 and 1e300, each int
     flag at -1, 0, 1, 2 and 10**12, on small base runs. A run exits 0 with no
     warning, or exits 2 with one error line and no file; where argparse
-    refuses the value (-inf reads as a flag), its usage comes first. -1 and
-    -inf go to argparse, the other values to the reader."""
+    refuses the value, its usage comes first. -1 and -inf go to argparse,
+    which reads each as the flag's value, the other values to the reader."""
 
     BASE = {
         "simulate": ("--config", "{config}"),
@@ -1463,6 +1463,126 @@ class TestFlagExtremes:
             assert line.startswith(f"spingate {command}: error: argument {flag}: ")
         else:
             assert line.startswith("error: ")
+
+
+    @pytest.mark.parametrize("value", ["-1e300", "-1_0", "-inf", "-nan"])
+    def test_negative_float_reaches_the_handler(self, config_path, tmp_path, capsys, value):
+        # argparse read each of these as an unknown flag and said "argument
+        # --tau-c: expected one argument"; now mc's own check refuses it
+        out = tmp_path / "o.csv"
+        code = run_cli("mc", "--config", config_path, "--tau-c", value, "--seed", "1",
+                       "--out", str(out))
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: gate window requires 0 <= t_start < t_end, got [{float(value)}, inf)\n"
+        )
+        assert not out.exists()
+
+
+def config_keys(text: str) -> dict[str, str]:
+    """A config's values by "section.key", in file order."""
+    keys, section = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            keys[f"{section}.{key}"] = value
+    return keys
+
+
+def config_text(keys: dict[str, str]) -> str:
+    """The config holding keys, each section's keys in the order given."""
+    sections: dict[str, list[str]] = {}
+    for name, value in keys.items():
+        section, key = name.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+
+
+def key_places(name: str) -> list[str]:
+    """Each place of a number in a config key's value, as a format string:
+    a plain number, a component's amplitude and lifetime, a rate_grid
+    entry, and period_grid's start, stop and step. Text keys have none."""
+    parse = config._KEYS[name][2]
+    if parse is config._component:
+        return ["{}, 12.0", "1.0, {}"]
+    if parse is config._period_grid:
+        return ["{}:60:10", "40:{}:10", "40:60:{}"]
+    return [] if parse is str else ["{}"]
+
+
+# every numeric config key at the values of TestFlagExtremes' float flags,
+# on each model command: rep-sweep and joint-opt run on a period_grid
+CONFIG_COMMANDS = {
+    "gate-sweep": (), "rep-sweep": (), "joint-opt": (), "simulate": (),
+    "mc": ("--tau-c", "9.2", "--trials", "10", "--seed", "1"),
+    "odmr-synth": ("--points", "21"),
+    "hw-sim": ("--delay", "9.2", "--integration", "1e-4", "--seed", "1"),
+}
+CONFIG_CASES = [
+    (command, name, place.format(value))
+    for command in CONFIG_COMMANDS
+    for name in config._KEYS
+    for place in key_places(name)
+    for value in EXTREMES[float]
+]
+
+
+class TestConfigExtremes:
+    """Every numeric config key of config._KEYS at the extremes, generated
+    from the table as TestFlagExtremes is from COMMANDS: each number in a
+    key's value at nan, +-inf, -1, 0, 1e-300 and 1e300, on every model
+    command, with the key added to test_cli's CONFIG or set in it. A key
+    that excludes a given one replaces it (rate_grid the period_grid of
+    rep-sweep and joint-opt, explicit background components the
+    background ratio and its companions). A run exits 0 with no warning,
+    or exits 2 with one error line and no file."""
+
+    BASE = config_keys(CONFIG)
+    GRID = {**BASE, "sweep.period_grid": "40:60:10"}
+
+    @staticmethod
+    def config(base: dict[str, str], name: str, value: str) -> str:
+        keys = dict(base, **{name: value})
+        for first, second, _ in config._EITHER:
+            if name in (first, second):
+                keys.pop(second if name == first else first, None)
+        if "model.background_ratio" not in keys:  # its companions alone are refused
+            keys = {k: v for k, v in keys.items() if config._KEYS[k][0] != "ratio"}
+        return config_text(keys)
+
+    @pytest.mark.parametrize("command, name, value", CONFIG_CASES,
+                             ids=[" ".join(case) for case in CONFIG_CASES])
+    def test_runs_clean_or_exits_2(self, tmp_path, capsys, command, name, value):
+        base = self.GRID if command in ("rep-sweep", "joint-opt") else self.BASE
+        path, out = tmp_path / "run.ini", tmp_path / "o.csv"
+        path.write_text(self.config(base, name, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(command, "--config", str(path), *CONFIG_COMMANDS[command],
+                           "--out", str(out))
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and out.exists()
+            return
+        assert code == 2 and not out.exists(), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", list(CONFIG_COMMANDS))
+    def test_period_grid_rate_past_float64(self, tmp_path, capsys, command):
+        # 1e9 / 1e-300 warned "overflow encountered in scalar divide", then
+        # the grid said "rate_grid entries must be finite", a key not given
+        path, out = tmp_path / "run.ini", tmp_path / "o.csv"
+        path.write_text(self.config(self.BASE, "sweep.period_grid", "1e-300:60:10"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(command, "--config", str(path), *CONFIG_COMMANDS[command],
+                           "--out", str(out))
+        assert (code, capsys.readouterr().err) == (
+            2, "error: line 15: bad value for 'period_grid': period 1e-300 ns: the rate "
+            "1e9 / period overflows float64 to inf Hz\n"
+        )
+        assert not out.exists()
 
 
 class TestOutputMode:
@@ -1982,12 +2102,13 @@ COMMAND_MODULES = [
     ("rep-sweep", "rep-sweep --config {p}/run.ini", "metrics sweep " + MODEL_MODULES),
     ("joint-opt", "joint-opt --config {p}/run.ini", "metrics sweep " + MODEL_MODULES),
     ("simulate", "simulate --config {p}/run.ini", "histogram " + MODEL_MODULES),
+    # acquisition loads metrics only where mc computes an SNR
     ("simulate-sample", "simulate --config {p}/run.ini --sample --seed 1",
-     "acquisition histogram metrics " + MODEL_MODULES),
+     "acquisition histogram " + MODEL_MODULES),
     ("mc", "mc --config {p}/run.ini --tau-c 9.2 --trials 10 --seed 1",
      "acquisition metrics " + MODEL_MODULES),
     ("hw-sim", "hw-sim --config {p}/run.ini --delay 9.2 --integration 1e-4 --seed 1",
-     "acquisition metrics " + MODEL_MODULES),
+     "acquisition " + MODEL_MODULES),
     ("odmr-synth", "odmr-synth --config {p}/run.ini", "odmr " + MODEL_MODULES),
     # the two readers that gate or fit a file load no decay model
     ("odmr-fit", "odmr-fit --input {p}/spectrum.csv",
